@@ -15,27 +15,26 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .complexity import ESTIMATORS, freq_coder, lz78_estimate, repair_code, repair_decode, window_estimate
+from .complexity import ESTIMATORS, freq_coder, lz78_estimate, repair_code, repair_decode
 from .errors import BudgetExceededError
 from .folner import (
     builtin_families,
     defect_report,
     description_bits,
     modest_search,
-    temperedness_constant,
+    temperedness_witnesses,
 )
 from .groups import get_group
 from .quasitiling import cover, plan
 from .rng import derive, site_uniform
 from .setcodec import decode_connected, encode_connected
 from .stochastic import MeasureSource, parse_measure
-from .symbolic import binary_alphabet, load_sft, topological_entropy_estimate
+from .symbolic import binary_alphabet, cont, load_sft, topological_entropy_estimate
 
 
 class UsageError(ValueError):
@@ -47,7 +46,6 @@ _OPTION_TYPES = {
     "upto": int,
     "i": int,
     "seed": int,
-    "threads": int,
     "budget": int,
     "cap": int,
     "horizon": int,
@@ -68,13 +66,6 @@ def _family(group, name):
     if name not in families:
         raise UsageError(f"unknown family {name!r} (have {sorted(families)})")
     return families[name]
-
-
-def _pmap(threads, fn, items):
-    if threads is None or threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 @contextmanager
@@ -123,14 +114,11 @@ def _cmd_folner_defect(args):
     _require(args, "group", "upto")
     group = get_group(args.group)
     seq = _family(group, args.family)
-
-    def row(i):
-        rep = defect_report(seq, i)
+    rows = []
+    for i in seq.indices(args.upto):
         F = seq.subset(i)
-        d = rep.max_defect
-        return (i, len(F), d.numerator, d.denominator, description_bits(group, F))
-
-    rows = _pmap(args.threads, row, list(seq.indices(args.upto)))
+        d = defect_report(seq, i).max_defect
+        rows.append((i, len(F), d.numerator, d.denominator, description_bits(group, F)))
     with _open_out(args) as fh:
         _write_stanza(fh, args)
         w = _writer(fh)
@@ -143,12 +131,10 @@ def _cmd_folner_tempered(args):
     _require(args, "group", "upto")
     group = get_group(args.group)
     seq = _family(group, args.family)
-    rows = []
-    for i in seq.indices(args.upto):
-        if i <= seq.start:
-            continue
-        c = temperedness_constant(seq, i)
-        rows.append((i, len(seq.subset(i)), c.numerator, c.denominator))
+    rows = [
+        (i, len(seq.subset(i)), c.numerator, c.denominator)
+        for i, c in temperedness_witnesses(seq, args.upto)
+    ]
     with _open_out(args) as fh:
         _write_stanza(fh, args)
         w = _writer(fh)
@@ -298,21 +284,21 @@ def _cmd_brudno_run(args):
             f"unknown estimator {args.estimator!r} (have {sorted(ESTIMATORS) + ['all']})"
         )
     source = MeasureSource(measure, args.seed)
-    indices = list(seq.indices(args.upto))
-
-    def run_one(task):
-        name, i = task
+    # sample each window once and code its content word with every
+    # estimator; rows are reported grouped by estimator
+    rows = {name: [] for name in names}
+    for i in seq.indices(args.upto):
         F = seq.subset(i)
-        est = window_estimate(source.alphabet, source.window(F), name)
-        return (name, i, len(F), est.bits, f"{est.bits / len(F):.6f}")
-
-    tasks = [(name, i) for name in names for i in indices]
-    rows = _pmap(args.threads, run_one, tasks)
+        word = cont(source.window(F))
+        for name in names:
+            bits = ESTIMATORS[name](source.alphabet, word).bits
+            rows[name].append((name, i, len(F), bits, f"{bits / len(F):.6f}"))
     with _open_out(args) as fh:
         _write_stanza(fh, args)
         w = _writer(fh)
         w.writerow(["estimator", "i", "size", "bits", "rate"])
-        w.writerows(rows)
+        for name in names:
+            w.writerows(rows[name])
     return 0
 
 
@@ -383,12 +369,10 @@ def _apply_config(args, argv, cfg):
 # -- parser --------------------------------------------------------------------
 
 
-def _add_common(p, *, family=False, threads=False):
+def _add_common(p, *, family=False):
     p.add_argument("--group", help="group id: z, z2, z3, ..., h3")
     if family:
         p.add_argument("--family", default="boxes", help="Folner family (boxes, dyadic)")
-    if threads:
-        p.add_argument("--threads", type=int, default=1, help="parallel workers for per-index work")
     p.add_argument("--out", help="report file (default: stdout)")
     p.add_argument("--config", help="key=value preset file; flags override")
 
@@ -404,7 +388,7 @@ def _build_parser():
     folner = sub.add_parser("folner", help="Folner sequence reports")
     fsub = folner.add_subparsers(dest="subcmd")
     p = fsub.add_parser("defect", help="per-index max translation defect and description size")
-    _add_common(p, family=True, threads=True)
+    _add_common(p, family=True)
     p.add_argument("--upto", type=int, help="largest index")
     p.set_defaults(func=_cmd_folner_defect)
     p = fsub.add_parser("tempered", help="prefix temperedness constants")
@@ -449,7 +433,7 @@ def _build_parser():
     brudno = sub.add_parser("brudno", help="complexity rates of sampled configurations")
     bsub = brudno.add_subparsers(dest="subcmd")
     p = bsub.add_parser("run", help="rate series for a measure and estimator set")
-    _add_common(p, family=True, threads=True)
+    _add_common(p, family=True)
     p.add_argument("--measure", help="bernoulli:p0,p1,... or markov:[[...],...]")
     p.add_argument("--estimator", help="freq, lz78, or all")
     p.add_argument("--upto", type=int)

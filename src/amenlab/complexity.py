@@ -114,8 +114,6 @@ def _unrank_in_class(rank: int, counts: list[int], symbols) -> str:
                 rem -= 1
                 break
             rank -= cnt
-        else:
-            raise CoderDecodeError("type-class rank out of range")
     return "".join(out)
 
 
@@ -157,15 +155,15 @@ def freq_read(alphabet: Alphabet, bits: str, pos: int) -> tuple[str, int]:
             c, pos = selfdelim_read(bits, pos)
             counts.append(c)
         blen = sum(counts)
-        size = _multinomial(counts)
-        width = (size - 1).bit_length()
-        rank = 0
-        if width:
-            chunk = bits[pos:pos + width]
-            if len(chunk) < width:
-                raise CoderDecodeError("truncated type-class rank")
-            rank = int(chunk, 2)
-            pos += width
+        # the encoder never emits a longer block; checked before any
+        # big-integer work so junk headers cost time linear in their length
+        if blen > FREQ_BLOCK:
+            raise CoderDecodeError(f"block of {blen} symbols exceeds {FREQ_BLOCK}")
+        width = (_multinomial(counts) - 1).bit_length()
+        if pos + width > len(bits):
+            raise CoderDecodeError("truncated type-class rank")
+        rank = int(bits[pos:pos + width], 2) if width else 0
+        pos += width
         out.append(_unrank_in_class(rank, counts, alphabet.symbols))
         if blen < FREQ_BLOCK:
             break
@@ -309,8 +307,6 @@ def repair_decode(alphabet: Alphabet, base: str, bits: str) -> str:
         pos += width
     if pos != len(bits):
         raise CoderDecodeError(f"{len(bits) - pos} unread bits after stream end")
-    if val >= alphabet.size ** max(flips, 1) and flips:
-        raise CoderDecodeError("substitution block out of range")
     digits = []
     for _ in range(flips):
         val, r = divmod(val, alphabet.size)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -22,6 +23,7 @@ from .complexity import freq_encode, selfdelim_length
 from .errors import BudgetExceededError
 from .groups import (
     ComputableGroup,
+    CoordinateRangeError,
     FiniteSubset,
     Heisenberg,
     is_connected_with_identity,
@@ -129,44 +131,64 @@ def defect_report(seq: FolnerSequence, i: int) -> DefectReport:
 
 
 def product_size(group: ComputableGroup, A, B) -> int:
-    """|A*B| via coordinate broadcasting, falling back to generic sets."""
+    """|A*B|, exact: coordinate broadcasting in int64 when every coordinate
+    provably stays within +/-2**40, else the generic set product (which
+    raises CoordinateRangeError where the product leaves that range)."""
+    d = group.dimension
     try:
         a = np.asarray([group.decode(x) for x in A], dtype=np.int64)
         b = np.asarray([group.decode(y) for y in B], dtype=np.int64)
-        prod = group.compose_array(a[:, None, :], b[None, :, :])
-        flat = prod.reshape(-1, group.dimension)
-        if group.dimension == 1:
-            return int(np.unique(flat[:, 0]).size)
-        if int(np.abs(flat).max()) < (1 << 20):
-            # fold small coordinates into one scalar key; unique on a flat
-            # array is far faster than row-wise unique
-            key = flat[:, 0].copy()
-            for k in range(1, group.dimension):
-                key = key * (1 << 21) + flat[:, k]
-            return int(np.unique(key).size)
-        return int(np.unique(flat, axis=0).shape[0])
-    except NotImplementedError:
+        # both shipped laws are sums and products of coordinates, so the law
+        # applied to the per-axis maxima of |a| and |b| bounds every |a*b|
+        # coordinate; compose raises CoordinateRangeError past 2**40
+        group.compose(_abs_max(a), _abs_max(b))
+        ab = group.compose_array(a[:, None, :], b[None, :, :])
+    except (NotImplementedError, ValueError, OverflowError, CoordinateRangeError):
         return len(set_product(group, A, B))
+    flat = ab.reshape(-1, d)
+    lo, hi = flat.min(axis=0), flat.max(axis=0)
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if prod(spans) > 1 << 62:  # leaves int64 headroom for the fold below
+        return int(np.unique(flat, axis=0).shape[0])
+    # fold each row in place into one mixed-radix key (a view of ab when
+    # d == 1); sorting a flat key is far faster than row-wise unique
+    key = np.ascontiguousarray(flat[:, 0])
+    key -= lo[0]
+    for k in range(1, d):
+        key *= spans[k]
+        key -= lo[k]
+        key += flat[:, k]
+    key.sort()
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
-def temperedness_constant(seq: FolnerSequence, upto: int) -> Fraction:
-    """Least witness K with |U_{j<i} F_j^-1 F_i| <= K |F_i| on the prefix.
+def _abs_max(coords) -> tuple[int, ...]:
+    return tuple(max(-int(lo), int(hi)) for lo, hi in zip(coords.min(axis=0), coords.max(axis=0)))
+
+
+def temperedness_witnesses(seq: FolnerSequence, upto: int):
+    """Yield (i, K_i) for every index i past the first, where K_i is the
+    least witness K with |U_{j<i'} F_j^-1 F_i'| <= K |F_i'| for all i' <= i.
 
     Uses U_j (F_j^-1 F_i) = (U_j F_j^-1) F_i, so the growing union is
     maintained once instead of per pair.
     """
-    if upto <= seq.start:
-        raise ValueError("need at least two indices to witness temperedness")
     group = seq.group
     inv_union: set[int] = set()
     best = Fraction(0)
     for i in seq.indices(upto):
         Fi = seq.subset(i)
         if inv_union:
-            ratio = Fraction(product_size(group, inv_union, Fi), len(Fi))
-            best = max(best, ratio)
+            best = max(best, Fraction(product_size(group, inv_union, Fi), len(Fi)))
+            yield i, best
         inv_union.update(group.inverse(f) for f in Fi)
-    return best
+
+
+def temperedness_constant(seq: FolnerSequence, upto: int) -> Fraction:
+    """Least witness K with |U_{j<i} F_j^-1 F_i| <= K |F_i| on the prefix."""
+    if upto <= seq.start:
+        raise ValueError("need at least two indices to witness temperedness")
+    return max(c for _, c in temperedness_witnesses(seq, upto))
 
 
 def geometric_modesty_check(group: ComputableGroup, F) -> bool:

@@ -198,12 +198,8 @@ def _occurrence_positions(sft: SFT, p: PartialConfiguration, F: frozenset) -> li
     supp = p.support
     anchor_inv = group.inverse(supp[0])
     out = []
-    seen = set()
     for f in F:
         g = group.multiply(anchor_inv, f)
-        if g in seen:
-            continue
-        seen.add(g)
         if all(group.multiply(m, g) in F for m in supp):
             out.append(g)
     return out

@@ -6,7 +6,9 @@ import io
 import pytest
 
 from amenlab.cli import main
+from amenlab.folner import builtin_families, temperedness_constant
 from amenlab.groups import get_group
+from amenlab.stochastic import MeasureSource
 
 
 def payload(path):
@@ -40,6 +42,20 @@ def test_folner_tempered_report(tmp_path):
     header, rows = data_rows(out)
     assert header == ["i", "size", "tempered_num", "tempered_den"]
     assert rows[-1] == ["10", "1024", "1535", "1024"]
+
+
+@pytest.mark.parametrize("group,upto", [("z", 40), ("h3", 5)])
+def test_folner_tempered_every_row_is_its_prefix_constant(tmp_path, group, upto):
+    out = tmp_path / "temp.csv"
+    assert main(["folner", "tempered", "--group", group, "--family", "boxes",
+                 "--upto", str(upto), "--out", str(out)]) == 0
+    _, rows = data_rows(out)
+    seq = builtin_families(get_group(group))["boxes"]
+    assert [int(r[0]) for r in rows] == list(range(2, upto + 1))
+    for i, size, num, den in rows:
+        c = temperedness_constant(seq, int(i))
+        assert (int(size), int(num), int(den)) == (
+            len(seq.subset(int(i))), c.numerator, c.denominator)
 
 
 def test_modest_search_report(tmp_path):
@@ -149,6 +165,24 @@ def test_brudno_all_estimators(tmp_path):
     assert [r[1] for r in rows[:5]] == [str(i) for i in range(1, 6)]
 
 
+def test_brudno_samples_each_window_once(tmp_path, monkeypatch):
+    calls = []
+    window = MeasureSource.window
+
+    def counting(self, F):
+        calls.append(len(F))
+        return window(self, F)
+
+    monkeypatch.setattr(MeasureSource, "window", counting)
+    out = tmp_path / "rates.csv"
+    assert main(["brudno", "run", "--group", "z2", "--family", "boxes",
+                 "--measure", "bernoulli:0.3,0.7", "--estimator", "all",
+                 "--upto", "6", "--seed", "9", "--out", str(out)]) == 0
+    assert calls == [i * i for i in range(1, 7)]
+    _, rows = data_rows(out)
+    assert [r[0] for r in rows] == ["freq"] * 6 + ["lz78"] * 6
+
+
 def test_seeded_runs_byte_identical(tmp_path):
     argv = ["brudno", "run", "--group", "z2", "--family", "boxes",
             "--measure", "bernoulli:0.3,0.7", "--estimator", "all",
@@ -158,15 +192,6 @@ def test_seeded_runs_byte_identical(tmp_path):
     assert main(argv + ["--out", str(b)]) == 0
     assert payload(a) == payload(b)
     assert payload(a).count("\n") > 10
-
-
-def test_threads_do_not_change_output(tmp_path):
-    base = ["folner", "defect", "--group", "z2", "--upto", "12"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(base + ["--out", str(a)]) == 0
-    assert main(base + ["--threads", "4", "--out", str(b)]) == 0
-    # thread count is echoed in the config line; the data must agree
-    assert payload(a).splitlines()[2:] == payload(b).splitlines()[2:]
 
 
 def test_config_file_preset_and_override(tmp_path):
@@ -215,6 +240,16 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["codec", "encode", "--group", "z",
                  "--set-file", str(tmp_path / "missing.txt")]) == 2
     capsys.readouterr()
+
+
+def test_threads_is_not_an_option(tmp_path, capsys):
+    assert main(["brudno", "run", "--group", "z", "--family", "boxes",
+                 "--measure", "bernoulli:0.5,0.5", "--estimator", "all",
+                 "--upto", "3", "--seed", "1", "--threads", "2"]) == 2
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text("group=z\nupto=3\nthreads=2\n", encoding="ascii")
+    assert main(["folner", "defect", "--config", str(cfg)]) == 2
+    assert "'threads' does not match any option" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

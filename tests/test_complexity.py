@@ -1,6 +1,7 @@
 """Coders: roundtrips, frozen traces, and closed-form bit bounds."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -176,6 +177,27 @@ def test_freq_rank_out_of_range():
     assert freq_decode(AB, head + "000") == "aabb"
     with pytest.raises(CoderDecodeError):
         freq_decode(AB, head + "111")
+
+
+def test_freq_rejects_oversized_block_header_fast():
+    # ~86 bits declaring a 2*10**6-symbol block; the encoder never emits a
+    # block longer than FREQ_BLOCK, so this fails before any ranking work
+    junk = selfdelim_encode(10**6) * 2 + "0" * 40
+    start = time.perf_counter()
+    with pytest.raises(CoderDecodeError, match="exceeds"):
+        freq_decode(AB, junk)
+    with pytest.raises(CoderDecodeError, match="exceeds"):
+        repair_decode(AB, "a" * 10, junk)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_freq_rejects_rank_wider_than_the_stream():
+    # counts (30000, 30000) need a ~60000-bit rank; only 40 bits follow
+    head = selfdelim_encode(30000) * 2
+    with pytest.raises(CoderDecodeError, match="truncated type-class rank"):
+        freq_decode(AB, head + "1" * 40)
+    with pytest.raises(CoderDecodeError, match="truncated type-class rank"):
+        repair_decode(AB, "a" * 60000, head + "1" * 40)
 
 
 # -- LZ78 ---------------------------------------------------------------------

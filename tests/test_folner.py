@@ -19,7 +19,14 @@ from amenlab.folner import (
     series_tail,
     temperedness_constant,
 )
-from amenlab.groups import get_group, normalize_subset, set_product, subset_from_mask
+from amenlab.groups import (
+    COORD_LIMIT,
+    CoordinateRangeError,
+    get_group,
+    normalize_subset,
+    set_product,
+    subset_from_mask,
+)
 from amenlab.rng import SplitMix64, derive
 from amenlab.setcodec import random_connected_subset
 
@@ -174,6 +181,58 @@ def testproduct_size_matches_generic_sets():
             A = random_connected_subset(group, 1 + rng.randrange(20), seed=trial)
             B = random_connected_subset(group, 1 + rng.randrange(20), seed=trial + 100)
             assert product_size(group, A, B) == len(set_product(group, A, B))
+
+
+def _size_or_range_error(fn, group, A, B):
+    try:
+        return fn(group, A, B)
+    except CoordinateRangeError:
+        return "range"
+
+
+def _random_near(rng, group, n, centre, spread):
+    return {
+        group.encode(tuple(c + rng.randrange(2 * spread + 1) - spread for c in centre))
+        for _ in range(n)
+    }
+
+
+def test_product_size_oracle_up_to_the_coordinate_cap():
+    """Exact |A*B| (or the same range error) in z1-z6 and h3, on small
+    coordinates, wide spreads and coordinates near 2**40."""
+    rng = SplitMix64(derive(47))
+    near = COORD_LIMIT - 8
+    generic = lambda group, A, B: len(set_product(group, A, B))  # noqa: E731
+    outcomes = set()
+    for group in [get_group(f"z{d}" if d > 1 else "z") for d in range(1, 7)] + [H3]:
+        d = group.dimension
+        for trial in range(12):
+            scale = (1, 5, 1 << 12, 1 << 30)[trial % 4]
+            centre_a = tuple(rng.randrange(2 * scale + 1) - scale for _ in range(d))
+            centre_b = tuple(rng.randrange(2 * scale + 1) - scale for _ in range(d))
+            if trial >= 8:  # push one axis of each set against the cap
+                axis = rng.randrange(d)
+                sign = 1 if trial % 2 else -1
+                centre_a = centre_a[:axis] + (sign * (near - scale),) + centre_a[axis + 1:]
+                centre_b = centre_b[:axis] + (sign * rng.randrange(20),) + centre_b[axis + 1:]
+            A = _random_near(rng, group, 1 + rng.randrange(12), centre_a, min(scale, 4))
+            B = _random_near(rng, group, 1 + rng.randrange(12), centre_b, scale)
+            got = _size_or_range_error(product_size, group, A, B)
+            assert got == _size_or_range_error(generic, group, A, B), (group, trial)
+            outcomes.add(got == "range")
+    assert outcomes == {True, False}
+
+
+def test_product_size_pinned_cases():
+    assert product_size(Z, (), (0,)) == 0 == len(set_product(Z, (), (0,)))
+    z4, z5 = get_group("z4"), get_group("z5")
+    assert product_size(z4, {0}, {0, z4.encode((2, 0, 0, 0))}) == 2
+    assert product_size(z5, {0}, {0, z5.encode((1, 0, 0, 0, 0))}) == 2
+    for e in (32, 33):
+        A = {H3.encode((2**e, 0, 0))}
+        B = {H3.identity, H3.encode((0, 2**e, 0))}
+        with pytest.raises(CoordinateRangeError):
+            product_size(H3, A, B)
 
 
 # -- modesty -------------------------------------------------------------
