@@ -6,7 +6,8 @@ A subshift of finite type is cut out by a finite list of forbidden local
 patterns.  Counting the words admissible on a growing window and taking
 log2 per site estimates the topological entropy.  On the line with
 nearest-neighbor constraints the count comes from a transfer matrix; in
-general a budgeted backtracker does the work.
+general a budgeted dynamic program does the work, assigning sites row by
+row and keeping only the symbols that later constraints still read.
 """
 
 import math

@@ -425,7 +425,8 @@ def _build_parser():
     p.add_argument("--file", help="SFT description file")
     p.add_argument("--family", default="boxes")
     p.add_argument("--upto", type=int)
-    p.add_argument("--budget", type=int, default=20_000_000, help="pattern enumeration budget")
+    p.add_argument("--budget", type=int, default=20_000_000,
+                   help="pattern counting budget: (state, symbol) extensions per window")
     p.add_argument("--out")
     p.add_argument("--config")
     p.set_defaults(func=_cmd_entropy_sft)

@@ -21,7 +21,7 @@ from math import log2
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import BudgetExceededError
-from .groups import ComputableGroup, Zd, get_group
+from .groups import ComputableGroup, Zd, get_group, normalize_subset
 from .series import RatePoint, RateSeries
 
 
@@ -258,10 +258,6 @@ def _mat_mul(X, Y):
             for i in range(n)]
 
 
-def _mat_vec(X, v):
-    return [sum(r[k] * v[k] for k in range(len(v))) for r in X]
-
-
 def transfer_matrix_count(sft: SFT, length: int) -> int:
     """Exact admissible-word count on an interval of the given length for a
     one-dimensional nearest-neighbor subshift, by integer matrix powers."""
@@ -273,9 +269,8 @@ def transfer_matrix_count(sft: SFT, length: int) -> int:
     allowed, pair_ok = data
     n = sft.alphabet.size
     A = [[pair_ok[a][b] * allowed[b] for b in range(n)] for a in range(n)]
-    v = [1] * n
     e = length - 1
-    # v <- A^(length-1) * ones, by binary powering on the matrix
+    # P <- A^(length-1) by binary powering; P times the ones vector is its row sums
     P = None
     B = A
     while e:
@@ -283,102 +278,97 @@ def transfer_matrix_count(sft: SFT, length: int) -> int:
             P = B if P is None else _mat_mul(P, B)
         B = _mat_mul(B, B)
         e >>= 1
-    if P is not None:
-        v = _mat_vec(P, v)
-    return sum(allowed[a] * v[a] for a in range(n))
+    if P is None:
+        return sum(allowed)
+    return sum(allowed[a] * sum(P[a]) for a in range(n))
 
 
 def admissible_patterns(sft: SFT, F, budget: int | None = 20_000_000) -> int:
     """Number of locally admissible patterns on the window F.
 
     Uses the exact transfer-matrix route for nearest-neighbor constraints on
-    intervals of the line, and backtracking in increasing element-index
-    order otherwise.  Backtracking that would visit more than ``budget``
-    assignment nodes raises :class:`BudgetExceededError`.
+    intervals of the line, and the frontier dynamic program of
+    :func:`_count_frontier` otherwise.  A count that would take more than
+    ``budget`` work units raises :class:`BudgetExceededError`.
     """
-    F = list(F)
+    F = normalize_subset(F)
     if not F:
         raise ValueError("window must be nonempty")
     length = _interval_length(sft.group, F)
     if length is not None and _nearest_neighbor_data(sft) is not None:
         return transfer_matrix_count(sft, length)
-    return _count_backtracking(sft, sorted(F), budget)
+    return _count_frontier(sft, sorted(F, key=sft.group.decode), budget)
 
 
-def _count_backtracking(sft: SFT, order: list[int], budget: int | None) -> int:
+def _count_frontier(sft: SFT, order: list[int], budget: int | None) -> int:
+    """Exact pattern count by a dynamic program that assigns sites in ``order``.
+
+    A state is the tuple of symbols on the live sites: assigned sites that
+    belong to a constraint instance not yet fully assigned.  Each step
+    extends every state by every symbol, rejects the symbols that complete a
+    forbidden occurrence, forgets the sites no later instance contains, and
+    adds up the counts of equal states.  One work unit is one (state,
+    symbol) extension.
+    """
     grouped = _constraint_instances(sft, order)
-    n = len(order)
-    asize = sft.alphabet.size
-    assign = [0] * n
-    trial = [0] * n
-    total = 0
-    nodes = 0
-    depth = 0
-    while depth >= 0:
-        if trial[depth] == asize:
-            trial[depth] = 0
-            depth -= 1
-            if depth >= 0:
-                trial[depth] += 1
-            continue
-        assign[depth] = trial[depth]
-        nodes += 1
-        if budget is not None and nodes > budget:
+    # the last step whose instances contain a site; k grows, so later wins
+    last = {pos: k for k, instances in enumerate(grouped)
+            for positions, _ in instances for pos in positions}
+    symbols = range(sft.alphabet.size)
+    states = {(): 1}
+    live: list[int] = []
+    work = 0
+    for k, instances in enumerate(grouped):
+        work += len(states) * len(symbols)
+        if budget is not None and work > budget:
             raise BudgetExceededError(
-                f"pattern enumeration exceeded {budget} nodes on a window of size {n}")
-        ok = True
-        for positions, syms in grouped[depth]:
-            hit = True
-            for pos, sym in zip(positions, syms):
-                if assign[pos] != sym:
-                    hit = False
-                    break
-            if hit:
-                ok = False
-                break
-        if not ok:
-            trial[depth] += 1
-        elif depth == n - 1:
-            total += 1
-            trial[depth] += 1
-        else:
-            depth += 1
-    return total
+                f"pattern counting exceeded {budget} work units on a window of size {len(order)}")
+        slot = {pos: i for i, pos in enumerate(live + [k])}
+        checks = [([slot[pos] for pos in positions], syms) for positions, syms in instances]
+        live = [pos for pos in slot if last.get(pos, -1) > k]
+        keep = [slot[pos] for pos in live]
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, count in states.items():
+            for s in symbols:
+                row = state + (s,)
+                if any(all(row[i] == v for i, v in zip(idx, syms)) for idx, syms in checks):
+                    continue
+                key = tuple(row[i] for i in keep)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return sum(states.values())
 
 
 def iter_admissible(sft: SFT, F, budget: int | None = 1_000_000) -> Iterator[PartialConfiguration]:
     """Yield the locally admissible patterns on F in lexicographic order of
     the window word (increasing element-index order of sites)."""
-    order = sorted(F)
+    order = normalize_subset(F)
+    if not order:
+        raise ValueError("window must be nonempty")
     grouped = _constraint_instances(sft, order)
     syms = sft.alphabet.symbols
     n = len(order)
-    asize = len(syms)
-    assign = [0] * n
-    trial = [0] * n
+    trial = [0]  # symbol index tried at each assigned depth
     nodes = 0
-    depth = 0
-    while depth >= 0:
-        if trial[depth] == asize:
-            trial[depth] = 0
-            depth -= 1
-            if depth >= 0:
-                trial[depth] += 1
+    while trial:
+        depth = len(trial) - 1
+        if trial[depth] == len(syms):
+            trial.pop()
+            if trial:
+                trial[-1] += 1
             continue
-        assign[depth] = trial[depth]
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(
                 f"pattern enumeration exceeded {budget} nodes on a window of size {n}")
-        ok = all(any(assign[pos] != sym for pos, sym in zip(positions, psyms))
-                 for positions, psyms in grouped[depth])
-        if not ok:
+        if any(all(trial[pos] == sym for pos, sym in zip(positions, psyms))
+               for positions, psyms in grouped[depth]):
             trial[depth] += 1
         elif depth == n - 1:
-            yield PartialConfiguration({g: syms[assign[k]] for k, g in enumerate(order)})
+            yield PartialConfiguration({g: syms[trial[k]] for k, g in enumerate(order)})
             trial[depth] += 1
         else:
-            depth += 1
+            trial.append(0)
 
 
 def topological_entropy_estimate(sft: SFT, seq, upto: int,
@@ -473,7 +463,7 @@ def parse_sft(text: str) -> SFT:
     """
     group = None
     alphabet = None
-    raw_patterns: list[list[tuple[str, str]]] = []
+    raw_patterns: list[tuple[int, list[tuple[str, str]]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -494,19 +484,24 @@ def parse_sft(text: str) -> SFT:
             if not eq or not elem or not symbol:
                 raise ValueError(f"line {lineno}: expected element=symbol, got {token!r}")
             pairs.append((elem, symbol))
-        raw_patterns.append(pairs)
+        raw_patterns.append((lineno, pairs))
     if alphabet is None:
         raise ValueError("missing alphabet line")
     if group is None:
         if not raw_patterns:
             raise ValueError("no group line and no patterns to infer the group from")
-        prefix = raw_patterns[0][0][0].split(":", 1)[0]
+        prefix = raw_patterns[0][1][0][0].split(":", 1)[0]
         group = get_group(prefix)
-    forbidden = tuple(
-        PartialConfiguration({group.parse_element(e): s for e, s in pairs})
-        for pairs in raw_patterns
-    )
-    return SFT(group, alphabet, forbidden)
+    forbidden = []
+    for lineno, pairs in raw_patterns:
+        pattern: dict[int, str] = {}
+        for e, s in pairs:
+            g = group.parse_element(e)
+            if g in pattern:
+                raise ValueError(f"line {lineno}: element {e} named twice")
+            pattern[g] = s
+        forbidden.append(PartialConfiguration(pattern))
+    return SFT(group, alphabet, tuple(forbidden))
 
 
 def load_sft(path) -> SFT:

@@ -141,6 +141,16 @@ def test_entropy_budget_partial(tmp_path):
     assert 0 < len(rows) < 6
 
 
+def test_entropy_sft_rejects_an_element_named_twice(tmp_path, capsys):
+    sft = tmp_path / "twice.sft"
+    sft.write_text("alphabet 0 1\nZ:0=1 Z:0=0\n", encoding="ascii")
+    out = tmp_path / "entropy.csv"
+    code = main(["entropy", "sft", "--file", str(sft), "--upto", "4", "--out", str(out)])
+    assert code == 2
+    assert "line 2: element Z:0 named twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_brudno_fair_coin(tmp_path):
     out = tmp_path / "rates.csv"
     code = main(["brudno", "run", "--group", "z", "--family", "dyadic",

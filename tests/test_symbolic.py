@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from amenlab.symbolic import (
     cont,
     golden_mean_sft,
     iter_admissible,
+    parse_sft,
     restrict,
     topological_entropy_estimate,
     transfer_matrix_count,
@@ -151,9 +153,9 @@ def test_transfer_matches_backtracking():
     sft = golden_mean_sft()
     for n in range(1, 13):
         # force the generic route by passing a non-interval ordering is not
-        # possible (the window is an interval); call the internal brute path
-        from amenlab.symbolic import _count_backtracking
-        assert transfer_matrix_count(sft, n) == _count_backtracking(sft, sorted(interval(n)), None)
+        # possible (the window is an interval); call the internal DP route
+        from amenlab.symbolic import _count_frontier
+        assert transfer_matrix_count(sft, n) == _count_frontier(sft, sorted(interval(n)), None)
 
 
 def test_full_shift_and_banned_symbol():
@@ -173,7 +175,7 @@ def test_non_interval_window_uses_backtracking():
 
 def test_hard_squares_against_row_profile_dp():
     sft = hard_squares_sft()
-    for n in range(1, 6):
+    for n in range(1, 11):
         assert admissible_patterns(sft, box2(n)) == hard_square_count(n, n)
 
 
@@ -183,6 +185,55 @@ def test_hard_squares_6x6_pinned():
     assert hard_square_count(6, 6) == 5598861
     sft = hard_squares_sft()
     assert admissible_patterns(sft, box2(6), budget=60_000_000) == 5598861
+
+
+def test_frontier_count_matches_enumeration_on_random_sfts():
+    from amenlab.symbolic import _count_frontier
+    rng = random.Random(20261018)
+    groups = [get_group(name) for name in ("z", "z2", "h3")]
+    for case in range(600):
+        group = groups[case % 3]
+        d = group.dimension
+        alphabet = Alphabet(("a", "b", "c")[:rng.randint(2, 3)])
+
+        def site(radius):
+            return group.encode(tuple(rng.randint(-radius, radius) for _ in range(d)))
+
+        # single-site patterns, pairs and triples; the list may be empty
+        forbidden = tuple(
+            PartialConfiguration({site(1): rng.choice(alphabet.symbols)
+                                  for _ in range(rng.randint(1, 3))})
+            for _ in range(rng.randint(0, 3)))
+        sft = SFT(group, alphabet, forbidden)
+        # scattered sites, so the window is often not connected
+        F = sorted({site(3 if d == 1 else 1) for _ in range(rng.randint(1, 8))})
+        brute = sum(1 for _ in iter_admissible(sft, F, budget=None))
+        assert admissible_patterns(sft, F, budget=None) == brute, case
+        order = list(F)
+        rng.shuffle(order)
+        assert _count_frontier(sft, order, None) == brute, case
+
+
+def test_windows_are_normalized_sets():
+    sft = golden_mean_sft()
+    assert admissible_patterns(sft, [0, 0]) == admissible_patterns(sft, [0]) == 2
+    assert admissible_patterns(sft, [0, 1, 1]) == 3
+    assert len(list(iter_admissible(sft, [0, 1, 1]))) == 3
+    assert admissible_patterns(hard_squares_sft(), box2(2) * 2) == 7
+    with pytest.raises(ValueError):
+        admissible_patterns(sft, [0, -1])
+    with pytest.raises(ValueError):
+        list(iter_admissible(sft, [-1]))
+    with pytest.raises(ValueError):
+        list(iter_admissible(sft, []))
+
+
+def test_parse_sft_rejects_an_element_named_twice():
+    with pytest.raises(ValueError, match="line 2: element Z:0 named twice"):
+        parse_sft("alphabet 0 1\nZ:0=1 Z:0=0\n")
+    # two spellings of one element are still one element
+    with pytest.raises(ValueError, match="line 3: element Z:\\(1\\) named twice"):
+        parse_sft("alphabet 0 1\nZ:0=1 Z:1=1\nZ:1=1 Z:(1)=1\n")
 
 
 def test_iter_admissible_matches_count():
