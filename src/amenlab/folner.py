@@ -33,7 +33,7 @@ from .groups import (
     translate_left,
     zigzag,
 )
-from .setcodec import encode_connected
+from .setcodec import EncodingDomainError, encode_connected
 from .symbolic import binary_alphabet
 
 
@@ -72,25 +72,10 @@ class DefectReport:
 
 @lru_cache(maxsize=None)
 def _box_builder(group: ComputableGroup):
-    if isinstance(group, Heisenberg):
-
-        @lru_cache(maxsize=None)
-        def box(n: int) -> FiniteSubset:
-            return normalize_subset(
-                group.encode((a, b, c))
-                for a in range(n)
-                for b in range(n)
-                for c in range(n * n)
-            )
-
-    else:
-        d = group.dimension
-
-        @lru_cache(maxsize=None)
-        def box(n: int) -> FiniteSubset:
-            return normalize_subset(
-                group.encode(c) for c in product(range(n), repeat=d)
-            )
+    @lru_cache(maxsize=None)
+    def box(n: int) -> FiniteSubset:
+        sides = (n, n, n * n) if isinstance(group, Heisenberg) else (n,) * group.dimension
+        return normalize_subset(group.encode(c) for c in product(*map(range, sides)))
 
     return box
 
@@ -263,8 +248,11 @@ def description_bits(group: ComputableGroup, F) -> int:
         box = _box_bits(group, F)
         if box is not None:
             candidates.append(box)
-        if is_connected_with_identity(group, F):
+        try:
             stream = encode_connected(group, F)
+        except EncodingDomainError:
+            pass
+        else:
             candidates.append(len(stream))
             candidates.append(len(freq_encode(binary_alphabet(), stream)))
     return min(candidates)

@@ -21,6 +21,7 @@ different group than the caller asked for.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -84,11 +85,17 @@ class ComputableGroup:
     name: str
     prefix: str
     dimension: int
-    generators: tuple[int, ...]
+    generator_coords: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        return tuple(self.encode(s) for s in self.generator_coords)
 
     # -- coordinate law, supplied by subclasses ---------------------------
 
     def compose(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """Coordinates of a*b; raises CoordinateRangeError outside +/-2**40,
+        so callers may pack the result without checking it again."""
         raise NotImplementedError
 
     def invert_coords(self, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -122,14 +129,16 @@ class ComputableGroup:
         return 0
 
     def multiply(self, g: int, h: int) -> int:
-        return self.encode(self.compose(self.decode(g), self.decode(h)))
+        return pack_coords(self.compose(self.decode(g), self.decode(h)))
 
     def inverse(self, g: int) -> int:
         return self.encode(self.invert_coords(self.decode(g)))
 
     def neighbors(self, g: int) -> list[int]:
         """Cayley neighbors s*g for s in the fixed generator order."""
-        return [self.multiply(s, g) for s in self.generators]
+        gg = self.decode(g)
+        compose = self.compose
+        return [pack_coords(compose(s, gg)) for s in self.generator_coords]
 
     # -- canonical text form -------------------------------------------------
 
@@ -161,14 +170,9 @@ class Zd(ComputableGroup):
         self.dimension = d
         self.name = "z" if d == 1 else f"z{d}"
         self.prefix = "Z" if d == 1 else f"Z{d}"
-        gens = []
-        for axis in range(d):
-            e = [0] * d
-            e[axis] = 1
-            gens.append(self.encode(tuple(e)))
-            e[axis] = -1
-            gens.append(self.encode(tuple(e)))
-        self.generators = tuple(gens)
+        self.generator_coords = tuple(
+            tuple(sign if k == axis else 0 for k in range(d))
+            for axis in range(d) for sign in (1, -1))
 
     def compose(self, a, b):
         out = tuple(x + y for x, y in zip(a, b))
@@ -195,14 +199,7 @@ class Heisenberg(ComputableGroup):
     dimension = 3
     name = "h3"
     prefix = "H3"
-
-    def __init__(self):
-        self.generators = (
-            self.encode((1, 0, 0)),
-            self.encode((-1, 0, 0)),
-            self.encode((0, 1, 0)),
-            self.encode((0, -1, 0)),
-        )
+    generator_coords = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
 
     def compose(self, a, b):
         out = (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
@@ -273,28 +270,19 @@ def subset_from_mask(mask: int) -> FiniteSubset:
 
 def translate_right(group: ComputableGroup, F: Iterable[int], c: int) -> frozenset:
     """The set F*c = {f*c : f in F}."""
-    cc = group.decode(c)
-    comp, enc = group.compose, group.encode
-    return frozenset(enc(comp(group.decode(f), cc)) for f in F)
+    return set_product(group, F, (c,))
 
 
 def translate_left(group: ComputableGroup, g: int, F: Iterable[int]) -> frozenset:
     """The set g*F = {g*f : f in F}."""
-    gg = group.decode(g)
-    comp, enc = group.compose, group.encode
-    return frozenset(enc(comp(gg, group.decode(f))) for f in F)
+    return set_product(group, (g,), F)
 
 
 def set_product(group: ComputableGroup, A: Iterable[int], B: Iterable[int]) -> frozenset:
     """The set A*B = {a*b : a in A, b in B}."""
     bs = [group.decode(b) for b in B]
-    comp, enc = group.compose, group.encode
-    out = set()
-    for a in A:
-        aa = group.decode(a)
-        for bb in bs:
-            out.add(enc(comp(aa, bb)))
-    return frozenset(out)
+    compose = group.compose
+    return frozenset(pack_coords(compose(aa, bb)) for aa in map(group.decode, A) for bb in bs)
 
 
 def generator_boundary(group: ComputableGroup, T: Iterable[int]) -> frozenset:

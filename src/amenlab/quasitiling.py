@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .folner import FolnerSequence, product_size
-from .groups import translate_right
+from .groups import set_product, translate_right
 
 DEFAULT_HORIZON = 64
 
@@ -106,10 +106,7 @@ def _invariance_defect(seq: FolnerSequence, K_index: int, F_index: int) -> Fract
         # K contains 1, so KF contains F and the difference is |KF| - |F|
         return Fraction(product_size(group, K, F) - len(F), len(F))
     Fset = frozenset(F)
-    grown = set()
-    for g in K:
-        grown.update(group.multiply(g, f) for f in F)
-    return Fraction(len(grown - Fset), len(Fset))
+    return Fraction(len(set_product(group, K, F) - Fset), len(Fset))
 
 
 def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan:

@@ -8,6 +8,10 @@ vertex outside T emits '0' and stops.  Re-visits emit nothing.  The code
 word therefore has exactly |T| ones and |ST \\ T| zeros, and the decoder
 can replay the traversal bit by bit.
 
+The encoder checks connectivity in the same walk that writes the code
+word: T is connected exactly when the walk from the identity emits |T|
+ones, so a disconnected set costs no separate traversal.
+
 Both directions use an explicit stack instead of recursion (the recursion
 depth would otherwise be |T|), with children pushed in reverse so they pop
 in generator order; the replay is order-identical to the recursive form.
@@ -21,7 +25,6 @@ from .groups import (
     ComputableGroup,
     FiniteSubset,
     generator_boundary,
-    is_connected_with_identity,
     normalize_subset,
 )
 from .rng import SplitMix64
@@ -38,17 +41,15 @@ class DecodeError(ValueError):
 def encode_connected(group: ComputableGroup, T) -> str:
     """Code word of a finite connected identity-containing set, as a 0/1 string.
 
-    Raises :class:`EncodingDomainError` for sets outside the domain; the
-    validation is eager so a bad set never produces a stale code word.
+    Raises :class:`EncodingDomainError` for sets outside the domain; a
+    disconnected set is detected when the walk emits fewer than |T| ones,
+    before any code word is returned.
     """
     tset = frozenset(T)
     if not tset:
         raise EncodingDomainError("cannot encode the empty set")
     if group.identity not in tset:
         raise EncodingDomainError("set does not contain the identity")
-    if not is_connected_with_identity(group, tset):
-        raise EncodingDomainError("set is not connected in the Cayley graph")
-
     bits: list[str] = []
     visited: set[int] = set()
     stack = [group.identity]
@@ -63,6 +64,8 @@ def encode_connected(group: ComputableGroup, T) -> str:
                 stack.append(child)
         else:
             bits.append("0")
+    if bits.count("1") != len(tset):
+        raise EncodingDomainError("set is not connected in the Cayley graph")
     return "".join(bits)
 
 

@@ -158,22 +158,18 @@ def sample(measure, F: FiniteSubset, seed: int) -> PartialConfiguration:
         )
     if isinstance(measure, MarkovMeasure):
         z = get_group("z")
-        coords = sorted(z.decode(g)[0] for g in F)
-        if not coords:
+        sites = sorted(F, key=z.decode)
+        if not sites:
             raise ValueError("empty window")
-        if coords[-1] - coords[0] + 1 != len(F):
+        if z.decode(sites[-1])[0] - z.decode(sites[0])[0] + 1 != len(F):
             raise ValueError("Markov sampling needs an interval of the line")
         sym = measure.alphabet.symbols
         values = {}
-        state = _choose(
-            measure.stationary.entries,
-            site_uniform(seed, z.encode((coords[0],))),
-        )
-        values[z.encode((coords[0],))] = sym[state]
-        for k in coords[1:]:
-            g = z.encode((k,))
-            state = _choose(measure.rows[state], site_uniform(seed, g))
+        row = measure.stationary.entries
+        for g in sites:
+            state = _choose(row, site_uniform(seed, g))
             values[g] = sym[state]
+            row = measure.rows[state]
         return PartialConfiguration(values)
     raise TypeError(f"cannot sample {type(measure).__name__}")
 

@@ -230,12 +230,11 @@ def _nearest_neighbor_data(sft: SFT):
     allowed = [1] * n
     pair_ok = [[1] * n for _ in range(n)]
     for p in sft.forbidden:
-        coords = sorted(group.decode(g)[0] for g in p.support)
-        if len(coords) == 1:
-            allowed[sft.alphabet.index(p[group.encode((coords[0],))])] = 0
-        elif len(coords) == 2 and coords[1] == coords[0] + 1:
-            a = sft.alphabet.index(p[group.encode((coords[0],))])
-            b = sft.alphabet.index(p[group.encode((coords[1],))])
+        sites = sorted(p.support, key=group.decode)
+        if len(sites) == 1:
+            allowed[sft.alphabet.index(p[sites[0]])] = 0
+        elif len(sites) == 2 and group.decode(sites[1])[0] == group.decode(sites[0])[0] + 1:
+            a, b = (sft.alphabet.index(p[g]) for g in sites)
             pair_ok[a][b] = 0
         else:
             return None
@@ -386,6 +385,8 @@ def topological_entropy_estimate(sft: SFT, seq, upto: int,
         except BudgetExceededError as err:
             err.partial = series
             raise
+        if count == 0:
+            raise ValueError(f"no admissible pattern on window {i} of size {len(F)}")
         bits = log2(count)
         series.points.append(RatePoint(i, len(F), bits, bits / len(F)))
     return series
@@ -424,6 +425,8 @@ def q_count_bound(sft: SFT, T, plan, cover, seq, h: float | None = None,
             continue
         tile = seq.subset(j)
         count = admissible_patterns(sft, tile, budget=budget)
+        if count == 0:
+            raise ValueError(f"no admissible pattern on window {j} of size {len(tile)}")
         bits = log2(count)
         per_scale.append((j, len(tile), len(centers), bits))
         total += bits * len(centers)

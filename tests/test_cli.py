@@ -151,6 +151,15 @@ def test_entropy_sft_rejects_an_element_named_twice(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_entropy_sft_names_a_window_without_admissible_patterns(tmp_path, capsys):
+    sft = tmp_path / "empty.sft"
+    sft.write_text("alphabet 0 1\nZ2:(0,0)=0\nZ2:(0,0)=1\n", encoding="ascii")
+    out = tmp_path / "entropy.csv"
+    code = main(["entropy", "sft", "--file", str(sft), "--upto", "3", "--out", str(out)])
+    assert code == 2
+    assert "error: no admissible pattern on window 1 of size 1" in capsys.readouterr().err
+
+
 def test_brudno_fair_coin(tmp_path):
     out = tmp_path / "rates.csv"
     code = main(["brudno", "run", "--group", "z", "--family", "dyadic",

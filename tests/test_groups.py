@@ -10,6 +10,7 @@ from amenlab.groups import (
     get_group,
     is_connected_with_identity,
     normalize_subset,
+    pack_coords,
     set_product,
     subset_from_mask,
     translate_left,
@@ -171,3 +172,55 @@ def test_connectivity_check():
     z2 = get_group("z2")
     box = [z2.encode((a, b)) for a in range(3) for b in range(3)]
     assert is_connected_with_identity(z2, box)
+
+
+def _coords_near_cap(rng, d):
+    """Small coordinates mixed with ones next to +/-2**20 (where h3's a*b'
+    term reaches the cap) and next to +/-2**40, on either side of it."""
+    out = []
+    for _ in range(d):
+        kind = rng.randrange(3)
+        base = 0 if kind == 0 else 1 << 20 if kind == 1 else COORD_LIMIT
+        out.append((rng.randrange(7) - 3 + base) * (1 if rng.randrange(2) else -1))
+    return tuple(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CoordinateRangeError:
+        return CoordinateRangeError
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "h3"])
+def test_neighbors_match_multiply_near_the_cap(name):
+    group = get_group(name)
+    rng = SplitMix64(41)
+    raised = 0
+    for _ in range(400):
+        g = pack_coords(_coords_near_cap(rng, group.dimension))
+        want = [_outcome(group.multiply, s, g) for s in group.generators]
+        if CoordinateRangeError in want:
+            raised += 1
+            with pytest.raises(CoordinateRangeError):
+                group.neighbors(g)
+        else:
+            assert group.neighbors(g) == want
+    assert 0 < raised < 400
+
+
+def test_set_products_match_pairwise_multiply_on_h3_near_the_cap():
+    h = get_group("h3")
+    rng = SplitMix64(43)
+    outcomes = set()
+    for _ in range(400):
+        A = [pack_coords(_coords_near_cap(rng, 3)) for _ in range(1 + rng.randrange(2))]
+        B = [pack_coords(_coords_near_cap(rng, 3)) for _ in range(1 + rng.randrange(2))]
+        want = _outcome(lambda: frozenset(h.multiply(a, b) for a in A for b in B))
+        outcomes.add(want is CoordinateRangeError)
+        assert _outcome(set_product, h, A, B) == want
+        assert _outcome(translate_left, h, A[0], B) == _outcome(
+            lambda: frozenset(h.multiply(A[0], b) for b in B))
+        assert _outcome(translate_right, h, A, B[0]) == _outcome(
+            lambda: frozenset(h.multiply(a, B[0]) for a in A))
+    assert outcomes == {True, False}

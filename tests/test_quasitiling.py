@@ -16,7 +16,7 @@ from amenlab.quasitiling import (
     scale_count,
     verify_cover,
 )
-from amenlab.symbolic import golden_mean_sft, q_count_bound, SFT, binary_alphabet
+from amenlab.symbolic import golden_mean_sft, parse_sft, q_count_bound, SFT, binary_alphabet
 
 Z = get_group("z")
 Z2 = get_group("z2")
@@ -219,3 +219,12 @@ def test_q_bound_golden_mean_quarter():
     assert rep.rhs_bits == pytest.approx(((1.25) * (h + 0.25) + 0.25) * 100)
     assert rep.holds
     assert rep.total_bits <= rep.rhs_bits
+
+
+def test_q_bound_names_a_tile_without_admissible_patterns():
+    seq = z_boxes()
+    sft = parse_sft("alphabet 0 1\nZ:0=0\nZ:0=1\n")
+    tiling = TilingPlan(QUARTER, (10,), 0)
+    cov = exact_interval_cover(seq, tiling, 10, 100)
+    with pytest.raises(ValueError, match="no admissible pattern on window 10 of size 10"):
+        q_count_bound(sft, seq.subset(100), tiling, cov, seq)

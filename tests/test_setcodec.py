@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from amenlab.folner import description_bits
 from amenlab.groups import generator_boundary, get_group, normalize_subset
 from amenlab.setcodec import (
     DecodeError,
@@ -109,3 +112,21 @@ def test_random_subset_deterministic():
     b = random_connected_subset(z2, 50, seed=99)
     assert a == b
     assert len(a) == 50
+
+
+def test_code_words_pinned_on_the_criterion_01_sweep():
+    # digest of the code words, boundaries and description lengths of 100
+    # sets per group drawn like criterion 01; any change to the traversal
+    # order or the generator order changes it
+    rng = SplitMix64(20260815)
+    digest = hashlib.sha256()
+    for name in ("z", "z2", "h3"):
+        group = get_group(name)
+        for _ in range(100):
+            size = 1 + rng.randrange(200)
+            T = random_connected_subset(group, size, seed=rng.randrange(2**63))
+            bits = encode_connected(group, T)
+            boundary = sorted(generator_boundary(group, T))
+            digest.update(f"{name} {bits} {boundary} {description_bits(group, T)}\n".encode())
+    assert digest.hexdigest() == (
+        "313d68b5a5b36e4f5000a3b9ffe2a190539c3451ea521b38aa9c09b0e2304e17")

@@ -264,3 +264,11 @@ def test_entropy_series_golden_mean():
     assert abs(last.rate - math.log2(phi)) < 0.02
     # normalized counts decrease toward the limit on this subshift
     assert all(a.rate >= b.rate - 1e-12 for a, b in zip(series.points, series.points[1:]))
+
+
+def test_entropy_names_a_window_without_admissible_patterns():
+    from amenlab.folner import builtin_families
+    sft = parse_sft("alphabet 0 1\nZ2:(0,0)=0\nZ2:(0,0)=1\n")
+    seq = builtin_families(get_group("z2"))["boxes"]
+    with pytest.raises(ValueError, match="no admissible pattern on window 1 of size 1"):
+        topological_entropy_estimate(sft, seq, upto=3)
