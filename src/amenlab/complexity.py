@@ -12,9 +12,12 @@ each digit doubled, followed by the stop pair "01" (so 5 = 101 becomes
 The frequency coder is a two-part code: letter counts in self-delimiting
 frames followed by the rank of the word inside its type class, computed
 with exact big-integer arithmetic.  Words longer than ``FREQ_BLOCK`` are
-split into blocks so ranking arithmetic stays near-linear; within one
-block the coder meets the closed-form bound
-|w|*H(p(w)) + |A|*(2*log2(|w|+1)+2) + 2 bits.
+split into blocks; within one block the coder meets the closed-form bound
+|w|*H(p(w)) + |A|*(2*log2(|w|+1)+2) + 2 bits.  The rank advances in exact
+steps of 64 symbols, each multiplying the class size by ~1 kbit integers
+and dividing it by another, so a block of n symbols still costs time
+quadratic in n, with a small constant.  Unranking guesses each step from
+the top bits of rank and class size, and checks the guess exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .series import RatePoint, RateSeries
 from .symbolic import Alphabet, PartialConfiguration, cont
 
 FREQ_BLOCK = 1 << 16
+_STEP = 64  # symbols per exact rank/unrank step
 
 
 class CoderDecodeError(ValueError):
@@ -78,42 +82,78 @@ def _multinomial(counts) -> int:
     return out
 
 
-def _rank_in_class(block: str, index_of: dict, counts: list[int]) -> int:
-    counts = list(counts)
-    size = _multinomial(counts)
-    rem = len(block)
-    rank = 0
-    for ch in block:
+def _step_ratio(chunk, index_of, counts: list[int], rem: int) -> tuple[int, int, int]:
+    """Walk chunk, updating counts.  With S the class size before it, the
+    chunk's rank terms sum to S*t/q and S*p/q is the size after it, both exact."""
+    t, p, q = 0, 1, 1
+    for ch in chunk:
         ci = index_of[ch]
-        for a in range(ci):
-            ca = counts[a]
-            if ca:
-                rank += size * ca // rem
-        size = size * counts[ci] // rem
+        t = t * rem + p * sum(counts[:ci])
+        p *= counts[ci]
+        q *= rem
         counts[ci] -= 1
         rem -= 1
+    return t, p, q
+
+
+def _rank_in_class(block: str, index_of: dict, counts: list[int], size: int) -> int:
+    counts = list(counts)
+    rank = 0
+    for i in range(0, len(block), _STEP):
+        t, p, q = _step_ratio(block[i:i + _STEP], index_of, counts, len(block) - i)
+        rank += size * t // q
+        size = size * p // q
     return rank
 
 
-def _unrank_in_class(rank: int, counts: list[int], symbols) -> str:
-    counts = list(counts)
-    rem = sum(counts)
-    size = _multinomial(counts)
-    if rank >= size:
-        raise CoderDecodeError("type-class rank out of range")
+def _unrank_steps(rank: int, size: int, counts: list[int], rem: int, k: int, symbols):
+    """Per-symbol unrank of k letters: (letters, rank, size).  Exact when
+    rank < size; a truncated rank past every other letter takes the last."""
     out = []
-    while rem:
+    for rem in range(rem, rem - k, -1):
+        seen = 0
         for a, ca in enumerate(counts):
-            if not ca:
-                continue
+            seen += ca
             cnt = size * ca // rem
-            if rank < cnt:
-                out.append(symbols[a])
-                size = cnt
-                counts[a] -= 1
-                rem -= 1
+            if rank < cnt or seen == rem:
                 break
             rank -= cnt
+        out.append(symbols[a])
+        size = cnt
+        counts[a] -= 1
+    return out, rank, size
+
+
+def _unrank_in_class(rank: int, size: int, counts: list[int], symbols) -> str:
+    counts = list(counts)
+    rem = sum(counts)
+    if rank >= size:
+        raise CoderDecodeError("type-class rank out of range")
+    index_of = {s: i for i, s in enumerate(symbols)}
+    out = []
+    while rem:
+        k = min(_STEP, rem)
+        # guess the step from the top bits.  Picking a letter of count c
+        # divides size by rem/c < 2**bitlen(rem // c), and c >= least, so
+        # width bits keep 64 after the step, a margin for its floors
+        least = max(1, min(c for c in counts if c) - k)
+        width = 64 + k * (rem // least).bit_length()
+        shift = size.bit_length() - width
+        if shift < 2 * k * rem.bit_length():  # a check costs more than exact
+            shift, k = 0, rem  # steps from here on, as size only shrinks
+        guess = list(counts)
+        letters, r, s = _unrank_steps(rank >> shift, size >> shift, guess, rem, k, symbols)
+        if shift:
+            # prefix intervals partition [0, size), so a guess whose
+            # interval holds rank is right; on a miss, redo the step exactly
+            t, p, q = _step_ratio(letters, index_of, list(counts), rem)
+            low, s = size * t // q, size * p // q
+            r = rank - low
+            if not 0 <= r < s:
+                guess = counts
+                letters, r, s = _unrank_steps(rank, size, guess, rem, k, symbols)
+        out.extend(letters)
+        counts, rank, size, rem = guess, r, s, rem - k
     return "".join(out)
 
 
@@ -127,7 +167,7 @@ def _freq_encode_block(block: str, alphabet: Alphabet, index_of: dict) -> str:
     size = _multinomial(counts)
     width = (size - 1).bit_length()
     if width:
-        parts.append(format(_rank_in_class(block, index_of, counts), f"0{width}b"))
+        parts.append(format(_rank_in_class(block, index_of, counts, size), f"0{width}b"))
     return "".join(parts)
 
 
@@ -159,12 +199,13 @@ def freq_read(alphabet: Alphabet, bits: str, pos: int) -> tuple[str, int]:
         # big-integer work so junk headers cost time linear in their length
         if blen > FREQ_BLOCK:
             raise CoderDecodeError(f"block of {blen} symbols exceeds {FREQ_BLOCK}")
-        width = (_multinomial(counts) - 1).bit_length()
+        size = _multinomial(counts)
+        width = (size - 1).bit_length()
         if pos + width > len(bits):
             raise CoderDecodeError("truncated type-class rank")
         rank = int(bits[pos:pos + width], 2) if width else 0
         pos += width
-        out.append(_unrank_in_class(rank, counts, alphabet.symbols))
+        out.append(_unrank_in_class(rank, size, counts, alphabet.symbols))
         if blen < FREQ_BLOCK:
             break
     word = "".join(out)
@@ -281,6 +322,8 @@ def repair_encode(alphabet: Alphabet, base: str, target: str) -> str:
     subs_val = 0
     flips = 0
     for a, b in zip(base, target):
+        if b not in index_of:
+            raise ValueError(f"symbol {b!r} not in alphabet")
         if a == b:
             bitmap.append("0")
         else:
@@ -318,6 +361,8 @@ def repair_decode(alphabet: Alphabet, base: str, bits: str) -> str:
     k = 0
     for ch, flag in zip(base, bitmap):
         if flag == "1":
+            if digits[k] == ch:
+                raise CoderDecodeError("substitute equals the base symbol")
             out.append(digits[k])
             k += 1
         else:

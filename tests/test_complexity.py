@@ -1,5 +1,6 @@
 """Coders: roundtrips, frozen traces, and closed-form bit bounds."""
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -7,9 +8,16 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amenlab import complexity
 from amenlab.complexity import (
     CoderDecodeError,
+    _multinomial,
+    _rank_in_class,
+    _step_ratio,
+    _unrank_in_class,
     freq_coder,
     freq_decode,
     freq_encode,
@@ -200,6 +208,242 @@ def test_freq_rejects_rank_wider_than_the_stream():
         repair_decode(AB, "a" * 60000, head + "1" * 40)
 
 
+# -- type-class rank against the per-symbol reference --------------------------
+
+
+def ref_rank_in_class(block, index_of, counts):
+    """One exact division per letter below the symbol, per symbol."""
+    counts = list(counts)
+    size = _multinomial(counts)
+    rem = len(block)
+    rank = 0
+    for ch in block:
+        ci = index_of[ch]
+        for a in range(ci):
+            ca = counts[a]
+            if ca:
+                rank += size * ca // rem
+        size = size * counts[ci] // rem
+        counts[ci] -= 1
+        rem -= 1
+    return rank
+
+
+def ref_unrank_in_class(rank, counts, symbols):
+    counts = list(counts)
+    rem = sum(counts)
+    size = _multinomial(counts)
+    if rank >= size:
+        raise CoderDecodeError("type-class rank out of range")
+    out = []
+    while rem:
+        for a, ca in enumerate(counts):
+            if not ca:
+                continue
+            cnt = size * ca // rem
+            if rank < cnt:
+                out.append(symbols[a])
+                size = cnt
+                counts[a] -= 1
+                rem -= 1
+                break
+            rank -= cnt
+    return "".join(out)
+
+
+def class_of(alphabet, w):
+    index_of = {s: i for i, s in enumerate(alphabet.symbols)}
+    counts = [w.count(s) for s in alphabet.symbols]
+    return index_of, counts, _multinomial(counts)
+
+
+def check_against_reference(alphabet, w, rng):
+    index_of, counts, size = class_of(alphabet, w)
+    rank = _rank_in_class(w, index_of, counts, size)
+    assert rank == ref_rank_in_class(w, index_of, counts)
+    assert _unrank_in_class(rank, size, counts, alphabet.symbols) == w
+    first = "".join(sorted(w))
+    assert _unrank_in_class(0, size, counts, alphabet.symbols) == first
+    assert _unrank_in_class(size - 1, size, counts, alphabet.symbols) == first[::-1]
+    r = rng.randrange(size)
+    got = _unrank_in_class(r, size, counts, alphabet.symbols)
+    assert got == ref_unrank_in_class(r, counts, alphabet.symbols)
+
+
+def test_rank_matches_reference_across_step_boundaries():
+    rng = SplitMix64(derive(2026, 64))
+    for asize in (1, 2, 3, 4):
+        alphabet = Alphabet(tuple("abcd"[:asize]))
+        for n in range(1, 301):
+            check_against_reference(alphabet, random_word(alphabet, n, seed=asize), rng)
+
+
+def test_rank_matches_reference_on_full_blocks():
+    rng = SplitMix64(derive(2026, 1 << 16))
+    for symbols in ("ab", "abc"):
+        alphabet = Alphabet(tuple(symbols))
+        check_against_reference(alphabet, random_word(alphabet, 1 << 16, seed=5), rng)
+
+
+def shuffled(letters, rng):
+    letters = list(letters)
+    for i in range(len(letters) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        letters[i], letters[j] = letters[j], letters[i]
+    return "".join(letters)
+
+
+def prefix_interval(prefix, index_of, counts, size):
+    """Ranks [low, low + nsize) of the words of the class that start with prefix."""
+    t, p, q = _step_ratio(prefix, index_of, list(counts), sum(counts))
+    return size * t // q, size * p // q
+
+
+def test_unrank_at_prefix_interval_edges(monkeypatch):
+    # after the prefix the word at low is sorted and the one at low+nsize-1
+    # reverse sorted, so every later step decodes at an interval edge too,
+    # where a truncated guess is most likely to miss and the exact rerun
+    # must answer
+    calls = []
+    steps = complexity._unrank_steps
+
+    def counted(*args):
+        calls.append(args)
+        return steps(*args)
+
+    monkeypatch.setattr(complexity, "_unrank_steps", counted)
+    rng = SplitMix64(derive(31))
+    w = random_word(AB, 1 << 16, seed=31)
+    index_of, counts, size = class_of(AB, w)
+    for m in (64, 128, 64 * 12):
+        u = shuffled(w, rng)
+        prefix, rest = u[:m], "".join(sorted(u[m:]))
+        low, nsize = prefix_interval(prefix, index_of, counts, size)
+        assert _unrank_in_class(low, size, counts, AB.symbols) == prefix + rest
+        last = _unrank_in_class(low + nsize - 1, size, counts, AB.symbols)
+        assert last == prefix + rest[::-1]
+        before = _unrank_in_class(low - 1, size, counts, AB.symbols)
+        assert before[:m] != prefix
+        assert _rank_in_class(before, index_of, counts, size) == low - 1
+        # the neighbouring prefix's interval ends where this one starts
+        other_low, other_size = prefix_interval(before[:m], index_of, counts, size)
+        assert other_low + other_size == low
+    # a rerun repeats the step of the guess before it, at the same rem
+    reruns = sum(1 for a, b in zip(calls, calls[1:]) if a[3] == b[3])
+    assert reruns > 0
+
+
+def test_wrong_prefix_fails_the_check():
+    rng = SplitMix64(derive(33))
+    w = random_word(AB, 1 << 16, seed=33)
+    index_of, counts, size = class_of(AB, w)
+    rank = _rank_in_class(w, index_of, counts, size)
+    low, nsize = prefix_interval(w[:64], index_of, counts, size)
+    assert low <= rank < low + nsize
+    for _ in range(20):
+        wrong = shuffled(w[:64], rng)
+        if wrong == w[:64]:
+            continue
+        low, nsize = prefix_interval(wrong, index_of, counts, size)
+        assert not low <= rank < low + nsize
+
+
+def sampled_word(alphabet, n, p, seed):
+    """First letter with probability p, the others uniformly otherwise."""
+    rng = SplitMix64(derive(seed, n, alphabet.size))
+    rest = alphabet.symbols[1:]
+    return "".join(
+        alphabet.symbols[0] if rng.uniform() < p else rest[rng.randrange(len(rest))]
+        for _ in range(n)
+    )
+
+
+def test_freq_and_repair_streams_pinned():
+    # digest of the per-symbol coder's streams, so the stepped rank must
+    # reproduce every code word bit for bit
+    h = hashlib.sha256()
+    for symbols in ("ab", "abc"):
+        alphabet = Alphabet(tuple(symbols))
+        for p in (0.1, 0.5):
+            for n in (1, 63, 64, 65, 4097, 65535, 65536, 65537):
+                base = sampled_word(alphabet, n, p, 1)
+                target = sampled_word(alphabet, n, p, 2)
+                for stream in (freq_encode(alphabet, base), repair_encode(alphabet, base, target)):
+                    h.update(stream.encode() + b"\n")
+    assert h.hexdigest() == "35c6c504872614b0b05c4bfe7e18c28f1af96d33dbdece26726330f3b4d3cf32"
+
+
+# -- decoders on malformed bits ----------------------------------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+ALPHABETS = st.sampled_from([AB, Alphabet(("a", "b", "c"))])
+BITS = st.text(alphabet="01", max_size=120)
+
+
+def mutate(stream, data):
+    kind = data.draw(st.sampled_from(["truncate", "extend", "flip"]))
+    if kind == "truncate":
+        return stream[:data.draw(st.integers(0, len(stream) - 1))]
+    if kind == "extend":
+        return stream + data.draw(st.text(alphabet="01", min_size=1, max_size=8))
+    i = data.draw(st.integers(0, len(stream) - 1))
+    return stream[:i] + "10"[int(stream[i])] + stream[i + 1:]
+
+
+def freq_decodes_canonically(alphabet, bits):
+    try:
+        w = freq_decode(alphabet, bits)
+    except CoderDecodeError:
+        return
+    assert freq_encode(alphabet, w) == bits
+
+
+def repair_decodes_canonically(alphabet, base, bits):
+    try:
+        w = repair_decode(alphabet, base, bits)
+    except CoderDecodeError:
+        return
+    assert repair_encode(alphabet, base, w) == bits
+
+
+@PROPERTY
+@given(ALPHABETS, BITS)
+def test_freq_decode_arbitrary_bits(alphabet, bits):
+    freq_decodes_canonically(alphabet, bits)
+
+
+@PROPERTY
+@given(ALPHABETS, st.data())
+def test_freq_decode_mutated_streams(alphabet, data):
+    w = data.draw(st.text(alphabet="".join(alphabet.symbols), min_size=1, max_size=80))
+    freq_decodes_canonically(alphabet, mutate(freq_encode(alphabet, w), data))
+
+
+@PROPERTY
+@given(ALPHABETS, st.data())
+def test_repair_decode_arbitrary_bits(alphabet, data):
+    base = data.draw(st.text(alphabet="".join(alphabet.symbols), min_size=1, max_size=6))
+    repair_decodes_canonically(alphabet, base, data.draw(BITS))
+
+
+@PROPERTY
+@given(ALPHABETS, st.data())
+def test_repair_decode_mutated_streams(alphabet, data):
+    letters = "".join(alphabet.symbols)
+    base = data.draw(st.text(alphabet=letters, min_size=1, max_size=60))
+    target = data.draw(st.text(alphabet=letters, min_size=len(base), max_size=len(base)))
+    stream = repair_encode(alphabet, base, target)
+    repair_decodes_canonically(alphabet, base, mutate(stream, data))
+
+
+def test_repair_decode_rejects_substitute_equal_to_base():
+    # bitmap "1" flags the only site, and substitute 0 is the base letter "a"
+    bits = freq_encode(binary_alphabet(), "1") + "0"
+    with pytest.raises(CoderDecodeError, match="substitute equals the base symbol"):
+        repair_decode(AB, "a", bits)
+    assert repair_decode(AB, "a", freq_encode(binary_alphabet(), "1") + "1") == "b"
+
+
 # -- LZ78 ---------------------------------------------------------------------
 
 
@@ -332,6 +576,13 @@ def test_repair_rejects_mismatch_and_junk():
         repair_decode(AB, "abba", stream + "0")
     with pytest.raises(CoderDecodeError):
         repair_decode(AB, "abb", stream)
+
+
+def test_repair_rejects_symbols_outside_the_alphabet():
+    with pytest.raises(ValueError, match="symbol 'x' not in alphabet"):
+        repair_encode(AB, "aa", "ax")
+    with pytest.raises(ValueError, match="symbol 'x' not in alphabet"):
+        repair_encode(AB, "xa", "xa")
 
 
 # -- tuple framing ----------------------------------------------------------
