@@ -14,11 +14,10 @@ from amenlab.folner import (
     builtin_families,
     defect_report,
     description_bits,
-    geometric_modesty_check,
     modest_search,
     temperedness_constant,
 )
-from amenlab.groups import get_group
+from amenlab.groups import get_group, is_connected_with_identity
 
 # -- group arithmetic through the integer encoding ---------------------------
 
@@ -71,7 +70,7 @@ for n in (8, 32, 64):
 
 print()
 print("connected-with-identity check on box members:",
-      all(geometric_modesty_check(z2, boxes2.subset(n)) for n in range(1, 9)))
+      all(is_connected_with_identity(z2, boxes2.subset(n)) for n in range(1, 9)))
 
 # A small search finds the least window that is (i+1)-fold almost invariant
 # in the exact counting sense.

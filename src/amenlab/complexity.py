@@ -266,6 +266,7 @@ def lz78_decode(alphabet: Alphabet, bits: str) -> str:
         raise CoderDecodeError("stream encodes the empty word")
     lit_width = (alphabet.size - 1).bit_length()
     phrases = [""]
+    known = set()  # (back-reference, literal) of every phrase so far
     out = []
     built = 0
     while built < total:
@@ -291,6 +292,9 @@ def lz78_decode(alphabet: Alphabet, bits: str) -> str:
                 pos += lit_width
             if lit_idx >= alphabet.size:
                 raise CoderDecodeError("literal out of range")
+            if (ref, lit_idx) in known:  # the encoder would have extended it
+                raise CoderDecodeError("token re-adds an existing phrase")
+            known.add((ref, lit_idx))
             phrase = stem + alphabet.symbols[lit_idx]
             phrases.append(phrase)
             out.append(phrase)

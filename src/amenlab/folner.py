@@ -26,7 +26,6 @@ from .groups import (
     CoordinateRangeError,
     FiniteSubset,
     Heisenberg,
-    is_connected_with_identity,
     normalize_subset,
     set_product,
     subset_from_mask,
@@ -93,10 +92,6 @@ def builtin_families(group: ComputableGroup) -> dict[str, FolnerSequence]:
     }
 
 
-def builtin_sequences(group: ComputableGroup) -> list[FolnerSequence]:
-    return list(builtin_families(group).values())
-
-
 # -- almost-invariance ---------------------------------------------------
 
 
@@ -116,9 +111,16 @@ def defect_report(seq: FolnerSequence, i: int) -> DefectReport:
 
 
 def product_size(group: ComputableGroup, A, B) -> int:
-    """|A*B|, exact: coordinate broadcasting in int64 when every coordinate
-    provably stays within +/-2**40, else the generic set product (which
-    raises CoordinateRangeError where the product leaves that range)."""
+    """|A*B|, exact, in O(|A| x runs(B)) time and memory.
+
+    A run of B is a maximal set of sites sharing b_1..b_{d-1} with
+    consecutive b_d.  On both shipped laws a fixed a maps a run onto one
+    interval of the last axis (a_d + b_d on z^d, c + c' + a_1*b_2' on h3),
+    so |A*B| is the union length of |A| x runs(B) intervals on mixed-radix
+    int64 keys; duplicate sites only overlap.  Where a coordinate may leave
+    +/-2**40 or a key pass 2**62 (near that cap, d >= 2), the generic set
+    product answers, raising CoordinateRangeError where A*B leaves the range.
+    """
     d = group.dimension
     try:
         a = np.asarray([group.decode(x) for x in A], dtype=np.int64)
@@ -127,24 +129,26 @@ def product_size(group: ComputableGroup, A, B) -> int:
         # applied to the per-axis maxima of |a| and |b| bounds every |a*b|
         # coordinate; compose raises CoordinateRangeError past 2**40
         group.compose(_abs_max(a), _abs_max(b))
-        ab = group.compose_array(a[:, None, :], b[None, :, :])
+        b = b[np.lexsort(b.T[::-1])]
+        cut = np.any(b[1:, :-1] != b[:-1, :-1], axis=1) | (np.diff(b[:, -1]) != 1)
+        first = np.flatnonzero(np.concatenate(([True], cut)))
+        heads = group.compose_array(a[:, None, :], b[first][None, :, :]).reshape(-1, d)
     except (NotImplementedError, ValueError, OverflowError, CoordinateRangeError):
         return len(set_product(group, A, B))
-    flat = ab.reshape(-1, d)
-    lo, hi = flat.min(axis=0), flat.max(axis=0)
+    runs = np.diff(first, append=len(b))
+    lo, hi = heads.min(axis=0), heads.max(axis=0)
     spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    spans[-1] += int(runs.max()) - 1  # room for the longest run past the last head
     if prod(spans) > 1 << 62:  # leaves int64 headroom for the fold below
-        return int(np.unique(flat, axis=0).shape[0])
-    # fold each row in place into one mixed-radix key (a view of ab when
-    # d == 1); sorting a flat key is far faster than row-wise unique
-    key = np.ascontiguousarray(flat[:, 0])
-    key -= lo[0]
+        return len(set_product(group, A, B))
+    start = heads[:, 0] - lo[0]
     for k in range(1, d):
-        key *= spans[k]
-        key -= lo[k]
-        key += flat[:, k]
-    key.sort()
-    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+        start *= spans[k]
+        start += heads[:, k] - lo[k]
+    order = np.argsort(start)
+    start, end = start[order], (start + np.tile(runs, len(a)))[order]
+    reach = np.maximum.accumulate(end)  # each interval adds what it reaches past all before it
+    return int((reach - np.maximum(start, np.concatenate((start[:1], reach[:-1])))).sum())
 
 
 def _abs_max(coords) -> tuple[int, ...]:
@@ -174,11 +178,6 @@ def temperedness_constant(seq: FolnerSequence, upto: int) -> Fraction:
     if upto <= seq.start:
         raise ValueError("need at least two indices to witness temperedness")
     return max(c for _, c in temperedness_witnesses(seq, upto))
-
-
-def geometric_modesty_check(group: ComputableGroup, F) -> bool:
-    """True iff F contains the identity and is Cayley-connected."""
-    return is_connected_with_identity(group, F)
 
 
 def modest_search(group: ComputableGroup, i: int, cap: int = 1_000_000) -> FiniteSubset:

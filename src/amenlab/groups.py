@@ -104,8 +104,8 @@ class ComputableGroup:
     def compose_array(self, a, b):
         """Composition on ndarrays of coordinates (last axis), broadcasting.
 
-        Only valid when every product stays inside the coordinate range;
-        bulk callers are expected to work at desk scale.
+        Only valid when every product stays inside the coordinate range.
+        folner.product_size relies on a*(b + e_d) == a*b + e_d for the last axis e_d.
         """
         raise NotImplementedError
 

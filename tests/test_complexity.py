@@ -488,6 +488,35 @@ def test_lz78_fair_coin_rate_sane():
     assert 0.95 <= rate <= 1.25
 
 
+def test_lz78_rejects_a_token_that_re_adds_a_phrase():
+    # the second token is (back-reference 0, literal a), but phrase "a" is
+    # phrase 1 already; the encoder codes "aa" as "a" plus a bare reference
+    with pytest.raises(CoderDecodeError, match="re-adds an existing phrase"):
+        lz78_decode(AB, "110001000")
+    assert lz78_encode(AB, "aa") == "11000101"
+
+
+def lz78_decodes_canonically(alphabet, bits):
+    try:
+        w = lz78_decode(alphabet, bits)
+    except CoderDecodeError:
+        return
+    assert lz78_encode(alphabet, w) == bits
+
+
+@PROPERTY
+@given(ALPHABETS, BITS)
+def test_lz78_decode_arbitrary_bits(alphabet, bits):
+    lz78_decodes_canonically(alphabet, bits)
+
+
+@PROPERTY
+@given(ALPHABETS, st.data())
+def test_lz78_decode_mutated_streams(alphabet, data):
+    w = data.draw(st.text(alphabet="".join(alphabet.symbols), min_size=1, max_size=80))
+    lz78_decodes_canonically(alphabet, mutate(lz78_encode(alphabet, w), data))
+
+
 def test_lz78_rejects_bad_streams():
     stream = lz78_encode(AB, "abba")
     with pytest.raises(CoderDecodeError):

@@ -1,28 +1,35 @@
 """Window families: defects, temperedness, modesty, search."""
 
+import csv
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+from amenlab import folner
 from amenlab.errors import BudgetExceededError
 from amenlab.folner import (
     DefectReport,
     FolnerSequence,
     product_size,
     builtin_families,
-    builtin_sequences,
     defect,
     defect_report,
     description_bits,
-    geometric_modesty_check,
     modest_search,
     series_tail,
     temperedness_constant,
+    temperedness_witnesses,
 )
 from amenlab.groups import (
     COORD_LIMIT,
     CoordinateRangeError,
     get_group,
+    is_connected_with_identity,
     normalize_subset,
     set_product,
     subset_from_mask,
@@ -30,6 +37,7 @@ from amenlab.groups import (
 from amenlab.rng import SplitMix64, derive
 from amenlab.setcodec import random_connected_subset
 
+ROOT = Path(__file__).resolve().parent.parent
 Z = get_group("z")
 Z2 = get_group("z2")
 H3 = get_group("h3")
@@ -72,7 +80,7 @@ def test_sequence_index_validation():
     with pytest.raises(ValueError):
         seq.indices(0)
     assert list(seq.indices(3)) == [1, 2, 3]
-    assert builtin_sequences(Z)[0].name == "boxes"
+    assert list(builtin_families(Z).values())[0].name == "boxes"
 
 
 # -- defects ---------------------------------------------------------------
@@ -235,21 +243,123 @@ def test_product_size_pinned_cases():
             product_size(H3, A, B)
 
 
+def _box(group, corner, sides):
+    return [group.encode(tuple(c + o for c, o in zip(corner, off)))
+            for off in product(*map(range, sides))]
+
+
+@pytest.fixture
+def generic_calls(monkeypatch):
+    """Counts product_size's fallbacks to the generic set product."""
+    calls = []
+
+    def spy(group, A, B):
+        calls.append(group)
+        return set_product(group, A, B)
+
+    monkeypatch.setattr(folner, "set_product", spy)
+    return calls
+
+
+def test_product_size_on_runs_of_every_shape(generic_calls):
+    """Full boxes, boxes with holes, scattered and duplicate sites, B in
+    unsorted order, and h3 products whose a1*b2' shear moves the runs."""
+    rng = SplitMix64(derive(53))
+    for group in (Z, Z2, get_group("z3"), H3):
+        d = group.dimension
+
+        def sites(n, spread):
+            return [group.encode(tuple(rng.randrange(2 * spread + 1) - spread for _ in range(d)))
+                    for _ in range(n)]
+
+        for trial in range(32):
+            corner = [rng.randrange(13) - 6 for _ in range(d)]
+            B = _box(group, corner, [1 + rng.randrange(5) for _ in range(d)])
+            kind = trial % 4
+            if kind == 1:  # box with holes
+                B = [b for b in B if rng.randrange(3)] or B[:1]
+            elif kind == 2:  # scattered sites
+                B = sites(1 + rng.randrange(20), 6)
+            elif kind == 3:  # duplicate sites
+                B = B + B[rng.randrange(len(B)):]
+            if trial % 8 >= 4:  # unsorted
+                B = [b for _, b in sorted((rng.next64(), b) for b in B)]
+            A = sites(1 + rng.randrange(12), 6)
+            if trial % 3 == 0:  # duplicate sites in A
+                A = A + A[: 1 + rng.randrange(len(A))]
+            assert product_size(group, A, B) == len(set_product(group, A, B)), (group, trial)
+    # negative a1 shears every run of an h3 box by a1*b2'
+    for a in [(-3, 0, 0), (-1, 2, 5), (-7, -4, -9)]:
+        A = [H3.encode(a), H3.identity]
+        B = _box(H3, (-1, -2, 3), (3, 4, 5))
+        assert product_size(H3, A, B) == len(set_product(H3, A, B)), a
+    assert generic_calls == []
+
+
+def test_product_size_wide_keys_fall_back(generic_calls):
+    """Box-shaped B near the coordinate cap: every coordinate stays within
+    +/-2**40, but the products spread over more than 2**62 keys."""
+    c = COORD_LIMIT - (1 << 32)
+    cases = [
+        (Z2, [(0, 0), (4 - (1 << 32), 1 << 32)], (c, 0), (4, 3)),
+        (Z2, [(0, 0), ((1 << 32) - 4, -(1 << 32))], (-c, 5), (4, 3)),
+        (H3, [(0, 0, 0), (1 << 20, -(1 << 20), 1 << 23)], (0, 2, 8 - COORD_LIMIT + (1 << 24)),
+         (2, 3, 4)),
+    ]
+    for group, A, corner, sides in cases:
+        A = [group.encode(a) for a in A]
+        B = _box(group, corner, sides)
+        assert product_size(group, A, B) == len(set_product(group, A, B)) == 2 * len(B)
+    assert len(generic_calls) == len(cases)
+
+
+def test_dyadic_temperedness_closed_form_to_16():
+    seq = builtin_families(Z)["dyadic"]
+    closed = [(i, Fraction(3, 2) - Fraction(1, 2**i)) for i in range(1, 17)]
+    assert list(temperedness_witnesses(seq, 16)) == closed
+
+
+def test_dyadic_tempered_cli_to_16_in_bounded_memory():
+    # the peak is VmHWM, not ru_maxrss: ru_maxrss keeps the resident set the
+    # forked test process had before exec, VmHWM counts only this program
+    script = (
+        "import sys\n"
+        "from amenlab.cli import main\n"
+        "code = main(['folner', 'tempered', '--group', 'z', '--family', 'dyadic',"
+        " '--upto', '16'])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print('# peak_rss_kb', *[ln.split()[1] for ln in fh if ln.startswith('VmHWM')])\n"
+        "sys.exit(code)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    rows = list(csv.reader(ln for ln in lines if ln.strip() and not ln.startswith("#")))
+    assert rows[0] == ["i", "size", "tempered_num", "tempered_den"]
+    closed = [(i, Fraction(3, 2) - Fraction(1, 2**i)) for i in range(1, 17)]
+    assert rows[1:] == [[str(i), str(2**i), str(k.numerator), str(k.denominator)]
+                        for i, k in closed]
+    (peak_kb,) = [int(ln.split()[-1]) for ln in lines if ln.startswith("# peak_rss_kb")]
+    assert peak_kb < 200 * 1024
+
+
 # -- modesty -------------------------------------------------------------
 
 
 def test_geometric_modesty_examples():
-    assert geometric_modesty_check(Z, z_interval(0, 3))
-    assert not geometric_modesty_check(Z, normalize_subset([Z.encode((0,)), Z.encode((2,))]))
+    assert is_connected_with_identity(Z, z_interval(0, 3))
+    assert not is_connected_with_identity(Z, normalize_subset([Z.encode((0,)), Z.encode((2,))]))
     tromino = normalize_subset(Z2.encode(c) for c in [(0, 0), (1, 0), (0, 1)])
-    assert geometric_modesty_check(Z2, tromino)
+    assert is_connected_with_identity(Z2, tromino)
 
 
 def test_builtin_members_pass_geometric_check():
     for group in (Z, Z2, H3):
-        for seq in builtin_sequences(group):
+        for seq in list(builtin_families(group).values()):
             for i in (seq.start, seq.start + 1, seq.start + 3):
-                assert geometric_modesty_check(group, seq.subset(i))
+                assert is_connected_with_identity(group, seq.subset(i))
 
 
 def test_modest_search_hand_traces():
