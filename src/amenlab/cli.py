@@ -4,7 +4,7 @@ Every run emits a stanza of ``#`` comment lines (version, timestamp,
 config echo) followed by a CSV payload.  With a fixed seed the payload is
 byte identical across runs; only the ``# generated`` line varies, so
 diff-based golden tests simply drop it.  A ``key=value`` config file can
-preset any long option; explicit flags win.
+preset any long option; argparse reads it as flags, and explicit flags win.
 
 Exit codes: 0 success, 2 usage or input error, 3 budget exhausted (the
 report written so far is flagged with ``# partial true``).
@@ -33,32 +33,12 @@ from .groups import get_group
 from .quasitiling import cover, plan
 from .rng import derive, site_uniform
 from .setcodec import decode_connected, encode_connected
-from .stochastic import MeasureSource, parse_measure
+from .stochastic import MarkovMeasure, MeasureSource, parse_measure
 from .symbolic import binary_alphabet, cont, load_sft, topological_entropy_estimate
 
 
 class UsageError(ValueError):
     """Bad flags, unresolvable ids, or malformed input files."""
-
-
-# conversions applied to config-file values, keyed by option dest
-_OPTION_TYPES = {
-    "upto": int,
-    "i": int,
-    "seed": int,
-    "budget": int,
-    "cap": int,
-    "horizon": int,
-    "length": int,
-    "flips": int,
-}
-
-
-def _require(args, *names):
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise UsageError(f"missing required option(s): {flags}")
 
 
 def _family(group, name):
@@ -70,7 +50,7 @@ def _family(group, name):
 
 @contextmanager
 def _open_out(args):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="ascii", newline="") as fh:
             yield fh
     else:
@@ -81,22 +61,23 @@ def _write_stanza(fh, args, partial=False):
     fh.write(f"# amenlab {__version__}\n")
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     fh.write(f"# generated {stamp}\n")
-    parts = []
-    for key in sorted(vars(args)):
-        # the report destination and preset path are not semantic config
-        if key in ("func", "out", "config"):
-            continue
-        value = getattr(args, key)
-        if value is None:
-            continue
-        parts.append(f"{key}={value}")
+    # the report destination and preset path are not semantic config
+    parts = [f"{key}={value}" for key, value in sorted(vars(args).items())
+             if key not in ("func", "out", "config") and value is not None]
     fh.write("# config " + " ".join(parts) + "\n")
     if partial:
         fh.write("# partial true\n")
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _report(args, header, rows, partial=False, notes=()):
+    """Write the stanza, one ``# note`` line per note, then the CSV."""
+    with _open_out(args) as fh:
+        _write_stanza(fh, args, partial=partial)
+        for note in notes:
+            fh.write(f"# {note}\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _read_data_lines(path):
@@ -111,7 +92,6 @@ def _read_data_lines(path):
 
 
 def _cmd_folner_defect(args):
-    _require(args, "group", "upto")
     group = get_group(args.group)
     seq = _family(group, args.family)
     rows = []
@@ -119,55 +99,38 @@ def _cmd_folner_defect(args):
         F = seq.subset(i)
         d = defect_report(seq, i).max_defect
         rows.append((i, len(F), d.numerator, d.denominator, description_bits(group, F)))
-    with _open_out(args) as fh:
-        _write_stanza(fh, args)
-        w = _writer(fh)
-        w.writerow(["i", "size", "max_defect_num", "max_defect_den", "description_bits"])
-        w.writerows(rows)
+    _report(args, ["i", "size", "max_defect_num", "max_defect_den", "description_bits"], rows)
     return 0
 
 
 def _cmd_folner_tempered(args):
-    _require(args, "group", "upto")
     group = get_group(args.group)
     seq = _family(group, args.family)
     rows = [
         (i, len(seq.subset(i)), c.numerator, c.denominator)
         for i, c in temperedness_witnesses(seq, args.upto)
     ]
-    with _open_out(args) as fh:
-        _write_stanza(fh, args)
-        w = _writer(fh)
-        w.writerow(["i", "size", "tempered_num", "tempered_den"])
-        w.writerows(rows)
+    _report(args, ["i", "size", "tempered_num", "tempered_den"], rows)
     return 0
 
 
 def _cmd_folner_modest_search(args):
-    _require(args, "group", "i")
     group = get_group(args.group)
     try:
         F = modest_search(group, args.i, cap=args.cap)
     except BudgetExceededError:
-        with _open_out(args) as fh:
-            _write_stanza(fh, args, partial=True)
-            _writer(fh).writerow(["element"])
+        _report(args, ["element"], [], partial=True)
         return 3
-    with _open_out(args) as fh:
-        _write_stanza(fh, args)
-        fh.write(f"# size {len(F)}\n")
-        w = _writer(fh)
-        w.writerow(["element"])
-        for g in sorted(F):
-            w.writerow([group.format_element(g)])
+    rows = [[group.format_element(g)] for g in sorted(F)]
+    _report(args, ["element"], rows, notes=[f"size {len(F)}"])
     return 0
 
 
 # -- codec -------------------------------------------------------------------
+# raw lines, not csv: csv would quote elements such as Z2:(1,0)
 
 
 def _cmd_codec_encode(args):
-    _require(args, "group", "set_file")
     group = get_group(args.group)
     elements = frozenset(group.parse_element(line) for line in _read_data_lines(args.set_file))
     if not elements:
@@ -180,7 +143,6 @@ def _cmd_codec_encode(args):
 
 
 def _cmd_codec_decode(args):
-    _require(args, "group", "bits_file")
     group = get_group(args.group)
     lines = _read_data_lines(args.bits_file)
     if len(lines) != 1:
@@ -197,7 +159,6 @@ def _cmd_codec_decode(args):
 
 
 def _cmd_tile(args):
-    _require(args, "group", "eps", "i")
     group = get_group(args.group)
     seq = _family(group, args.family)
     try:
@@ -208,27 +169,25 @@ def _cmd_tile(args):
     T = seq.subset(args.i)
     cov = cover(T, tiling, seq)
     rep = cov.report
+    rows = [
+        ["center", scale, group.format_element(c), "", "", "", ""]
+        for scale in tiling.scales
+        for c in sorted(cov.scale_centers[scale])
+    ]
+    total = len(rows)
+    checks = [
+        ("tiles_inside", rep.tiles_inside),
+        ("residue_small", rep.residue_small),
+        ("mass_vs_covered", rep.mass_vs_covered),
+        ("mass_vs_total", rep.mass_vs_total),
+    ]
+    rows += [["assertion", "", "", name, str(chk.lhs), str(chk.rhs), chk.holds]
+             for name, chk in checks]
+    note = f"plan scales={','.join(map(str, tiling.scales))} threshold={tiling.threshold}"
+    _report(args, ["kind", "scale", "element", "name", "lhs", "rhs", "holds"], rows,
+            notes=[note])
 
-    with _open_out(args) as fh:
-        _write_stanza(fh, args)
-        fh.write(f"# plan scales={','.join(map(str, tiling.scales))} threshold={tiling.threshold}\n")
-        w = _writer(fh)
-        w.writerow(["kind", "scale", "element", "name", "lhs", "rhs", "holds"])
-        total = 0
-        for scale in tiling.scales:
-            for c in sorted(cov.scale_centers[scale]):
-                w.writerow(["center", scale, group.format_element(c), "", "", "", ""])
-                total += 1
-        checks = [
-            ("tiles_inside", rep.tiles_inside),
-            ("residue_small", rep.residue_small),
-            ("mass_vs_covered", rep.mass_vs_covered),
-            ("mass_vs_total", rep.mass_vs_total),
-        ]
-        for name, chk in checks:
-            w.writerow(["assertion", "", "", name, str(chk.lhs), str(chk.rhs), chk.holds])
-
-    summary = sys.stdout if getattr(args, "out", None) else sys.stderr
+    summary = sys.stdout if args.out else sys.stderr
     print(
         f"plan eps={eps} scales={tiling.scales} threshold={tiling.threshold}",
         file=summary,
@@ -246,7 +205,6 @@ def _cmd_tile(args):
 
 
 def _cmd_entropy_sft(args):
-    _require(args, "file", "upto")
     try:
         sft = load_sft(args.file)
     except OSError as err:
@@ -258,12 +216,8 @@ def _cmd_entropy_sft(args):
     except BudgetExceededError as err:
         series = err.partial
         partial = True
-    with _open_out(args) as fh:
-        _write_stanza(fh, args, partial=partial)
-        w = _writer(fh)
-        w.writerow(["i", "size", "bits", "rate"])
-        for p in series.points:
-            w.writerow([p.index, p.size, f"{p.bits:.6f}", f"{p.rate:.6f}"])
+    rows = [[p.index, p.size, f"{p.bits:.6f}", f"{p.rate:.6f}"] for p in series.points]
+    _report(args, ["i", "size", "bits", "rate"], rows, partial=partial)
     return 3 if partial else 0
 
 
@@ -271,18 +225,13 @@ def _cmd_entropy_sft(args):
 
 
 def _cmd_brudno_run(args):
-    _require(args, "group", "family", "measure", "estimator", "upto", "seed")
     group = get_group(args.group)
     seq = _family(group, args.family)
     measure = parse_measure(args.measure)
-    if args.estimator == "all":
-        names = sorted(ESTIMATORS)
-    elif args.estimator in ESTIMATORS:
-        names = [args.estimator]
-    else:
-        raise UsageError(
-            f"unknown estimator {args.estimator!r} (have {sorted(ESTIMATORS) + ['all']})"
-        )
+    # the chain runs along the line; other groups' indices are not its sites
+    if isinstance(measure, MarkovMeasure) and group.name != "z":
+        raise UsageError(f"a markov measure needs --group z, not {args.group!r}")
+    names = sorted(ESTIMATORS) if args.estimator == "all" else [args.estimator]
     source = MeasureSource(measure, args.seed)
     # sample each window once and code its content word with every
     # estimator; rows are reported grouped by estimator
@@ -293,12 +242,8 @@ def _cmd_brudno_run(args):
         for name in names:
             bits = ESTIMATORS[name](source.alphabet, word).bits
             rows[name].append((name, i, len(F), bits, f"{bits / len(F):.6f}"))
-    with _open_out(args) as fh:
-        _write_stanza(fh, args)
-        w = _writer(fh)
-        w.writerow(["estimator", "i", "size", "bits", "rate"])
-        for name in names:
-            w.writerows(rows[name])
+    _report(args, ["estimator", "i", "size", "bits", "rate"],
+            [row for name in names for row in rows[name]])
     return 0
 
 
@@ -308,8 +253,8 @@ def _cmd_brudno_run(args):
 def _cmd_repair_demo(args):
     alphabet = binary_alphabet()
     n, flips = args.length, args.flips
-    if flips > n:
-        raise UsageError("--flips cannot exceed --length")
+    if not 0 <= flips <= n:
+        raise UsageError("--flips must lie between 0 and --length")
     base = "".join("1" if site_uniform(args.seed, k) < 0.5 else "0" for k in range(n))
     # flip the k positions ranked lowest by an independent uniform
     ranks = sorted(range(n), key=lambda k: site_uniform(derive(args.seed, 1), k))
@@ -321,11 +266,8 @@ def _cmd_repair_demo(args):
     ok = repair_decode(alphabet, base, est.stream) == target
     plain_freq = freq_coder(alphabet, target).bits
     plain_lz = lz78_estimate(alphabet, target).bits
-    with _open_out(args) as fh:
-        _write_stanza(fh, args)
-        w = _writer(fh)
-        w.writerow(["length", "flips", "repair_bits", "freq_bits", "lz78_bits", "roundtrip_ok"])
-        w.writerow([n, flips, est.bits, plain_freq, plain_lz, ok])
+    _report(args, ["length", "flips", "repair_bits", "freq_bits", "lz78_bits", "roundtrip_ok"],
+            [[n, flips, est.bits, plain_freq, plain_lz, ok]])
     return 0
 
 
@@ -333,7 +275,8 @@ def _cmd_repair_demo(args):
 
 
 def _load_config(path):
-    cfg = {}
+    """Preset lines as ``--key=value`` flag tokens, each mapped to its key."""
+    tokens = {}
     try:
         with open(path, "r", encoding="ascii") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -343,34 +286,38 @@ def _load_config(path):
                 key, eq, value = line.partition("=")
                 if not eq:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
-                cfg[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip()
+                tokens[f"--{key.replace('_', '-')}={value.strip()}"] = key
     except OSError as err:
         raise UsageError(str(err)) from None
-    return cfg
+    return tokens
 
 
-def _apply_config(args, argv, cfg):
-    given = set()
-    for token in argv:
-        if token.startswith("--"):
-            given.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    for key, raw in cfg.items():
-        if key in given:
-            continue
-        if not hasattr(args, key):
+def _parse(parser, argv):
+    """Parse argv with the ``--config`` preset spliced in as flags."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    preset = _load_config(path) if path else {}
+    # after the subcommand words and before every explicit flag, so the
+    # flags win and argparse types and requires the preset values too
+    at = next((k for k, token in enumerate(argv) if token.startswith("-")), len(argv))
+    args, extra = parser.parse_known_args(argv[:at] + list(preset) + argv[at:])
+    # a key must name its option in full; argparse alone would take a prefix
+    for token, key in preset.items():
+        if token in extra or not hasattr(args, key.replace("-", "_")):
             raise UsageError(f"config key {key!r} does not match any option")
-        conv = _OPTION_TYPES.get(key, str)
-        try:
-            setattr(args, key, conv(raw))
-        except ValueError:
-            raise UsageError(f"config value {key}={raw!r} is not a valid {conv.__name__}") from None
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return args
 
 
 # -- parser --------------------------------------------------------------------
 
 
-def _add_common(p, *, family=False):
-    p.add_argument("--group", help="group id: z, z2, z3, ..., h3")
+def _add_common(p, *, group=True, family=False):
+    if group:
+        p.add_argument("--group", required=True, help="group id: z, z2, z3, ..., h3")
     if family:
         p.add_argument("--family", default="boxes", help="Folner family (boxes, dyadic)")
     p.add_argument("--out", help="report file (default: stdout)")
@@ -389,15 +336,15 @@ def _build_parser():
     fsub = folner.add_subparsers(dest="subcmd")
     p = fsub.add_parser("defect", help="per-index max translation defect and description size")
     _add_common(p, family=True)
-    p.add_argument("--upto", type=int, help="largest index")
+    p.add_argument("--upto", type=int, required=True, help="largest index")
     p.set_defaults(func=_cmd_folner_defect)
     p = fsub.add_parser("tempered", help="prefix temperedness constants")
     _add_common(p, family=True)
-    p.add_argument("--upto", type=int, help="largest index")
+    p.add_argument("--upto", type=int, required=True, help="largest index")
     p.set_defaults(func=_cmd_folner_tempered)
     p = fsub.add_parser("modest-search", help="smallest modest set for an index")
     _add_common(p)
-    p.add_argument("--i", type=int, help="invariance demand")
+    p.add_argument("--i", type=int, required=True, help="invariance demand")
     p.add_argument("--cap", type=int, default=1_000_000, help="enumeration budget")
     p.set_defaults(func=_cmd_folner_modest_search)
 
@@ -405,71 +352,63 @@ def _build_parser():
     csub = codec.add_subparsers(dest="subcmd")
     p = csub.add_parser("encode", help="set file -> bit string")
     _add_common(p)
-    p.add_argument("--set-file", dest="set_file", help="one canonical element per line")
+    p.add_argument("--set-file", dest="set_file", required=True,
+                   help="one canonical element per line")
     p.set_defaults(func=_cmd_codec_encode)
     p = csub.add_parser("decode", help="bit string -> set file")
     _add_common(p)
-    p.add_argument("--bits-file", dest="bits_file", help="file holding one 0/1 line")
+    p.add_argument("--bits-file", dest="bits_file", required=True,
+                   help="file holding one 0/1 line")
     p.set_defaults(func=_cmd_codec_decode)
 
     p = sub.add_parser("tile", help="plan a quasi-tiling and cover a window")
     _add_common(p, family=True)
-    p.add_argument("--eps", help="tiling parameter, e.g. 1/4")
-    p.add_argument("--i", type=int, help="window index to cover")
+    p.add_argument("--eps", required=True, help="tiling parameter, e.g. 1/4")
+    p.add_argument("--i", type=int, required=True, help="window index to cover")
     p.add_argument("--horizon", type=int, default=64, help="largest index the planner may use")
     p.set_defaults(func=_cmd_tile)
 
     entropy = sub.add_parser("entropy", help="subshift entropy estimates")
     esub = entropy.add_subparsers(dest="subcmd")
     p = esub.add_parser("sft", help="normalized log pattern counts along a family")
-    p.add_argument("--file", help="SFT description file")
-    p.add_argument("--family", default="boxes")
-    p.add_argument("--upto", type=int)
+    _add_common(p, group=False, family=True)
+    p.add_argument("--file", required=True, help="SFT description file")
+    p.add_argument("--upto", type=int, required=True, help="largest index")
     p.add_argument("--budget", type=int, default=20_000_000,
                    help="pattern counting budget: (state, symbol) extensions per window")
-    p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_entropy_sft)
 
     brudno = sub.add_parser("brudno", help="complexity rates of sampled configurations")
     bsub = brudno.add_subparsers(dest="subcmd")
     p = bsub.add_parser("run", help="rate series for a measure and estimator set")
     _add_common(p, family=True)
-    p.add_argument("--measure", help="bernoulli:p0,p1,... or markov:[[...],...]")
-    p.add_argument("--estimator", help="freq, lz78, or all")
-    p.add_argument("--upto", type=int)
-    p.add_argument("--seed", type=int, help="sampling seed")
+    p.add_argument("--measure", required=True,
+                   help="bernoulli:p0,p1,... or markov:[[...],...] (markov needs --group z)")
+    p.add_argument("--estimator", required=True, choices=sorted(ESTIMATORS) + ["all"])
+    p.add_argument("--upto", type=int, required=True, help="largest index")
+    p.add_argument("--seed", type=int, required=True, help="sampling seed")
     p.set_defaults(func=_cmd_brudno_run)
 
     p = sub.add_parser("repair-demo", help="edit coding of a corrupted word vs plain coders")
+    _add_common(p, group=False)
     p.add_argument("--length", type=int, default=2000)
-    p.add_argument("--flips", type=int, default=40)
+    p.add_argument("--flips", type=int, default=40, help="sites to flip, 0..length")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_repair_demo)
 
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
-    if args.func is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        if getattr(args, "config", None):
-            _apply_config(args, argv, _load_config(args.config))
+        args = _parse(parser, list(sys.argv[1:] if argv is None else argv))
+        if args.func is None:
+            parser.print_usage(sys.stderr)
+            return 2
         return args.func(args)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 after a usage message
+        return exc.code
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .folner import FolnerSequence, product_size
-from .groups import set_product, translate_right
+from .groups import translate_right
 
 DEFAULT_HORIZON = 64
 
@@ -102,11 +102,10 @@ def _invariance_defect(seq: FolnerSequence, K_index: int, F_index: int) -> Fract
     group = seq.group
     K = seq.subset(K_index)
     F = seq.subset(F_index)
-    if group.identity in frozenset(K):
-        # K contains 1, so KF contains F and the difference is |KF| - |F|
-        return Fraction(product_size(group, K, F) - len(F), len(F))
-    Fset = frozenset(F)
-    return Fraction(len(set_product(group, K, F) - Fset), len(Fset))
+    # (K u {1})F = KF u F, so |KF \ F| = |(K u {1})F| - |F|
+    if group.identity not in K:
+        K = (group.identity, *K)
+    return Fraction(product_size(group, K, F) - len(F), len(F))
 
 
 def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan:

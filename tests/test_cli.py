@@ -1,6 +1,7 @@
 """End-to-end command line runs against report files."""
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -274,3 +275,118 @@ def test_threads_is_not_an_option(tmp_path, capsys):
 def test_help_exits_zero():
     assert main(["--help"]) == 0
     assert main([]) == 2
+
+
+# -- config contract -------------------------------------------------------------
+
+
+def test_abbreviated_flag_beats_preset(tmp_path):
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text("group=z\nupto=3\n", encoding="ascii")
+    out = tmp_path / "a.csv"
+    assert main(["folner", "defect", "--config", str(cfg), "--upt", "5",
+                 "--out", str(out)]) == 0
+    _, rows = data_rows(out)
+    assert len(rows) == 5
+
+
+@pytest.mark.parametrize("key", ["func", "cmd", "subcmd", "up"])
+def test_preset_key_naming_no_option_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text(f"group=z\nupto=3\n{key}=5\n", encoding="ascii")
+    assert main(["folner", "defect", "--config", str(cfg)]) == 2
+    assert f"config key '{key}' does not match any option" in capsys.readouterr().err
+
+
+def test_preset_value_is_typed_like_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text("group=z\nupto=three\n", encoding="ascii")
+    assert main(["folner", "defect", "--config", str(cfg)]) == 2
+    assert "invalid int value: 'three'" in capsys.readouterr().err
+
+
+# One run of each subcommand and both budget-exhausted exits, each with the
+# exit code and the sha256 of its report minus the '# generated' line.
+FIXTURES = {
+    "T.txt": "Z2:(0,0)\nZ2:(1,0)\nZ2:(1,1)\nZ2:(2,1)\n",
+    "bits.txt": "110110000000\n",
+    "golden.sft": "alphabet 0 1\nZ:0=1 Z:1=1\n",
+    "hard.sft": "alphabet 0 1\nZ2:(0,0)=1 Z2:(1,0)=1\nZ2:(0,0)=1 Z2:(0,1)=1\n",
+}
+PINNED = [
+    ("folner defect --group z2 --upto 5", 0,
+     "28063cb67de6d7779507c0a147a09da3dbb68d3dd7ec45b4e8cff563c32729e9"),
+    ("folner tempered --group h3 --upto 3", 0,
+     "6326bf87e8657f5e4af3256521bca2732e4d9e4e349d24876d324746edb26b35"),
+    ("folner modest-search --group z --i 3", 0,
+     "821fe85b3c2e00491ec57c2d09b3bbd7cef907218c1f42d9f8b740043b4c1149"),
+    ("folner modest-search --group z --i 4 --cap 10", 3,
+     "72ebe1863c44a68d82fbf2d9d1824d76a81bac6ef9e8fa48976a98fb5626f0e1"),
+    ("codec encode --group z2 --set-file T.txt", 0,
+     "55a9f43412f70aca884028487b80b928f5e4f8de48a371227d1afdf5a9a266e6"),
+    ("codec decode --group z2 --bits-file bits.txt", 0,
+     "cc4a901d1f86f42d537b3d1619cd56d78f25bca268b4eda23a47f036d3e34619"),
+    ("tile --group z2 --eps 1/4 --i 8", 0,
+     "c13c42bd91eab7fc59751fab3435f0e7758ff700705919556d30ecf74b4abf85"),
+    ("entropy sft --file golden.sft --upto 8", 0,
+     "9be70d0ee4d0edd7a040eebdc2c65caa1ee107a46f14262b2466f1fd59346c65"),
+    ("entropy sft --file hard.sft --upto 6 --budget 50", 3,
+     "e3d9ecca8ab911dc6b40db96f1876dba1b4ec2b42f38a09bc3521e84709f4e05"),
+    ("brudno run --group z2 --family boxes --measure bernoulli:0.3,0.7 --estimator all "
+     "--upto 4 --seed 9", 0,
+     "d647dd16edabf0cab2acf8e6563a467a48b8cdab086485bc4aaad93b11225b17"),
+    ("brudno run --group z --family dyadic --measure markov:[[0.5,0.5],[1,0]] "
+     "--estimator lz78 --upto 5 --seed 2", 0,
+     "36c1aafa876cdc3af41539e12278613d8dae0e5121045d9db61b3998c298919d"),
+    ("repair-demo --length 200 --flips 5 --seed 3", 0,
+     "2acdc047b2db50de5337eca2ff1797cc2df4ec092717eb739f7f3564c3cc5d97"),
+]
+
+
+def _pinned_run(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in FIXTURES.items():
+        (tmp_path / name).write_text(text, encoding="ascii")
+    code = main(argv + ["--out", "r.csv"])
+    return code, hashlib.sha256(payload("r.csv").encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("command,code,digest", PINNED, ids=[c for c, _, _ in PINNED])
+def test_payload_pinned(tmp_path, monkeypatch, capsys, command, code, digest):
+    assert _pinned_run(tmp_path, monkeypatch, command.split()) == (code, digest)
+
+
+@pytest.mark.parametrize("command,code,digest", PINNED, ids=[c for c, _, _ in PINNED])
+def test_preset_alone_gives_the_pinned_payload(tmp_path, monkeypatch, capsys,
+                                               command, code, digest):
+    words = command.split()
+    at = next(k for k, w in enumerate(words) if w.startswith("--"))
+    flags = words[at:]
+    preset = "".join(f"{flags[k][2:]}={flags[k + 1]}\n" for k in range(0, len(flags), 2))
+    (tmp_path / "preset.cfg").write_text(preset, encoding="ascii")
+    argv = words[:at] + ["--config", "preset.cfg"]
+    assert _pinned_run(tmp_path, monkeypatch, argv) == (code, digest)
+
+
+# -- input checks ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("group", ["z2", "h3"])
+def test_brudno_markov_needs_group_z(tmp_path, monkeypatch, capsys, group):
+    calls = []
+    monkeypatch.setattr(MeasureSource, "window", lambda self, F: calls.append(F))
+    out = tmp_path / "rates.csv"
+    assert main(["brudno", "run", "--group", group, "--family", "boxes",
+                 "--measure", "markov:[[0.9,0.1],[0.5,0.5]]", "--estimator", "freq",
+                 "--upto", "2", "--seed", "1", "--out", str(out)]) == 2
+    assert "markov measure needs --group z" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flips", [-1, 21])
+def test_repair_demo_rejects_flips_outside_the_word(tmp_path, capsys, flips):
+    out = tmp_path / "repair.csv"
+    assert main(["repair-demo", "--length", "20", "--flips", str(flips),
+                 "--out", str(out)]) == 2
+    assert "--flips must lie between 0 and --length" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from amenlab.folner import builtin_families
-from amenlab.groups import get_group
+from amenlab.folner import FolnerSequence, builtin_families
+from amenlab.groups import get_group, normalize_subset, set_product, translate_right
 from amenlab.quasitiling import (
     Cover,
     PlanningError,
     TilingPlan,
+    _invariance_defect,
     cover,
     plan,
     scale_count,
@@ -50,6 +51,24 @@ def test_scale_count_domain():
         scale_count(0)
     with pytest.raises(ValueError):
         scale_count(1)
+
+
+# -- invariance defects -------------------------------------------------------
+
+
+@pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
+def test_invariance_defect_of_windows_without_the_identity(group):
+    boxes = builtin_families(group)["boxes"]
+    g = group.generators[0]
+    shifted = FolnerSequence(group, "shifted", 1,
+                             lambda i: normalize_subset(translate_right(group, boxes.subset(i), g)))
+    for j in range(1, 4):
+        K = shifted.subset(j)
+        assert group.identity not in K
+        for i in range(1, 7):
+            F = frozenset(shifted.subset(i))
+            want = Fraction(len(set_product(group, K, F) - F), len(F))
+            assert _invariance_defect(shifted, j, i) == want, (j, i)
 
 
 # -- planning -----------------------------------------------------------------
