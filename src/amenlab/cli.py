@@ -293,6 +293,15 @@ def _load_config(path):
     return tokens
 
 
+class _ParserError(Exception):
+    """A usage error of one (sub)parser, raised so that _parse can name its source."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ParserError(self, message)
+
+
 def _parse(parser, argv):
     """Parse argv with the ``--config`` preset spliced in as flags."""
     pre = argparse.ArgumentParser(add_help=False)
@@ -302,13 +311,22 @@ def _parse(parser, argv):
     # after the subcommand words and before every explicit flag, so the
     # flags win and argparse types and requires the preset values too
     at = next((k for k, token in enumerate(argv) if token.startswith("-")), len(argv))
-    args, extra = parser.parse_known_args(argv[:at] + list(preset) + argv[at:])
-    # a key must name its option in full; argparse alone would take a prefix
-    for token, key in preset.items():
-        if token in extra or not hasattr(args, key.replace("-", "_")):
-            raise UsageError(f"config key {key!r} does not match any option")
-    if extra:
-        parser.error("unrecognized arguments: " + " ".join(extra))
+    try:
+        args, extra = parser.parse_known_args(argv[:at] + list(preset) + argv[at:])
+        # a key must name its option in full; argparse alone would take a prefix
+        for token, key in preset.items():
+            if token in extra or not hasattr(args, key.replace("-", "_")):
+                raise UsageError(f"config key {key!r} does not match any option")
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
+    except _ParserError as err:
+        failed, message = err.args
+        # argparse stops at the first bad value, and preset tokens come first
+        for token, key in preset.items():
+            flag, _, value = token.partition("=")
+            if message.startswith(f"argument {flag}: ") and f": {value!r}" in message:
+                message = f"config file {path}, key {key!r}: {message}"
+        argparse.ArgumentParser.error(failed, message)
     return args
 
 
@@ -325,7 +343,7 @@ def _add_common(p, *, group=True, family=False):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="amenlab",
         description="Folner sequences, tilings, subshift entropy, and complexity rates.",
     )

@@ -27,10 +27,10 @@ from .groups import (
     FiniteSubset,
     Heisenberg,
     normalize_subset,
+    pack_coords,
     set_product,
     subset_from_mask,
     translate_left,
-    zigzag,
 )
 from .setcodec import EncodingDomainError, encode_connected
 from .symbolic import binary_alphabet
@@ -227,7 +227,7 @@ def _box_bits(group: ComputableGroup, F: FiniteSubset):
     if volume != len(F):
         return None
     return sum(
-        selfdelim_length(zigzag(lo)) + selfdelim_length(hi - lo + 1)
+        selfdelim_length(pack_coords((lo,))) + selfdelim_length(hi - lo + 1)
         for lo, hi in zip(lows, highs)
     )
 

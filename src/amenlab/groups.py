@@ -6,7 +6,8 @@ concrete group supplies an invertible codec between indices and canonical
 integer coordinates, the composition law on coordinates, and a fixed
 ordered symmetric generating set used for Cayley adjacency.
 
-The enumeration composes two standard ingredients:
+The enumeration, computed only by :func:`pack_coords` and its inverse
+:func:`unpack_coords`, composes two standard ingredients:
 
 * zigzag coding per coordinate, sending 0, +1, -1, +2, -2, ... to
   0, 1, 2, 3, 4, ...;
@@ -34,42 +35,30 @@ class CoordinateRangeError(ArithmeticError):
     """Coordinate left the supported range (documented bound: 2**40)."""
 
 
-def zigzag(k: int) -> int:
-    return 2 * k - 1 if k > 0 else -2 * k
-
-
-def unzigzag(n: int) -> int:
-    return (n + 1) // 2 if n & 1 else -(n // 2)
-
-
-def cantor_pair(x: int, y: int) -> int:
-    s = x + y
-    return s * (s + 1) // 2 + y
-
-
-def cantor_unpair(z: int) -> tuple[int, int]:
-    w = (isqrt(8 * z + 1) - 1) // 2
-    y = z - w * (w + 1) // 2
-    return w - y, y
-
-
 def pack_coords(coords: Sequence[int]) -> int:
-    """Index of a coordinate tuple: zigzag each entry, then pair right-to-left."""
-    ns = [zigzag(c) for c in coords]
-    acc = ns[-1]
-    for n in reversed(ns[:-1]):
-        acc = cantor_pair(n, acc)
+    """Index of a coordinate tuple: zigzag each entry, then fold right-to-left
+    with the Cantor pairing (x, y) -> (x + y)(x + y + 1)/2 + y.  Unchecked:
+    ``encode`` and every ``compose`` range-check first."""
+    it = reversed(coords)
+    c = next(it)
+    acc = 2 * c - 1 if c > 0 else -2 * c
+    for c in it:
+        s = acc + (2 * c - 1 if c > 0 else -2 * c)
+        acc = s * (s + 1) // 2 + acc
     return acc
 
 
 def unpack_coords(index: int, d: int) -> tuple[int, ...]:
-    ns = []
-    acc = index
+    """Coordinate tuple of length d at ``index``; inverse of pack_coords."""
+    out = []
     for _ in range(d - 1):
-        n, acc = cantor_unpair(acc)
-        ns.append(n)
-    ns.append(acc)
-    return tuple(unzigzag(n) for n in ns)
+        w = (isqrt(8 * index + 1) - 1) // 2
+        y = index - w * (w + 1) // 2
+        n = w - y
+        out.append((n + 1) // 2 if n & 1 else -(n // 2))
+        index = y
+    out.append((index + 1) // 2 if index & 1 else -(index // 2))
+    return tuple(out)
 
 
 def _check_range(coords: Iterable[int]) -> None:

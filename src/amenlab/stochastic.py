@@ -10,8 +10,10 @@ window's smallest coordinate, so windows with a common left end agree.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -35,8 +37,9 @@ class ProbabilityVector:
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ValueError("empty probability vector")
-        if any(e < 0 for e in entries):
-            raise ValueError("negative probability")
+        # also rejects NaN, which passes both a sign test and the sum test
+        if not all(0 <= e <= 1 + _TOL_SUM for e in entries):
+            raise ValueError("probabilities must lie in [0, 1]")
         if abs(float(sum(entries)) - 1.0) > _TOL_SUM:
             raise ValueError(f"probabilities sum to {float(sum(entries))!r}, not 1")
 
@@ -139,39 +142,33 @@ def ks_entropy(measure) -> float:
     raise TypeError(f"no entropy rate for {type(measure).__name__}")
 
 
-def _choose(entries, u: float) -> int:
-    acc = 0.0
-    for i, x in enumerate(entries):
-        acc += float(x)
-        if u < acc:
-            return i
-    return len(entries) - 1
-
-
 def sample(measure, F: FiniteSubset, seed: int) -> PartialConfiguration:
-    """Draw the window of one sample point on F, deterministically per seed."""
+    """Draw the window of one sample point on F, deterministically per seed.
+
+    Each site takes the first symbol whose float CDF exceeds its uniform, else
+    the last; a Bernoulli measure is sampled as the chain whose rows all equal p."""
     if isinstance(measure, BernoulliMeasure):
-        sym = measure.alphabet.symbols
-        p = measure.p.entries
-        return PartialConfiguration(
-            {g: sym[_choose(p, site_uniform(seed, g))] for g in F}
-        )
-    if isinstance(measure, MarkovMeasure):
+        sites, start, rows = F, measure.p, (measure.p,) * len(measure.p)
+    elif isinstance(measure, MarkovMeasure):
         z = get_group("z")
         sites = sorted(F, key=z.decode)
         if not sites:
             raise ValueError("empty window")
         if z.decode(sites[-1])[0] - z.decode(sites[0])[0] + 1 != len(F):
             raise ValueError("Markov sampling needs an interval of the line")
-        sym = measure.alphabet.symbols
-        values = {}
-        row = measure.stationary.entries
-        for g in sites:
-            state = _choose(row, site_uniform(seed, g))
-            values[g] = sym[state]
-            row = measure.rows[state]
-        return PartialConfiguration(values)
-    raise TypeError(f"cannot sample {type(measure).__name__}")
+        start, rows = measure.stationary, measure.rows
+    else:
+        raise TypeError(f"cannot sample {type(measure).__name__}")
+    sym = measure.alphabet.symbols
+    last = len(sym) - 1
+    row_cdfs = [list(accumulate(map(float, r))) for r in rows]
+    cdf = list(accumulate(map(float, start)))
+    values = {}
+    for g in sites:
+        state = min(bisect_right(cdf, site_uniform(seed, g)), last)
+        values[g] = sym[state]
+        cdf = row_cdfs[state]
+    return PartialConfiguration(values)
 
 
 def empirical_frequencies(alphabet: Alphabet, t: PartialConfiguration) -> ProbabilityVector:

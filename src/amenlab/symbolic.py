@@ -241,16 +241,6 @@ def _nearest_neighbor_data(sft: SFT):
     return allowed, pair_ok
 
 
-def _interval_length(group: ComputableGroup, F) -> int | None:
-    """Length of F when it is a set of consecutive integers on the line."""
-    if not isinstance(group, Zd) or group.dimension != 1:
-        return None
-    coords = sorted(group.decode(g)[0] for g in F)
-    if coords and coords[-1] - coords[0] + 1 == len(coords):
-        return len(coords)
-    return None
-
-
 def _mat_mul(X, Y):
     n = len(X)
     return [[sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)]
@@ -293,10 +283,13 @@ def admissible_patterns(sft: SFT, F, budget: int | None = 20_000_000) -> int:
     F = normalize_subset(F)
     if not F:
         raise ValueError("window must be nonempty")
-    length = _interval_length(sft.group, F)
-    if length is not None and _nearest_neighbor_data(sft) is not None:
-        return transfer_matrix_count(sft, length)
-    return _count_frontier(sft, sorted(F, key=sft.group.decode), budget)
+    decode = sft.group.decode
+    order = sorted(F, key=decode)
+    if (sft.group.dimension == 1
+            and decode(order[-1])[0] - decode(order[0])[0] == len(F) - 1
+            and _nearest_neighbor_data(sft) is not None):
+        return transfer_matrix_count(sft, len(F))
+    return _count_frontier(sft, order, budget)
 
 
 def _count_frontier(sft: SFT, order: list[int], budget: int | None) -> int:

@@ -305,6 +305,30 @@ def test_preset_value_is_typed_like_a_flag(tmp_path, capsys):
     assert "invalid int value: 'three'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, key, value, message", [
+    ("folner defect --group z", "upto", "three", "invalid int value: 'three'"),
+    ("brudno run --group z --measure bernoulli:0.5,0.5 --upto 3 --seed 1",
+     "estimator", "nope", "invalid choice: 'nope'"),
+])
+def test_bad_preset_value_names_file_and_key(tmp_path, capsys, cmd, key, value, message):
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text(f"{key}={value}\n", encoding="ascii")
+    assert main(cmd.split() + ["--config", str(cfg)]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"error: config file {cfg}, key '{key}': argument --{key}: {message}" in last
+    # the same value typed as a flag keeps argparse's message alone
+    assert main(cmd.split() + [f"--{key}", value]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f": error: argument --{key}: {message}" in last
+    assert str(cfg) not in last
+    # a good preset value does not take the blame for a bad flag
+    cfg.write_text(f"{key}=all\n" if key == "estimator" else f"{key}=3\n", encoding="ascii")
+    assert main(cmd.split() + ["--config", str(cfg), f"--{key}", value]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f": error: argument --{key}: {message}" in last
+    assert str(cfg) not in last
+
+
 # One run of each subcommand and both budget-exhausted exits, each with the
 # exit code and the sha256 of its report minus the '# generated' line.
 FIXTURES = {

@@ -436,6 +436,28 @@ def test_repair_decode_mutated_streams(alphabet, data):
     repair_decodes_canonically(alphabet, base, mutate(stream, data))
 
 
+@PROPERTY
+@given(BITS, st.data())
+def test_selfdelim_read_arbitrary_bits_at_any_position(bits, data):
+    pos = data.draw(st.integers(0, len(bits)))
+    try:
+        n, end = selfdelim_read(bits, pos)
+    except CoderDecodeError:
+        return
+    assert bits[pos:end] == selfdelim_encode(n)
+
+
+@PROPERTY
+@given(BITS, st.integers(1, 4))
+def test_tuple_unpack_arbitrary_bits(bits, k):
+    try:
+        parts = tuple_unpack(bits, k)
+    except CoderDecodeError:
+        return
+    assert len(parts) == k
+    assert tuple_pack(parts) == bits
+
+
 def test_repair_decode_rejects_substitute_equal_to_base():
     # bitmap "1" flags the only site, and substitute 0 is the base letter "a"
     bits = freq_encode(binary_alphabet(), "1") + "0"

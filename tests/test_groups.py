@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from amenlab.groups import (
@@ -5,8 +7,6 @@ from amenlab.groups import (
     CoordinateRangeError,
     Heisenberg,
     Zd,
-    cantor_pair,
-    cantor_unpair,
     get_group,
     is_connected_with_identity,
     normalize_subset,
@@ -15,24 +15,53 @@ from amenlab.groups import (
     subset_from_mask,
     translate_left,
     translate_right,
-    unzigzag,
-    zigzag,
+    unpack_coords,
 )
 from amenlab.rng import SplitMix64
 
 
 def test_zigzag_enumeration_prefix():
     # frozen order of the one-dimensional enumeration
-    assert [unzigzag(n) for n in range(7)] == [0, 1, -1, 2, -2, 3, -3]
+    assert [unpack_coords(n, 1)[0] for n in range(7)] == [0, 1, -1, 2, -2, 3, -3]
     for k in range(-50, 51):
-        assert unzigzag(zigzag(k)) == k
+        assert unpack_coords(pack_coords((k,)), 1) == (k,)
 
 
 def test_cantor_pair_roundtrip():
-    for x in range(30):
-        for y in range(30):
-            assert cantor_unpair(cantor_pair(x, y)) == (x, y)
-    assert cantor_pair(0, 0) == 0
+    # both coordinates run over the zigzag values 0..29
+    coords = [unpack_coords(n, 1)[0] for n in range(30)]
+    for x in coords:
+        for y in coords:
+            assert unpack_coords(pack_coords((x, y)), 2) == (x, y)
+    assert pack_coords((0, 0)) == 0
+
+
+def _enumeration_cases():
+    rng = SplitMix64(20261018)
+    edges = (0, 1, -1, COORD_LIMIT, -COORD_LIMIT, COORD_LIMIT - 1, 1 - COORD_LIMIT)
+    for d in range(1, 6):
+        for _ in range(300):
+            coords = []
+            for _ in range(d):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    coords.append(edges[rng.randrange(len(edges))])
+                elif kind == 1:
+                    coords.append(rng.randrange(201) - 100)
+                else:
+                    coords.append(rng.randrange(2 * COORD_LIMIT + 1) - COORD_LIMIT)
+            yield tuple(coords)
+
+
+def test_enumeration_pinned():
+    # digest of the indices computed before zigzag and Cantor pairing were
+    # folded into pack_coords/unpack_coords
+    h = hashlib.sha256()
+    for coords in _enumeration_cases():
+        g = pack_coords(coords)
+        assert unpack_coords(g, len(coords)) == coords
+        h.update(f"{g}\n".encode())
+    assert h.hexdigest() == "e269a97f4c18fc514678b295b83f25d71a048b4956f455230e9a6bac1a47be15"
 
 
 def test_identity_is_index_zero():

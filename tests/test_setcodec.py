@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amenlab.folner import description_bits
 from amenlab.groups import generator_boundary, get_group, normalize_subset
@@ -130,3 +132,32 @@ def test_code_words_pinned_on_the_criterion_01_sweep():
             digest.update(f"{name} {bits} {boundary} {description_bits(group, T)}\n".encode())
     assert digest.hexdigest() == (
         "313d68b5a5b36e4f5000a3b9ffe2a190539c3451ea521b38aa9c09b0e2304e17")
+
+
+# -- decoder on malformed bits ----------------------------------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+GROUPS = st.sampled_from(["z", "z2", "h3"])
+
+
+def decodes_canonically(group, bits):
+    try:
+        T = decode_connected(group, bits)
+    except DecodeError:
+        return
+    assert encode_connected(group, T) == bits
+
+
+@PROPERTY
+@given(GROUPS, st.text(alphabet="01", max_size=200))
+def test_decode_arbitrary_bits(name, bits):
+    decodes_canonically(get_group(name), bits)
+
+
+@PROPERTY
+@given(GROUPS, st.integers(1, 40), st.integers(0, 2**63 - 1), st.data())
+def test_decode_code_words_with_one_bit_flipped(name, size, seed, data):
+    group = get_group(name)
+    bits = encode_connected(group, random_connected_subset(group, size, seed))
+    i = data.draw(st.integers(0, len(bits) - 1))
+    decodes_canonically(group, bits[:i] + "10"[int(bits[i])] + bits[i + 1:])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from amenlab.groups import get_group
+from amenlab.rng import site_uniform
 from amenlab.stochastic import (
     BernoulliMeasure,
     ConstantSource,
@@ -37,6 +38,42 @@ def test_probability_vector_validation():
         ProbabilityVector((0.5, -0.5, 1.0))
     with pytest.raises(ValueError):
         ProbabilityVector((0.5, 0.6))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+def test_non_finite_probabilities_rejected(bad):
+    # NaN passed both the sign test and the sum test; 10**400 overflowed it
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        BernoulliMeasure(AB, (bad, 1.0))
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        MarkovMeasure(AB, ((bad, 1.0), (0.5, 0.5)))
+
+
+def _choose(entries, u):
+    """Per-site reference: first symbol whose running float sum exceeds u."""
+    acc = 0.0
+    for i, x in enumerate(entries):
+        acc += float(x)
+        if u < acc:
+            return i
+    return len(entries) - 1
+
+
+@pytest.mark.parametrize("spec", [
+    "bernoulli:0.9,0.1", "bernoulli:1/3,2/3", "bernoulli:0.2,0,0.3,0.5", "bernoulli:0,1",
+    "markov:[[0.5,0.5],[1,0]]", "markov:[[0,1,0],[0,0,1],[0.25,0.25,0.5]]",
+])
+def test_sample_matches_per_site_reference(spec):
+    m = parse_measure(spec)
+    F = interval(3000)
+    for seed in (1, 7, 424242):
+        t = sample(m, F, seed)
+        row = m.p if isinstance(m, BernoulliMeasure) else m.stationary
+        for g in F:
+            state = _choose(row, site_uniform(seed, g))
+            assert t[g] == m.alphabet.symbols[state]
+            if isinstance(m, MarkovMeasure):
+                row = m.rows[state]
 
 
 def test_shannon_entropy_values():

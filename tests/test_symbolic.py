@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from amenlab.symbolic import (
     cont,
     golden_mean_sft,
     iter_admissible,
+    load_sft,
     parse_sft,
     restrict,
     topological_entropy_estimate,
@@ -185,6 +187,23 @@ def test_hard_squares_6x6_pinned():
     assert hard_square_count(6, 6) == 5598861
     sft = hard_squares_sft()
     assert admissible_patterns(sft, box2(6), budget=60_000_000) == 5598861
+
+
+def test_hard_squares_strip_differences_give_the_entropy():
+    # f(m) = log2 N(41, m) - log2 N(40, m) on L x m strips; f(m) - f(m-1)
+    # tends to log2 kappa exponentially fast (Calkin & Wilf 1998), where
+    # kappa is the hard-square constant (Baxter 1999)
+    sft = load_sft(Path(__file__).resolve().parent.parent / "demos" / "hardsquares.sft")
+
+    def log2_count(L, m):
+        # m on the last axis, so the frontier DP keeps a strip of width m
+        return math.log2(admissible_patterns(
+            sft, [Z2.encode((a, b)) for a in range(L) for b in range(m)]))
+
+    def f(m):
+        return log2_count(41, m) - log2_count(40, m)
+
+    assert abs(f(9) - f(8) - 0.5878911617753406) < 1e-8
 
 
 def test_frontier_count_matches_enumeration_on_random_sfts():
