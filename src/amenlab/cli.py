@@ -16,6 +16,7 @@ import argparse
 import csv
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -29,8 +30,8 @@ from .folner import (
     modest_search,
     temperedness_witnesses,
 )
-from .groups import get_group
-from .quasitiling import cover, plan
+from .groups import CoordinateRangeError, get_group
+from .quasitiling import DEFAULT_HORIZON, cover, plan
 from .rng import derive, site_uniform
 from .setcodec import decode_connected, encode_connected
 from .stochastic import MarkovMeasure, MeasureSource, parse_measure
@@ -168,19 +169,13 @@ def _cmd_tile(args):
     tiling = plan(seq, eps, horizon=args.horizon)
     T = seq.subset(args.i)
     cov = cover(T, tiling, seq)
-    rep = cov.report
     rows = [
         ["center", scale, group.format_element(c), "", "", "", ""]
         for scale in tiling.scales
         for c in sorted(cov.scale_centers[scale])
     ]
     total = len(rows)
-    checks = [
-        ("tiles_inside", rep.tiles_inside),
-        ("residue_small", rep.residue_small),
-        ("mass_vs_covered", rep.mass_vs_covered),
-        ("mass_vs_total", rep.mass_vs_total),
-    ]
+    checks = [(f.name, getattr(cov.report, f.name)) for f in fields(cov.report)]
     rows += [["assertion", "", "", name, str(chk.lhs), str(chk.rhs), chk.holds]
              for name, chk in checks]
     note = f"plan scales={','.join(map(str, tiling.scales))} threshold={tiling.threshold}"
@@ -383,7 +378,8 @@ def _build_parser():
     _add_common(p, family=True)
     p.add_argument("--eps", required=True, help="tiling parameter, e.g. 1/4")
     p.add_argument("--i", type=int, required=True, help="window index to cover")
-    p.add_argument("--horizon", type=int, default=64, help="largest index the planner may use")
+    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
+                   help="largest index the planner may use")
     p.set_defaults(func=_cmd_tile)
 
     entropy = sub.add_parser("entropy", help="subshift entropy estimates")
@@ -430,7 +426,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError, OSError) as err:
+    except (UsageError, ValueError, OSError, CoordinateRangeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 COORD_LIMIT = 1 << 40
 
@@ -277,25 +277,31 @@ def set_product(group: ComputableGroup, A: Iterable[int], B: Iterable[int]) -> f
 def generator_boundary(group: ComputableGroup, T: Iterable[int]) -> frozenset:
     """ST \\ T for the group's fixed generating set S."""
     tset = frozenset(T)
-    out = set()
-    for t in tset:
-        for n in group.neighbors(t):
-            if n not in tset:
-                out.add(n)
-    return frozenset(out)
+    return set_product(group, group.generators, tset) - tset
+
+
+def walk(group: ComputableGroup, inside: Callable[[int], bool]) -> list[int]:
+    """Depth-first Cayley walk from the identity; the members it reaches, in order.
+
+    ``inside(h)`` is asked once, on each vertex's first visit.  The walk
+    continues only through members, pushing a member's neighbors in reverse
+    so that they pop in generator order, as a recursive walk would visit them.
+    """
+    members: list[int] = []
+    visited: set[int] = set()
+    stack = [group.identity]
+    while stack:
+        h = stack.pop()
+        if h in visited:
+            continue
+        visited.add(h)
+        if inside(h):
+            members.append(h)
+            stack.extend(reversed(group.neighbors(h)))
+    return members
 
 
 def is_connected_with_identity(group: ComputableGroup, T: Iterable[int]) -> bool:
     """True iff T contains the identity and is path-connected in the Cayley graph."""
     tset = frozenset(T)
-    if group.identity not in tset:
-        return False
-    seen = {group.identity}
-    stack = [group.identity]
-    while stack:
-        h = stack.pop()
-        for n in group.neighbors(h):
-            if n in tset and n not in seen:
-                seen.add(n)
-                stack.append(n)
-    return len(seen) == len(tset)
+    return group.identity in tset and len(walk(group, tset.__contains__)) == len(tset)

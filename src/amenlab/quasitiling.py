@@ -6,17 +6,18 @@ satisfying (1-eps/2)^k <= eps, each scale (eps/4)-invariant under the one
 below it.  Box families grow those scales geometrically (each level is
 about 4/eps times the last), so a literal schedule explodes past any desk
 budget for small eps.  The planner here grows scales only while the next
-level keeps the usable threshold inside a finite horizon and stops early
-otherwise; the four covering assertions are then verified exactly on every
-produced cover rather than assumed from the schedule.  Because the box
-families start at a singleton tile, the greedy pass at the bottom scale
+level keeps the usable threshold inside a finite horizon, stops early
+otherwise, and searches the threshold of its top scale alone.  Each of the
+four covering assertions is an exact inequality lhs <= rhs, verified on
+every produced cover rather than assumed from the schedule.  Because the
+box families start at a singleton tile, the greedy pass at the bottom scale
 mops up every remaining point, so the covers are exact and the assertions
 hold with room to spare even when fewer scales than the classical k fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -51,14 +52,20 @@ class TilingPlan:
 
 @dataclass(frozen=True)
 class AssertionCheck:
-    holds: bool
+    """One covering assertion, lhs <= rhs, in exact rationals."""
+
     lhs: Fraction
     rhs: Fraction
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs
 
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Exact rational evaluation of the four covering assertions."""
+    """Exact rational evaluation of the four covering assertions; the
+    fields are the one list of them, in report order."""
 
     tiles_inside: AssertionCheck
     residue_small: AssertionCheck
@@ -67,12 +74,7 @@ class CoverReport:
 
     @property
     def all_hold(self) -> bool:
-        return (
-            self.tiles_inside.holds
-            and self.residue_small.holds
-            and self.mass_vs_covered.holds
-            and self.mass_vs_total.holds
-        )
+        return all(getattr(self, f.name).holds for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -117,15 +119,15 @@ def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan
     leaves three coverable indices above its threshold inside the horizon.
     The returned threshold N is the largest index <= horizon at which
     (eps/4)-invariance under the top tile fails (so every examined i > N
-    passes; indices beyond the horizon are not certified).
+    passes; indices beyond the horizon are not certified).  It is computed
+    for the top scale only: the start scale's threshold is searched for
+    only when no second scale is appended.
     """
     eps = Fraction(eps)
-    if not (0 < eps < 1):
-        raise ValueError("eps must be in (0, 1)")
+    goal = scale_count(eps)
     if horizon < seq.start:
         raise PlanningError("horizon lies before the family's first index")
     tol = eps / 4
-    goal = scale_count(eps)
     scales = [seq.start]
 
     def threshold_for(j: int) -> int:
@@ -135,7 +137,7 @@ def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan
                 return i
         return j
 
-    threshold = threshold_for(scales[-1])
+    threshold = None
     while len(scales) < goal:
         nxt = None
         for j in range(scales[-1] + 1, horizon + 1):
@@ -149,6 +151,8 @@ def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan
             break
         scales.append(nxt)
         threshold = n_next
+    if threshold is None:
+        threshold = threshold_for(seq.start)
     return TilingPlan(eps, tuple(scales), threshold)
 
 
@@ -179,9 +183,8 @@ def cover(T, tiling: TilingPlan, seq: FolnerSequence) -> Cover:
                 centers.append(c)
                 covered.update(cells)
         scale_centers[j] = tuple(centers)
-    partial = Cover(tiling, scale_centers, frozenset(covered))
-    report = verify_cover(T, tiling, partial, seq)
-    return Cover(tiling, scale_centers, frozenset(covered), report)
+    cov = Cover(tiling, scale_centers, frozenset(covered))
+    return replace(cov, report=verify_cover(T, tiling, cov, seq))
 
 
 def verify_cover(T, tiling: TilingPlan, cov: Cover, seq: FolnerSequence) -> CoverReport:
@@ -199,21 +202,11 @@ def verify_cover(T, tiling: TilingPlan, cov: Cover, seq: FolnerSequence) -> Cove
             outside += len(cells - Tset)
             union.update(cells)
             mass += len(tile)
-    covered_inside = len(union & Tset)
-    residue = len(Tset) - covered_inside
+    size = len(Tset)
+    # in CoverReport's field order
     return CoverReport(
-        tiles_inside=AssertionCheck(outside == 0, Fraction(outside), Fraction(0)),
-        residue_small=AssertionCheck(
-            Fraction(residue) <= eps * len(Tset), Fraction(residue), eps * len(Tset)
-        ),
-        mass_vs_covered=AssertionCheck(
-            Fraction(mass) <= (1 + eps) * len(union),
-            Fraction(mass),
-            (1 + eps) * len(union),
-        ),
-        mass_vs_total=AssertionCheck(
-            Fraction(mass) <= (1 + eps) * len(Tset),
-            Fraction(mass),
-            (1 + eps) * len(Tset),
-        ),
+        AssertionCheck(Fraction(outside), Fraction(0)),
+        AssertionCheck(Fraction(size - len(union & Tset)), eps * size),
+        AssertionCheck(Fraction(mass), (1 + eps) * len(union)),
+        AssertionCheck(Fraction(mass), (1 + eps) * size),
     )

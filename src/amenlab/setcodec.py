@@ -12,11 +12,12 @@ The encoder checks connectivity in the same walk that writes the code
 word: T is connected exactly when the walk from the identity emits |T|
 ones, so a disconnected set costs no separate traversal.
 
-Both directions use an explicit stack instead of recursion (the recursion
-depth would otherwise be |T|), with children pushed in reverse so they pop
-in generator order; the replay is order-identical to the recursive form.
-The decoder grows its visited map on demand rather than materializing a
-ball of the code-word radius, so memory stays proportional to |ST|.
+Both directions run the one walk of :func:`groups.walk`, which uses an
+explicit stack instead of recursion (the recursion depth would otherwise
+be |T|) and replays the recursive order.  The encoder's membership test
+writes the bit; the decoder's reads it.  The decoder grows its visited set
+on demand rather than materializing a ball of the code-word radius, so
+memory stays proportional to |ST|.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .groups import (
     FiniteSubset,
     generator_boundary,
     normalize_subset,
+    walk,
 )
 from .rng import SplitMix64
 
@@ -51,20 +53,13 @@ def encode_connected(group: ComputableGroup, T) -> str:
     if group.identity not in tset:
         raise EncodingDomainError("set does not contain the identity")
     bits: list[str] = []
-    visited: set[int] = set()
-    stack = [group.identity]
-    while stack:
-        h = stack.pop()
-        if h in visited:
-            continue
-        visited.add(h)
-        if h in tset:
-            bits.append("1")
-            for child in reversed(group.neighbors(h)):
-                stack.append(child)
-        else:
-            bits.append("0")
-    if bits.count("1") != len(tset):
+
+    def inside(h: int) -> bool:
+        member = h in tset
+        bits.append("1" if member else "0")
+        return member
+
+    if len(walk(group, inside)) != len(tset):
         raise EncodingDomainError("set is not connected in the Cayley graph")
     return "".join(bits)
 
@@ -77,25 +72,18 @@ def decode_connected(group: ComputableGroup, bits: str) -> FiniteSubset:
     """
     if not bits or any(b not in "01" for b in bits):
         raise DecodeError("expected a nonempty string of 0s and 1s")
-    members: list[int] = []
-    visited: set[int] = set()
-    pos = 0
-    stack = [group.identity]
-    while stack:
-        h = stack.pop()
-        if h in visited:
-            continue
-        visited.add(h)
-        if pos >= len(bits):
+    unread = iter(bits)
+
+    def inside(h: int) -> bool:
+        bit = next(unread, None)
+        if bit is None:
             raise DecodeError("bit string exhausted before traversal finished")
-        bit = bits[pos]
-        pos += 1
-        if bit == "1":
-            members.append(h)
-            for child in reversed(group.neighbors(h)):
-                stack.append(child)
-    if pos != len(bits):
-        raise DecodeError(f"{len(bits) - pos} unread bits after traversal finished")
+        return bit == "1"
+
+    members = walk(group, inside)
+    left = sum(1 for _ in unread)
+    if left:
+        raise DecodeError(f"{left} unread bits after traversal finished")
     if not members:
         raise DecodeError("code word describes the empty set")
     return normalize_subset(members)

@@ -192,31 +192,27 @@ def golden_mean_sft() -> SFT:
 
 # -- pattern counting -------------------------------------------------------
 
-def _occurrence_positions(sft: SFT, p: PartialConfiguration, F: frozenset) -> list[int]:
-    """Positions g with supp(p)*g inside F."""
-    group = sft.group
-    supp = p.support
-    anchor_inv = group.inverse(supp[0])
-    out = []
-    for f in F:
-        g = group.multiply(anchor_inv, f)
-        if all(group.multiply(m, g) in F for m in supp):
-            out.append(g)
-    return out
-
-
 def _constraint_instances(sft: SFT, order: list[int]) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Forbidden-pattern occurrences inside the window, grouped by the
-    position (in assignment order) at which they become fully determined."""
+    position (in assignment order) at which they become fully determined;
+    an occurrence of p at g is kept when every site of supp(p)*g is inside."""
+    group = sft.group
     pos_of = {g: k for k, g in enumerate(order)}
-    fset = frozenset(order)
     grouped: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in order]
     for p in sft.forbidden:
         syms = tuple(sft.alphabet.index(v) for _, v in sorted(p.items()))
         supp = p.support
-        for g in _occurrence_positions(sft, p, fset):
-            positions = tuple(pos_of[sft.group.multiply(m, g)] for m in supp)
-            grouped[max(positions)].append((positions, syms))
+        anchor_inv = group.inverse(supp[0])
+        for f in order:
+            g = group.multiply(anchor_inv, f)
+            positions = []
+            for m in supp:
+                k = pos_of.get(group.multiply(m, g))
+                if k is None:
+                    break
+                positions.append(k)
+            else:
+                grouped[max(positions)].append((tuple(positions), syms))
     return grouped
 
 
@@ -408,7 +404,14 @@ class CountingBoundReport:
 
 def q_count_bound(sft: SFT, T, plan, cover, seq, h: float | None = None,
                   budget: int | None = 20_000_000) -> CountingBoundReport:
-    """Per-tile counting bound over a quasi-tiling cover of the window T."""
+    """Per-tile counting bound over a quasi-tiling cover of the window T.
+
+    Raises ValueError for a cover reaching outside T: a tile there has no
+    restriction to the window, so its count bounds nothing."""
+    window = frozenset(T)
+    outside = len(cover.covered - window)
+    if outside:
+        raise ValueError(f"cover reaches {outside} sites outside the window of size {len(window)}")
     asize = sft.alphabet.size
     per_scale = []
     total = 0.0
@@ -423,21 +426,21 @@ def q_count_bound(sft: SFT, T, plan, cover, seq, h: float | None = None,
         bits = log2(count)
         per_scale.append((j, len(tile), len(centers), bits))
         total += bits * len(centers)
-    residual = len(frozenset(T)) - len(cover.covered)
+    residual = len(window) - len(cover.covered)
     residual_bits = residual * log2(asize)
     total += residual_bits
     eps = plan.eps
     rhs = None
     holds = None
     if h is not None:
-        rhs = ((1 + float(eps)) * (h + float(eps)) + float(eps) * log2(asize)) * len(frozenset(T))
+        rhs = ((1 + float(eps)) * (h + float(eps)) + float(eps) * log2(asize)) * len(window)
         holds = total <= rhs
     return CountingBoundReport(
         total_bits=total,
         per_scale=tuple(per_scale),
         residual_sites=residual,
         residual_bits=residual_bits,
-        window_size=len(frozenset(T)),
+        window_size=len(window),
         eps_float=float(eps),
         h=h,
         rhs_bits=rhs,

@@ -161,6 +161,20 @@ def test_entropy_sft_names_a_window_without_admissible_patterns(tmp_path, capsys
     assert "error: no admissible pattern on window 1 of size 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd,name,text", [
+    ("codec encode --group z --set-file", "T.txt", "Z:2000000000000\n"),
+    ("entropy sft --upto 2 --file", "far.sft", "alphabet 0 1\nZ:0=1 Z:2000000000000=1\n"),
+], ids=["codec encode", "entropy sft"])
+def test_input_coordinate_out_of_range_exits_2(tmp_path, capsys, cmd, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="ascii")
+    out = tmp_path / "out.txt"
+    assert main(cmd.split() + [str(path), "--out", str(out)]) == 2
+    assert ("error: coordinate 2000000000000 outside supported range +/-2**40"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_brudno_fair_coin(tmp_path):
     out = tmp_path / "rates.csv"
     code = main(["brudno", "run", "--group", "z", "--family", "dyadic",

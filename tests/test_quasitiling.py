@@ -1,13 +1,16 @@
 """Tile planning, greedy covers, and the counting bound they feed."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from amenlab.folner import FolnerSequence, builtin_families
+from amenlab import quasitiling
+from amenlab.folner import FolnerSequence, builtin_families, product_size
 from amenlab.groups import get_group, normalize_subset, set_product, translate_right
 from amenlab.quasitiling import (
+    AssertionCheck,
     Cover,
     PlanningError,
     TilingPlan,
@@ -103,6 +106,72 @@ def test_plan_h3_small_horizon_is_singleton():
     assert p.scales == (1,)
 
 
+def reference_plan(seq, eps, horizon):
+    """The planner loop with the start scale's threshold searched up front
+    and overwritten whenever a scale is appended."""
+    eps = Fraction(eps)
+    tol = eps / 4
+    goal = scale_count(eps)
+    scales = [seq.start]
+
+    def threshold_for(j):
+        for i in range(horizon, j, -1):
+            if _invariance_defect(seq, j, i) > tol:
+                return i
+        return j
+
+    threshold = threshold_for(scales[-1])
+    while len(scales) < goal:
+        nxt = None
+        for j in range(scales[-1] + 1, horizon + 1):
+            if _invariance_defect(seq, scales[-1], j) <= tol:
+                nxt = j
+                break
+        if nxt is None:
+            break
+        n_next = threshold_for(nxt)
+        if n_next > horizon - 3:
+            break
+        scales.append(nxt)
+        threshold = n_next
+    return TilingPlan(eps, tuple(scales), threshold)
+
+
+# horizons whose windows stay within about 10^4 sites
+PLAN_HORIZONS = {
+    ("z", "boxes"): (3, 12, 30, 64),
+    ("z2", "boxes"): (3, 10, 24, 40),
+    ("z3", "boxes"): (3, 6, 10, 14),
+    ("h3", "boxes"): (3, 6, 10),
+    ("z", "dyadic"): (1, 4, 8),
+    ("z2", "dyadic"): (1, 3, 5),
+    ("z3", "dyadic"): (1, 2, 4),
+    ("h3", "dyadic"): (1, 2, 3),
+}
+
+
+@pytest.mark.parametrize("gid,family", list(PLAN_HORIZONS),
+                         ids=[f"{gid}-{family}" for gid, family in PLAN_HORIZONS])
+def test_plan_matches_the_reference_loop(gid, family):
+    seq = builtin_families(get_group(gid))[family]
+    for eps in (HALF, QUARTER, Fraction(1, 8), Fraction(3, 4)):
+        for horizon in PLAN_HORIZONS[gid, family]:
+            assert plan(seq, eps, horizon) == reference_plan(seq, eps, horizon), (eps, horizon)
+
+
+def test_plan_searches_only_the_top_scale_threshold(monkeypatch):
+    calls = []
+
+    def counting(group, A, B):
+        calls.append(len(A))
+        return product_size(group, A, B)
+
+    monkeypatch.setattr(quasitiling, "product_size", counting)
+    assert plan(builtin_families(Z2)["boxes"], QUARTER) == TilingPlan(QUARTER, (1, 2), 32)
+    # searching the start scale's threshold too would add 63 calls
+    assert len(calls) == 66
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         plan(z_boxes(), Fraction(3, 2))
@@ -117,6 +186,12 @@ def test_tiling_plan_invariants():
         TilingPlan(HALF, (2, 2), 0)
     with pytest.raises(ValueError):
         TilingPlan(Fraction(0), (1,), 0)
+
+
+def test_assertion_check_is_lhs_at_most_rhs():
+    assert [f.name for f in fields(AssertionCheck)] == ["lhs", "rhs"]
+    assert AssertionCheck(Fraction(1), Fraction(1)).holds
+    assert not AssertionCheck(Fraction(3, 2), Fraction(1)).holds
 
 
 # -- covers --------------------------------------------------------------------
@@ -247,3 +322,14 @@ def test_q_bound_names_a_tile_without_admissible_patterns():
     cov = exact_interval_cover(seq, tiling, 10, 100)
     with pytest.raises(ValueError, match="no admissible pattern on window 10 of size 10"):
         q_count_bound(sft, seq.subset(100), tiling, cov, seq)
+
+
+def test_q_bound_rejects_a_cover_reaching_outside_the_window():
+    # one 4-tile at Z:4 covers {4..7}; only 4 and 5 lie in T = {0..5}
+    seq = z_boxes()
+    full = SFT(Z, binary_alphabet(), ())
+    tiling = TilingPlan(QUARTER, (4,), 0)
+    c = Z.encode((4,))
+    cov = Cover(tiling, {4: (c,)}, translate_right(Z, seq.subset(4), c))
+    with pytest.raises(ValueError, match="cover reaches 2 sites outside the window of size 6"):
+        q_count_bound(full, seq.subset(6), tiling, cov, seq)

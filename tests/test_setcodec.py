@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import pytest
@@ -161,3 +162,25 @@ def test_decode_code_words_with_one_bit_flipped(name, size, seed, data):
     bits = encode_connected(group, random_connected_subset(group, size, seed))
     i = data.draw(st.integers(0, len(bits) - 1))
     decodes_canonically(group, bits[:i] + "10"[int(bits[i])] + bits[i + 1:])
+
+
+@PROPERTY
+@given(GROUPS, st.text(alphabet="01", max_size=200))
+def test_decoder_steps_once_per_member_bit(name, bits):
+    # the decoder's work is linear in the bits: one Cayley step per 1 it reads
+    group = copy.copy(get_group(name))
+    stepped = []
+
+    def neighbors(g):
+        stepped.append(g)
+        return type(group).neighbors(group, g)
+
+    group.neighbors = neighbors
+    try:
+        T = decode_connected(group, bits)
+    except DecodeError:
+        T = None
+    assert len(stepped) <= bits.count("1")
+    assert len(set(stepped)) == len(stepped)
+    if T is not None:
+        assert sorted(stepped) == list(T)
