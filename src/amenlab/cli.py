@@ -205,15 +205,18 @@ def _cmd_entropy_sft(args):
     except OSError as err:
         raise UsageError(str(err)) from None
     seq = _family(sft.group, args.family)
-    partial = False
+    stop = None
     try:
         series = topological_entropy_estimate(sft, seq, args.upto, budget=args.budget)
     except BudgetExceededError as err:
-        series = err.partial
-        partial = True
+        series, stop = err.partial, err
     rows = [[p.index, p.size, f"{p.bits:.6f}", f"{p.rate:.6f}"] for p in series.points]
-    _report(args, ["i", "size", "bits", "rate"], rows, partial=partial)
-    return 3 if partial else 0
+    _report(args, ["i", "size", "bits", "rate"], rows, partial=stop is not None)
+    if stop is None:
+        return 0
+    # on stderr, so that the report of a partial run keeps its pinned bytes
+    print(f"# stopped on window {stop.index} after {stop.work} work units", file=sys.stderr)
+    return 3
 
 
 # -- brudno ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import ne
 from typing import Callable
 
 from .series import RatePoint, RateSeries
@@ -460,7 +461,7 @@ def hamming(t1: PartialConfiguration, t2: PartialConfiguration) -> Fraction:
         raise ValueError("windows have different supports")
     if len(t1) == 0:
         raise ValueError("windows are empty")
-    bad = sum(1 for g, v in t1.items() if t2[g] != v)
+    bad = sum(map(ne, cont(t1), cont(t2)))
     return Fraction(bad, len(t1))
 
 

@@ -28,6 +28,7 @@ from .groups import (
     Heisenberg,
     normalize_subset,
     pack_coords,
+    pack_coords_array,
     set_product,
     subset_from_mask,
     translate_left,
@@ -74,7 +75,15 @@ def _box_builder(group: ComputableGroup):
     @lru_cache(maxsize=None)
     def box(n: int) -> FiniteSubset:
         sides = (n, n, n * n) if isinstance(group, Heisenberg) else (n,) * group.dimension
-        return normalize_subset(group.encode(c) for c in product(*map(range, sides)))
+        # zigzag and Cantor pairing grow in each nonnegative coordinate, so the
+        # far corner holds the largest index; encode range-checks it first
+        if group.encode(tuple(s - 1 for s in sides)) > 1 << 62:
+            return normalize_subset(group.encode(c) for c in product(*map(range, sides)))
+        axes = np.meshgrid(*(np.arange(s, dtype=np.int64) for s in sides),
+                           indexing="ij", sparse=True)
+        index = pack_coords_array(axes).ravel()
+        index.sort()
+        return tuple(index.tolist())
 
     return box
 
@@ -202,7 +211,7 @@ def modest_search(group: ComputableGroup, i: int, cap: int = 1_000_000) -> Finit
                 break
         if ok:
             return F
-    raise BudgetExceededError(f"modest_search({group.name}, i={i}) hit cap {cap}")
+    raise BudgetExceededError(f"modest_search({group.name}, i={i}) hit cap {cap}", work=cap)
 
 
 # -- description length ---------------------------------------------------

@@ -26,6 +26,8 @@ from functools import cached_property
 from math import isqrt
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 COORD_LIMIT = 1 << 40
 
 FiniteSubset = tuple  # sorted, duplicate-free tuple of element indices
@@ -44,6 +46,18 @@ def pack_coords(coords: Sequence[int]) -> int:
     acc = 2 * c - 1 if c > 0 else -2 * c
     for c in it:
         s = acc + (2 * c - 1 if c > 0 else -2 * c)
+        acc = s * (s + 1) // 2 + acc
+    return acc
+
+
+def pack_coords_array(coords: Sequence[np.ndarray]) -> np.ndarray:
+    """pack_coords over int64 arrays, ``coords[k]`` holding coordinate k and
+    all of them broadcasting together.  The caller keeps every index below
+    2**62, which keeps each partial fold and product inside int64."""
+    c = coords[-1]
+    acc = np.where(c > 0, 2 * c - 1, -2 * c)
+    for c in reversed(coords[:-1]):
+        s = acc + np.where(c > 0, 2 * c - 1, -2 * c)
         acc = s * (s + 1) // 2 + acc
     return acc
 
@@ -199,8 +213,6 @@ class Heisenberg(ComputableGroup):
         return (-a[0], -a[1], a[0] * a[1] - a[2])
 
     def compose_array(self, a, b):
-        import numpy as np
-
         return np.stack(
             (
                 a[..., 0] + b[..., 0],

@@ -12,6 +12,8 @@ seed it was given, so runs are reproducible from the reported seed alone.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 
 # SplitMix64 constants.
@@ -72,3 +74,17 @@ class SplitMix64:
 def site_uniform(seed: int, site: int) -> float:
     """Uniform [0,1) value attached to (seed, site), independent per site."""
     return (derive(seed, site) >> 11) * (2.0 ** -53)
+
+
+def site_uniforms(seed: int, sites: np.ndarray) -> np.ndarray:
+    """site_uniform(seed, g) for every g of a uint64 array, bit for bit.
+
+    ``sites`` holds each index reduced mod 2**64 (in exact Python where an
+    index leaves [0, 2**64)), which is all that derive reads of it; uint64
+    arithmetic wraps mod 2**64 like the masks of mix64.
+    """
+    z = np.uint64(seed & _MASK) ^ (sites * np.uint64(GAMMA))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

@@ -13,13 +13,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import lt
 from typing import Sequence
 
 import numpy as np
 
-from .groups import FiniteSubset, get_group
-from .rng import site_uniform
+from .groups import FiniteSubset
+from .rng import site_uniforms
 from .symbolic import Alphabet, PartialConfiguration, cont
 
 _TOL_SUM = 1e-12
@@ -146,40 +147,76 @@ def sample(measure, F: FiniteSubset, seed: int) -> PartialConfiguration:
     """Draw the window of one sample point on F, deterministically per seed.
 
     Each site takes the first symbol whose float CDF exceeds its uniform, else
-    the last; a Bernoulli measure is sampled as the chain whose rows all equal p."""
-    if isinstance(measure, BernoulliMeasure):
-        sites, start, rows = F, measure.p, (measure.p,) * len(measure.p)
-    elif isinstance(measure, MarkovMeasure):
-        z = get_group("z")
-        sites = sorted(F, key=z.decode)
-        if not sites:
-            raise ValueError("empty window")
-        if z.decode(sites[-1])[0] - z.decode(sites[0])[0] + 1 != len(F):
-            raise ValueError("Markov sampling needs an interval of the line")
-        start, rows = measure.stationary, measure.rows
-    else:
+    the last: a Bernoulli site reads the CDF of p, a Markov site the CDF of
+    the row of the state before it along the line (of pi at the first site)."""
+    if not isinstance(measure, (BernoulliMeasure, MarkovMeasure)):
         raise TypeError(f"cannot sample {type(measure).__name__}")
+    sites = F if isinstance(F, tuple) else tuple(F)
+    n = len(sites)
+    try:
+        exact = np.fromiter(sites, np.uint64, n)
+    except OverflowError:  # an index past 2**64 (coordinates near 2**40 on z2, h3) or below 0
+        exact = None
+        increasing = all(map(lt, sites, islice(sites, 1, None)))
+        u = site_uniforms(seed, np.fromiter((g % (1 << 64) for g in sites), np.uint64, n))
+    else:
+        increasing = bool(np.all(exact[1:] > exact[:-1]))
+        u = site_uniforms(seed, exact)
     sym = measure.alphabet.symbols
     last = len(sym) - 1
-    row_cdfs = [list(accumulate(map(float, r))) for r in rows]
-    cdf = list(accumulate(map(float, start)))
-    values = {}
-    for g in sites:
-        state = min(bisect_right(cdf, site_uniform(seed, g)), last)
-        values[g] = sym[state]
-        cdf = row_cdfs[state]
-    return PartialConfiguration(values)
+    if isinstance(measure, BernoulliMeasure):
+        states = np.minimum(np.searchsorted(_cdf(measure.p), u, side="right"), last)
+    else:
+        states = _chain(measure, sites, u, exact)
+    word = np.array(sym, dtype="<U1")[states].tobytes().decode("utf-32-le")
+    if increasing:
+        return PartialConfiguration.from_word(sites, word)
+    return PartialConfiguration(zip(sites, word))
+
+
+def _cdf(p) -> np.ndarray:
+    # the running float sums a per-site loop `acc += float(x)` compares u with
+    return np.array(list(accumulate(map(float, p))))
+
+
+def _chain(measure: MarkovMeasure, sites, u: np.ndarray, exact) -> np.ndarray:
+    """Markov states of the sites of an interval of the line, aligned with
+    ``sites``; the chain runs in coordinate order from the smallest one.
+    ``exact`` holds the sites as uint64, or is None where one does not fit."""
+    if not sites:
+        raise ValueError("empty window")
+    if exact is None or exact.max() >= 1 << 62:
+        g = np.array(sites, dtype=object)  # exact Python ints
+        if min(sites) < 0:
+            raise ValueError("element indices are naturals")
+    else:
+        g = exact.astype(np.int64)
+    coord = np.where(g & 1, (g + 1) // 2, -(g // 2))  # the line's zigzag decode
+    order = np.argsort(coord, kind="stable")
+    if coord[order[-1]] - coord[order[0]] + 1 != len(sites):
+        raise ValueError("Markov sampling needs an interval of the line")
+    last = measure.alphabet.size - 1
+    u = u[order]
+    # nxt[s][k]: the state at the k-th site in line order when state s precedes it
+    nxt = [np.minimum(np.searchsorted(_cdf(r), u, side="right"), last).tolist()
+           for r in measure.rows]
+    state = min(bisect_right(_cdf(measure.stationary), u[0]), last)
+    chain = [state] + [state := step[state] for step in islice(zip(*nxt), 1, None)]
+    states = np.empty(len(sites), dtype=np.intp)
+    states[order] = chain
+    return states
 
 
 def empirical_frequencies(alphabet: Alphabet, t: PartialConfiguration) -> ProbabilityVector:
     """Exact occurrence rates of each letter in the window's content word."""
-    if len(t) == 0:
-        raise ValueError("empty window")
-    counts = {s: 0 for s in alphabet.symbols}
-    for _, v in t.items():
-        counts[v] += 1
     n = len(t)
-    return ProbabilityVector(tuple(Fraction(counts[s], n) for s in alphabet.symbols))
+    if n == 0:
+        raise ValueError("empty window")
+    word = cont(t)
+    counts = [word.count(s) for s in alphabet.symbols]
+    if sum(counts) != n:
+        raise ValueError("window holds a symbol outside the alphabet")
+    return ProbabilityVector(tuple(Fraction(c, n) for c in counts))
 
 
 # -- sources for rate experiments ------------------------------------------
@@ -207,7 +244,8 @@ class ConstantSource:
         self.symbol = symbol
 
     def window(self, F: FiniteSubset) -> PartialConfiguration:
-        return PartialConfiguration({g: self.symbol for g in F})
+        support = tuple(sorted(set(F)))
+        return PartialConfiguration.from_word(support, self.symbol * len(support))
 
 
 def parse_measure(text: str) -> object:

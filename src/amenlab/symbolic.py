@@ -61,13 +61,32 @@ def binary_alphabet() -> Alphabet:
 
 
 class PartialConfiguration:
-    """Finite-support map from group elements (as indices) to symbols."""
+    """Finite-support map from group elements (as indices) to symbols.
 
-    __slots__ = ("_values", "_support")
+    Held either as that map or, when built by :meth:`from_word`, as the
+    sorted support plus the aligned content word; each form is derived from
+    the other only when a method needs it.
+    """
+
+    __slots__ = ("_values", "_support", "_word")
 
     def __init__(self, values: Mapping[int, str]):
         self._values = dict(values)
         self._support: tuple[int, ...] | None = None
+        self._word: str | None = None
+
+    @classmethod
+    def from_word(cls, support: tuple[int, ...], word: str) -> "PartialConfiguration":
+        """The configuration giving support[k] the symbol word[k]; ``support``
+        must be sorted and duplicate-free, and as long as ``word``."""
+        t = cls.__new__(cls)
+        t._values, t._support, t._word = None, support, word
+        return t
+
+    def _map(self) -> dict[int, str]:
+        if self._values is None:
+            self._values = dict(zip(self._support, self._word))
+        return self._values
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -76,36 +95,42 @@ class PartialConfiguration:
         return self._support
 
     def __getitem__(self, g: int) -> str:
-        return self._values[g]
+        return self._map()[g]
 
     def get(self, g: int, default=None):
-        return self._values.get(g, default)
+        return self._map().get(g, default)
 
     def __contains__(self, g: int) -> bool:
-        return g in self._values
+        return g in self._map()
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._support if self._values is None else self._values)
 
     def items(self):
-        return self._values.items()
+        return self._map().items()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PartialConfiguration) and self._values == other._values
+        if not isinstance(other, PartialConfiguration):
+            return False
+        if self._values is None and other._values is None:
+            return self._support == other._support and self._word == other._word
+        return self._map() == other._map()
 
     def __hash__(self):
-        return hash(frozenset(self._values.items()))
+        return hash(frozenset(self.items()))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{g}:{v}" for g, v in sorted(self._values.items())[:8])
-        more = "..." if len(self._values) > 8 else ""
+        shown = ", ".join(f"{g}:{self[g]}" for g in self.support[:8])
+        more = "..." if len(self) > 8 else ""
         return f"PartialConfiguration({{{shown}{more}}})"
 
 
 def cont(t: PartialConfiguration) -> str:
     """The content word: symbols of t listed in increasing element-index order."""
-    values = t._values
-    return "".join(values[g] for g in t.support)
+    if t._word is None:
+        values = t._values
+        t._word = "".join(values[g] for g in t.support)
+    return t._word
 
 
 def restrict(source: Callable[[int], str], F: Iterable[int]) -> PartialConfiguration:
@@ -151,7 +176,7 @@ def apply_cellular(cmap: CellularMap, t: PartialConfiguration) -> PartialConfigu
     identity belongs to M, T is a subset of supp(t).
     """
     group = cmap.group
-    supp = t._values
+    supp = t._map()
     out: dict[int, str] = {}
     for g in t.support:
         window = []
@@ -307,10 +332,12 @@ def _count_frontier(sft: SFT, order: list[int], budget: int | None) -> int:
     live: list[int] = []
     work = 0
     for k, instances in enumerate(grouped):
-        work += len(states) * len(symbols)
-        if budget is not None and work > budget:
+        step = len(states) * len(symbols)
+        if budget is not None and work + step > budget:
             raise BudgetExceededError(
-                f"pattern counting exceeded {budget} work units on a window of size {len(order)}")
+                f"pattern counting exceeded {budget} work units on a window of size {len(order)}",
+                work=work)
+        work += step
         slot = {pos: i for i, pos in enumerate(live + [k])}
         checks = [([slot[pos] for pos in positions], syms) for positions, syms in instances]
         live = [pos for pos in slot if last.get(pos, -1) > k]
@@ -348,7 +375,8 @@ def iter_admissible(sft: SFT, F, budget: int | None = 1_000_000) -> Iterator[Par
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(
-                f"pattern enumeration exceeded {budget} nodes on a window of size {n}")
+                f"pattern enumeration exceeded {budget} nodes on a window of size {n}",
+                work=nodes - 1)
         if any(all(trial[pos] == sym for pos, sym in zip(positions, psyms))
                for positions, psyms in grouped[depth]):
             trial[depth] += 1
@@ -364,7 +392,8 @@ def topological_entropy_estimate(sft: SFT, seq, upto: int,
     """Normalized log-counts log2(N(F_i))/|F_i| along a Folner sequence.
 
     On budget exhaustion the raised error carries the completed prefix of
-    the series in ``partial``.
+    the series in ``partial`` and the index of the window it stopped on in
+    ``index``.
     """
     series = RateSeries(label=f"sft-entropy/{seq.name}")
     for i in seq.indices(upto):
@@ -372,7 +401,7 @@ def topological_entropy_estimate(sft: SFT, seq, upto: int,
         try:
             count = admissible_patterns(sft, F, budget=budget)
         except BudgetExceededError as err:
-            err.partial = series
+            err.partial, err.index = series, i
             raise
         if count == 0:
             raise ValueError(f"no admissible pattern on window {i} of size {len(F)}")

@@ -142,6 +142,21 @@ def test_entropy_budget_partial(tmp_path):
     assert 0 < len(rows) < 6
 
 
+def test_entropy_budget_partial_says_where_it_stopped(tmp_path, capsys):
+    sft = tmp_path / "hard.sft"
+    sft.write_text(
+        "alphabet 0 1\nZ2:(0,0)=1 Z2:(1,0)=1\nZ2:(0,0)=1 Z2:(0,1)=1\n",
+        encoding="ascii")
+    out = tmp_path / "entropy.csv"
+    assert main(["entropy", "sft", "--file", str(sft), "--upto", "6",
+                 "--budget", "50", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "# stopped on window 3 after 46 work units\n"
+    assert "stopped" not in payload(out)
+    assert main(["entropy", "sft", "--file", str(sft), "--upto", "2",
+                 "--budget", "50", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_entropy_sft_rejects_an_element_named_twice(tmp_path, capsys):
     sft = tmp_path / "twice.sft"
     sft.write_text("alphabet 0 1\nZ:0=1 Z:0=0\n", encoding="ascii")
@@ -171,6 +186,16 @@ def test_input_coordinate_out_of_range_exits_2(tmp_path, capsys, cmd, name, text
     out = tmp_path / "out.txt"
     assert main(cmd.split() + [str(path), "--out", str(out)]) == 2
     assert ("error: coordinate 2000000000000 outside supported range +/-2**40"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_tile_dyadic_window_past_the_coordinate_range_exits_2(tmp_path, capsys):
+    # the planner asks for window 64 of z dyadic, whose far corner is 2**64 - 1
+    out = tmp_path / "tile.csv"
+    assert main(["tile", "--group", "z", "--family", "dyadic", "--eps", "3/4",
+                 "--i", "5", "--out", str(out)]) == 2
+    assert ("error: coordinate 18446744073709551615 outside supported range +/-2**40"
             in capsys.readouterr().err)
     assert not out.exists()
 

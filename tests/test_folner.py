@@ -73,6 +73,42 @@ def test_dyadic_family_shares_boxes():
     assert len(fams["dyadic"].subset(0)) == 1
 
 
+def _scalar_box(group, sides):
+    return normalize_subset(group.encode(c) for c in product(*map(range, sides)))
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "z4", "z5", "z6", "h3"])
+def test_builtin_members_match_the_scalar_build(name):
+    group = get_group(name)
+    fams = builtin_families(group)
+    sides = (lambda n: (n, n, n * n)) if name == "h3" else (lambda n: (n,) * group.dimension)
+    boxes, dyadic = {"z": (200, 12), "z2": (8, 6), "z3": (5, 4), "z4": (4, 3),
+                     "z5": (3, 2), "z6": (3, 2), "h3": (6, 3)}[name]
+    for i in range(1, boxes + 1):
+        assert fams["boxes"].subset(i) == _scalar_box(group, sides(i))
+    for i in range(dyadic + 1):
+        assert fams["dyadic"].subset(i) == _scalar_box(group, sides(1 << i))
+
+
+@pytest.mark.parametrize("name,n,array_path", [("z7", 2, True), ("z6", 3, False)])
+def test_box_past_2_62_is_built_on_the_scalar_path(monkeypatch, name, n, array_path):
+    # far-corner indices: (1,)*7 has 56 bits, (2,)*6 has 63
+    group = get_group(name)
+    calls = []
+    array = folner.pack_coords_array
+    monkeypatch.setattr(folner, "pack_coords_array", lambda axes: calls.append(1) or array(axes))
+    box = folner._box_builder.__wrapped__(group)  # a fresh builder with an empty cache
+    assert box(n) == _scalar_box(group, (n,) * group.dimension)
+    assert (group.encode((n - 1,) * group.dimension) > 1 << 62) is not array_path
+    assert bool(calls) is array_path
+
+
+def test_box_past_the_coordinate_range_raises_before_building():
+    # side 2**64 on z: the far corner 2**64 - 1 is range-checked first
+    with pytest.raises(CoordinateRangeError, match=r"outside supported range \+/-2\*\*40"):
+        builtin_families(Z)["dyadic"].subset(64)
+
+
 def test_sequence_index_validation():
     seq = builtin_families(Z)["boxes"]
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import hashlib
+from itertools import product
 
+import numpy as np
 import pytest
 
 from amenlab.groups import (
@@ -11,6 +13,7 @@ from amenlab.groups import (
     is_connected_with_identity,
     normalize_subset,
     pack_coords,
+    pack_coords_array,
     set_product,
     subset_from_mask,
     translate_left,
@@ -62,6 +65,32 @@ def test_enumeration_pinned():
         assert unpack_coords(g, len(coords)) == coords
         h.update(f"{g}\n".encode())
     assert h.hexdigest() == "e269a97f4c18fc514678b295b83f25d71a048b4956f455230e9a6bac1a47be15"
+
+
+@pytest.mark.parametrize("name,sides", [
+    ("z", (300,)), ("z2", (40, 40)), ("z3", (12, 12, 12)), ("z4", (6, 6, 6, 6)),
+    ("z5", (4, 4, 4, 4, 4)), ("h3", (9, 9, 81)),
+])
+def test_pack_coords_array_matches_scalar_on_boxes(name, sides):
+    axes = np.meshgrid(*(np.arange(s, dtype=np.int64) for s in sides),
+                       indexing="ij", sparse=True)
+    assert pack_coords_array(axes).ravel().tolist() == [
+        pack_coords(c) for c in product(*map(range, sides))]
+
+
+def test_pack_coords_array_matches_scalar_below_2_62():
+    # signed coordinates of every magnitude up to 2**40 whose index fits the array form
+    rng = SplitMix64(20261019)
+    for d in range(1, 6):
+        tuples = [(COORD_LIMIT,), (-COORD_LIMIT,)] if d == 1 else []
+        top = min(40, 62 >> (d - 1))  # each Cantor fold about doubles the bit length
+        while len(tuples) < 300:
+            c = tuple(rng.randrange(2 * m + 1) - m
+                      for m in (1 << (1 + rng.randrange(top)) for _ in range(d)))
+            if pack_coords(c) <= 1 << 62:
+                tuples.append(c)
+        coords = np.array(tuples, dtype=np.int64).T
+        assert pack_coords_array(coords).tolist() == [pack_coords(c) for c in tuples]
 
 
 def test_identity_is_index_zero():

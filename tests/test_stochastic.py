@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from amenlab.groups import get_group
+from amenlab.groups import get_group, pack_coords
 from amenlab.rng import site_uniform
 from amenlab.stochastic import (
     BernoulliMeasure,
@@ -74,6 +74,62 @@ def test_sample_matches_per_site_reference(spec):
             assert t[g] == m.alphabet.symbols[state]
             if isinstance(m, MarkovMeasure):
                 row = m.rows[state]
+
+
+def _reference_values(m, F, seed):
+    """The per-site loop: Bernoulli sites in any order, a chain in line order."""
+    if isinstance(m, BernoulliMeasure):
+        return {g: m.alphabet.symbols[_choose(m.p, site_uniform(seed, g))] for g in F}
+    z = get_group("z")
+    values, row = {}, m.stationary
+    for g in sorted(F, key=z.decode):
+        state = _choose(row, site_uniform(seed, g))
+        values[g] = m.alphabet.symbols[state]
+        row = m.rows[state]
+    return values
+
+
+def _far_windows():
+    z, z2, h3 = get_group("z"), get_group("z2"), get_group("h3")
+    L = 1 << 40
+    yield "z2", tuple(sorted(z2.encode((L - i, j - L)) for i in range(16) for j in range(16)))
+    yield "h3", tuple(sorted(h3.encode((L - i, j - L, L - k))
+                             for i in range(4) for j in range(4) for k in range(4)))
+    yield "z", tuple(sorted(z.encode((k - L,)) for k in range(600)))
+    # sample reads indices only: this interval's indices straddle 2**64
+    yield "z past 2**64", tuple(sorted(pack_coords((k - (1 << 63),)) for k in range(300)))
+
+
+@pytest.mark.parametrize("spec", [
+    "bernoulli:0.9,0.1", "bernoulli:0.2,0,0.3,0.5",
+    "markov:[[0.5,0.5],[1,0]]", "markov:[[0,1,0],[0,0,1],[0.25,0.25,0.5]]",
+])
+def test_sample_matches_per_site_reference_past_2_64(spec):
+    m = parse_measure(spec)
+    for name, F in _far_windows():
+        if isinstance(m, MarkovMeasure) and name in ("z2", "h3"):
+            continue  # a chain runs along the line only
+        if name != "z":
+            assert F[-1] >= 1 << 64, name
+        for seed in (1, 7, 424242):
+            reference = _reference_values(m, F, seed)
+            for window in (F, F[::-1]):  # sorted, and in an order that is not
+                t = sample(m, window, seed)
+                assert dict(t.items()) == reference, (name, seed)
+                assert cont(t) == "".join(reference[g] for g in F)
+
+
+def test_negative_indices_sample_like_the_per_site_loop():
+    m = parse_measure("bernoulli:0.9,0.1")
+    F = (-5, -1, 0, 3)
+    assert dict(sample(m, F, 7).items()) == _reference_values(m, F, 7)
+    with pytest.raises(ValueError, match="element indices are naturals"):
+        sample(parse_measure("markov:[[0.5,0.5],[1,0]]"), (-1, 0), 7)
+
+
+def test_sample_rejects_an_object_that_is_no_measure():
+    with pytest.raises(TypeError, match="cannot sample object"):
+        sample(object(), interval(4), 1)
 
 
 def test_shannon_entropy_values():

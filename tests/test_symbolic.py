@@ -86,6 +86,24 @@ def test_cont_uses_index_order():
     assert cont(t) == "abc"
 
 
+def test_word_backed_configuration_behaves_like_its_dict():
+    support = tuple(sorted(zc(k) for k in range(-6, 7)))
+    word = "abcabcabcabca"
+    t = PartialConfiguration.from_word(support, word)
+    d = PartialConfiguration(dict(zip(reversed(support), reversed(word))))
+    assert cont(t) == cont(d) == word
+    assert t.support == d.support == support
+    assert len(t) == len(d) == 13
+    assert t == d and d == t and hash(t) == hash(d) and repr(t) == repr(d)
+    assert [t[g] for g in support] == [d[g] for g in support] == list(word)
+    assert t.get(99) is d.get(99) is None and t.get(support[3]) == "a"
+    assert (99 in t) is (99 in d) is False and support[0] in t
+    assert dict(t.items()) == dict(d.items())
+    assert PartialConfiguration.from_word(support, word) == t
+    assert t != PartialConfiguration.from_word(support, "b" + word[1:])
+    assert PartialConfiguration.from_word((), "") == PartialConfiguration({})
+
+
 def test_restrict_from_callable():
     t = restrict(lambda g: "01"[Z.decode(g)[0] % 2], interval(4))
     assert len(t) == 4
@@ -269,6 +287,22 @@ def test_budget_error():
     sft = hard_squares_sft()
     with pytest.raises(BudgetExceededError):
         admissible_patterns(sft, box2(5), budget=100)
+
+
+def test_budget_error_says_where_it_stopped():
+    from amenlab.folner import builtin_families
+    seq = builtin_families(Z2)["boxes"]
+    with pytest.raises(BudgetExceededError) as info:
+        topological_entropy_estimate(hard_squares_sft(), seq, upto=6, budget=50)
+    err = info.value
+    # windows 1 and 2 fit the budget; window 3 ran out after the work it reports
+    assert [p.index for p in err.partial.points] == [1, 2]
+    assert err.index == 3
+    assert 0 < err.work <= 50
+    with pytest.raises(BudgetExceededError) as info:
+        admissible_patterns(hard_squares_sft(), box2(3), budget=err.work)
+    assert info.value.work == err.work and info.value.index is None
+    assert admissible_patterns(hard_squares_sft(), box2(3), budget=err.work + 100) == 63
 
 
 def test_entropy_series_golden_mean():
