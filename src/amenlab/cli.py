@@ -331,6 +331,14 @@ def _parse(parser, argv):
 # -- parser --------------------------------------------------------------------
 
 
+def natural(text):
+    """An int >= 0; argparse reports any other value as an invalid natural."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _add_common(p, *, group=True, family=False):
     if group:
         p.add_argument("--group", required=True, help="group id: z, z2, z3, ..., h3")
@@ -361,7 +369,7 @@ def _build_parser():
     p = fsub.add_parser("modest-search", help="smallest modest set for an index")
     _add_common(p)
     p.add_argument("--i", type=int, required=True, help="invariance demand")
-    p.add_argument("--cap", type=int, default=1_000_000, help="enumeration budget")
+    p.add_argument("--cap", type=natural, default=1_000_000, help="enumeration budget")
     p.set_defaults(func=_cmd_folner_modest_search)
 
     codec = sub.add_parser("codec", help="connected-set codec")
@@ -391,7 +399,7 @@ def _build_parser():
     _add_common(p, group=False, family=True)
     p.add_argument("--file", required=True, help="SFT description file")
     p.add_argument("--upto", type=int, required=True, help="largest index")
-    p.add_argument("--budget", type=int, default=20_000_000,
+    p.add_argument("--budget", type=natural, default=20_000_000,
                    help="pattern counting budget: (state, symbol) extensions per window")
     p.set_defaults(func=_cmd_entropy_sft)
 

@@ -444,13 +444,11 @@ ESTIMATORS: dict[str, Callable[[Alphabet, str], ComplexityEstimate]] = {
 }
 
 
-def resolve_estimator(est) -> Callable[[Alphabet, str], ComplexityEstimate]:
-    if callable(est):
-        return est
+def resolve_estimator(name: str) -> Callable[[Alphabet, str], ComplexityEstimate]:
     try:
-        return ESTIMATORS[est]
+        return ESTIMATORS[name]
     except KeyError:
-        raise ValueError(f"unknown estimator {est!r} (have {sorted(ESTIMATORS)})") from None
+        raise ValueError(f"unknown estimator {name!r} (have {sorted(ESTIMATORS)})") from None
 
 
 # -- windows -------------------------------------------------------------------
@@ -465,27 +463,25 @@ def hamming(t1: PartialConfiguration, t2: PartialConfiguration) -> Fraction:
     return Fraction(bad, len(t1))
 
 
-def window_estimate(alphabet: Alphabet, t: PartialConfiguration, estimator) -> ComplexityEstimate:
-    """Estimator applied to the content word of a window; empty windows cost 0."""
+def window_estimate(alphabet: Alphabet, t: PartialConfiguration,
+                    estimator: str) -> ComplexityEstimate:
+    """Named estimator applied to the content word of a window; empty windows cost 0."""
     fn = resolve_estimator(estimator)
     if len(t) == 0:
-        name = estimator if isinstance(estimator, str) else getattr(fn, "__name__", "est")
-        return ComplexityEstimate(str(name), 0, 0, "")
+        return ComplexityEstimate(estimator, 0, 0, "")
     return fn(alphabet, cont(t))
 
 
-def rate_series(source, seq, estimator, upto: int) -> RateSeries:
+def rate_series(source, seq, estimator: str, upto: int) -> RateSeries:
     """Description-length rates of one source along a Folner sequence.
 
     ``source`` provides ``window(F) -> PartialConfiguration`` and an
     ``alphabet`` attribute; rates are bits per site.
     """
     fn = resolve_estimator(estimator)
-    name = estimator if isinstance(estimator, str) else getattr(fn, "__name__", "est")
-    series = RateSeries(label=f"{name}/{seq.name}")
+    series = RateSeries(label=f"{estimator}/{seq.name}")
     for i in seq.indices(upto):
-        F = seq.subset(i)
-        t = source.window(F)
-        est = window_estimate(source.alphabet, t, fn)
-        series.points.append(RatePoint(i, len(F), est.bits, est.bits / len(F)))
+        F = seq.subset(i)  # never empty
+        bits = fn(source.alphabet, cont(source.window(F))).bits
+        series.points.append(RatePoint(i, len(F), bits, bits / len(F)))
     return series

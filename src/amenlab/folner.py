@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Callable
@@ -70,22 +69,18 @@ class DefectReport:
     max_defect: Fraction
 
 
-@lru_cache(maxsize=None)
-def _box_builder(group: ComputableGroup):
-    @lru_cache(maxsize=None)
-    def box(n: int) -> FiniteSubset:
-        sides = (n, n, n * n) if isinstance(group, Heisenberg) else (n,) * group.dimension
-        # zigzag and Cantor pairing grow in each nonnegative coordinate, so the
-        # far corner holds the largest index; encode range-checks it first
-        if group.encode(tuple(s - 1 for s in sides)) > 1 << 62:
-            return normalize_subset(group.encode(c) for c in product(*map(range, sides)))
-        axes = np.meshgrid(*(np.arange(s, dtype=np.int64) for s in sides),
-                           indexing="ij", sparse=True)
-        index = pack_coords_array(axes).ravel()
-        index.sort()
-        return tuple(index.tolist())
-
-    return box
+def _box(group: ComputableGroup, n: int) -> FiniteSubset:
+    """The box of side n, built anew on each call; nothing is cached."""
+    sides = (n, n, n * n) if isinstance(group, Heisenberg) else (n,) * group.dimension
+    # zigzag and Cantor pairing grow in each nonnegative coordinate, so the
+    # far corner holds the largest index; encode range-checks it first
+    if group.encode(tuple(s - 1 for s in sides)) > 1 << 62:
+        return normalize_subset(group.encode(c) for c in product(*map(range, sides)))
+    axes = np.meshgrid(*(np.arange(s, dtype=np.int64) for s in sides),
+                       indexing="ij", sparse=True)
+    index = pack_coords_array(axes).ravel()
+    index.sort()
+    return tuple(index.tolist())
 
 
 def builtin_families(group: ComputableGroup) -> dict[str, FolnerSequence]:
@@ -94,10 +89,9 @@ def builtin_families(group: ComputableGroup) -> dict[str, FolnerSequence]:
     Boxes are [0,n)^d; the Heisenberg box is [0,n) x [0,n) x [0,n^2), which
     keeps the vertical extent in step with the commutator growth.
     """
-    box = _box_builder(group)
     return {
-        "boxes": FolnerSequence(group, "boxes", 1, box),
-        "dyadic": FolnerSequence(group, "dyadic", 0, lambda i: box(1 << i)),
+        "boxes": FolnerSequence(group, "boxes", 1, lambda i: _box(group, i)),
+        "dyadic": FolnerSequence(group, "dyadic", 0, lambda i: _box(group, 1 << i)),
     }
 
 

@@ -63,17 +63,21 @@ def binary_alphabet() -> Alphabet:
 class PartialConfiguration:
     """Finite-support map from group elements (as indices) to symbols.
 
-    Held either as that map or, when built by :meth:`from_word`, as the
-    sorted support plus the aligned content word; each form is derived from
-    the other only when a method needs it.
+    Stored as the sorted support plus the aligned content word; the map
+    itself is built on the first lookup.
     """
 
     __slots__ = ("_values", "_support", "_word")
 
     def __init__(self, values: Mapping[int, str]):
-        self._values = dict(values)
-        self._support: tuple[int, ...] | None = None
-        self._word: str | None = None
+        pairs = sorted(dict(values).items())
+        for g, v in pairs:
+            # one character per site keeps the word aligned with the support
+            if not isinstance(v, str) or len(v) != 1:
+                raise ValueError(f"symbol {v!r} at element {g} is not one character")
+        self._support = tuple(g for g, _ in pairs)
+        self._word = "".join(v for _, v in pairs)
+        self._values: dict[int, str] | None = None
 
     @classmethod
     def from_word(cls, support: tuple[int, ...], word: str) -> "PartialConfiguration":
@@ -90,8 +94,6 @@ class PartialConfiguration:
 
     @property
     def support(self) -> tuple[int, ...]:
-        if self._support is None:
-            self._support = tuple(sorted(self._values))
         return self._support
 
     def __getitem__(self, g: int) -> str:
@@ -104,7 +106,7 @@ class PartialConfiguration:
         return g in self._map()
 
     def __len__(self) -> int:
-        return len(self._support if self._values is None else self._values)
+        return len(self._support)
 
     def items(self):
         return self._map().items()
@@ -112,24 +114,19 @@ class PartialConfiguration:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartialConfiguration):
             return False
-        if self._values is None and other._values is None:
-            return self._support == other._support and self._word == other._word
-        return self._map() == other._map()
+        return self._support == other._support and self._word == other._word
 
     def __hash__(self):
-        return hash(frozenset(self.items()))
+        return hash((self._support, self._word))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{g}:{self[g]}" for g in self.support[:8])
+        shown = ", ".join(f"{g}:{v}" for g, v in zip(self._support[:8], self._word))
         more = "..." if len(self) > 8 else ""
         return f"PartialConfiguration({{{shown}{more}}})"
 
 
 def cont(t: PartialConfiguration) -> str:
     """The content word: symbols of t listed in increasing element-index order."""
-    if t._word is None:
-        values = t._values
-        t._word = "".join(values[g] for g in t.support)
     return t._word
 
 
@@ -204,7 +201,7 @@ class SFT:
         for p in self.forbidden:
             if len(p) == 0:
                 raise ValueError("forbidden patterns must have nonempty support")
-            for _, v in p.items():
+            for v in cont(p):
                 self.alphabet.index(v)
 
 
@@ -225,7 +222,7 @@ def _constraint_instances(sft: SFT, order: list[int]) -> list[list[tuple[tuple[i
     pos_of = {g: k for k, g in enumerate(order)}
     grouped: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in order]
     for p in sft.forbidden:
-        syms = tuple(sft.alphabet.index(v) for _, v in sorted(p.items()))
+        syms = tuple(map(sft.alphabet.index, cont(p)))
         supp = p.support
         anchor_inv = group.inverse(supp[0])
         for f in order:
@@ -381,7 +378,7 @@ def iter_admissible(sft: SFT, F, budget: int | None = 1_000_000) -> Iterator[Par
                for positions, psyms in grouped[depth]):
             trial[depth] += 1
         elif depth == n - 1:
-            yield PartialConfiguration({g: syms[trial[k]] for k, g in enumerate(order)})
+            yield PartialConfiguration.from_word(order, "".join(syms[k] for k in trial))
             trial[depth] += 1
         else:
             trial.append(0)

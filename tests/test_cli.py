@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from amenlab.cli import main
 from amenlab.folner import builtin_families, temperedness_constant
 from amenlab.groups import get_group
 from amenlab.stochastic import MeasureSource
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def payload(path):
@@ -366,6 +369,43 @@ def test_bad_preset_value_names_file_and_key(tmp_path, capsys, cmd, key, value, 
     last = capsys.readouterr().err.splitlines()[-1]
     assert f": error: argument --{key}: {message}" in last
     assert str(cfg) not in last
+
+
+NEGATIVE_BUDGETS = [
+    ("entropy sft --file demos/hardsquares.sft --upto 6", "budget"),
+    ("entropy sft --file demos/golden.sft --upto 6", "budget"),
+    ("folner modest-search --group z --i 2", "cap"),
+]
+
+
+@pytest.mark.parametrize("cmd, key", NEGATIVE_BUDGETS)
+def test_negative_budget_is_a_usage_error(tmp_path, monkeypatch, capsys, cmd, key):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "report.csv"
+    assert main(cmd.split() + [f"--{key}", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f": error: argument --{key}: invalid natural value: '-1'" in err
+    assert "stopped" not in err and not out.exists()
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text(f"{key}=-1\n", encoding="ascii")
+    assert main(cmd.split() + ["--config", str(cfg), "--out", str(out)]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert (f"error: config file {cfg}, key '{key}': argument --{key}: "
+            "invalid natural value: '-1'") in last
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, key, code", [
+    ("entropy sft --file demos/golden.sft --upto 3", "budget", 0),
+    ("entropy sft --file demos/hardsquares.sft --upto 3", "budget", 3),
+    ("folner modest-search --group z --i 2", "cap", 3),
+])
+def test_zero_budget_is_allowed(tmp_path, monkeypatch, cmd, key, code):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "report.csv"
+    assert main(cmd.split() + [f"--{key}", "0", "--out", str(out)]) == code
+    assert f"{key}=0" in payload(out)
+    assert ("# partial true" in payload(out)) is (code == 3)
 
 
 # One run of each subcommand and both budget-exhausted exits, each with the

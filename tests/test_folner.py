@@ -97,8 +97,7 @@ def test_box_past_2_62_is_built_on_the_scalar_path(monkeypatch, name, n, array_p
     calls = []
     array = folner.pack_coords_array
     monkeypatch.setattr(folner, "pack_coords_array", lambda axes: calls.append(1) or array(axes))
-    box = folner._box_builder.__wrapped__(group)  # a fresh builder with an empty cache
-    assert box(n) == _scalar_box(group, (n,) * group.dimension)
+    assert folner._box(group, n) == _scalar_box(group, (n,) * group.dimension)
     assert (group.encode((n - 1,) * group.dimension) > 1 << 62) is not array_path
     assert bool(calls) is array_path
 
@@ -379,6 +378,31 @@ def test_dyadic_tempered_cli_to_16_in_bounded_memory():
                         for i, k in closed]
     (peak_kb,) = [int(ln.split()[-1]) for ln in lines if ln.startswith("# peak_rss_kb")]
     assert peak_kb < 200 * 1024
+
+
+def test_dropped_windows_are_not_retained():
+    # each window lives only as long as its caller holds it: after building
+    # the z dyadic windows 0..20 one at a time, almost nothing stays resident
+    script = (
+        "from amenlab.folner import builtin_families\n"
+        "from amenlab.groups import get_group\n"
+        "def rss_kb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(next(ln.split()[1] for ln in fh if ln.startswith('VmRSS')))\n"
+        "seq = builtin_families(get_group('z'))['dyadic']\n"
+        "seq.subset(0)\n"
+        "before = rss_kb()\n"
+        "for i in range(21):\n"
+        "    F = seq.subset(i)\n"
+        "    assert len(F) == 1 << i\n"
+        "    del F\n"
+        "print(rss_kb() - before)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 16 * 1024
 
 
 # -- modesty -------------------------------------------------------------

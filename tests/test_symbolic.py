@@ -104,6 +104,13 @@ def test_word_backed_configuration_behaves_like_its_dict():
     assert PartialConfiguration.from_word((), "") == PartialConfiguration({})
 
 
+@pytest.mark.parametrize("values", [{0: "ab"}, {0: "", 1: "ab"}, {0: "a", 1: 1}])
+def test_configuration_symbols_are_single_characters(values):
+    # a longer or empty symbol would misalign the stored word with the support
+    with pytest.raises(ValueError, match="is not one character"):
+        PartialConfiguration(values)
+
+
 def test_restrict_from_callable():
     t = restrict(lambda g: "01"[Z.decode(g)[0] % 2], interval(4))
     assert len(t) == 4
