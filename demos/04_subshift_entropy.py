@@ -38,7 +38,7 @@ print("admissible words by length:",
 z = get_group("z")
 seq = builtin_families(z)["boxes"]
 series = topological_entropy_estimate(sft, seq, upto=32)
-print("entropy estimate at window 32:", f"{series.last().rate:.6f}")
+print("entropy estimate at window 32:", f"{series[-1].rate:.6f}")
 print("log2 of the golden ratio:     ", f"{math.log2((1 + 5 ** 0.5) / 2):.6f}")
 
 # -- the same shift loaded from its description file ----------------------------
@@ -63,6 +63,6 @@ T = seq.subset(100)
 centers = tuple(z.encode((10 * k,)) for k in range(10))
 cov = Cover(tiling, {10: centers}, frozenset(T))
 assert verify_cover(T, tiling, cov, seq).all_hold
-rep = q_count_bound(sft, T, tiling, cov, seq, h=series.last().rate)
+rep = q_count_bound(sft, T, tiling, cov, seq, h=series[-1].rate)
 print(f"\nexact tiling of [0,100): counting bound {rep.total_bits:.2f} bits, "
       f"budget {rep.rhs_bits:.2f} bits, holds: {rep.holds}")

@@ -11,15 +11,15 @@ entropy by more than its header overhead.
 import math
 
 from amenlab.complexity import (
-    freq_coder,
     freq_decode,
+    freq_encode,
     hamming,
     lz78_decode,
-    lz78_estimate,
-    repair_code,
+    lz78_encode,
     repair_decode,
+    repair_encode,
     selfdelim_encode,
-    tuple_overhead,
+    tuple_pack,
     tuple_unpack,
 )
 from amenlab.symbolic import Alphabet, binary_alphabet
@@ -34,23 +34,23 @@ for n in (0, 1, 5, 100):
 # -- frequency coding: count frames plus a rank inside the type class -------------
 
 word = "aababbaaab" * 20
-est = freq_coder(Alphabet(("a", "b")), word)
-print(f"\nfreq: {len(word)} symbols -> {est.bits} bits "
-      f"({est.bits / len(word):.3f} per symbol)")
-assert freq_decode(Alphabet(("a", "b")), est.stream) == word
+stream = freq_encode(Alphabet(("a", "b")), word)
+print(f"\nfreq: {len(word)} symbols -> {len(stream)} bits "
+      f"({len(stream) / len(word):.3f} per symbol)")
+assert freq_decode(Alphabet(("a", "b")), stream) == word
 
 constant = "a" * 1000
 print("freq on a constant word:",
-      freq_coder(Alphabet(("a", "b")), constant).bits, "bits")
+      len(freq_encode(Alphabet(("a", "b")), constant)), "bits")
 
 # -- LZ78 parses into a growing dictionary of phrases ------------------------------
 
 text = ("the quick brown fox " * 30).strip()
 alpha = Alphabet(tuple(sorted(set(text))))
-est = lz78_estimate(alpha, text)
-print(f"\nlz78: {len(text)} chars -> {est.bits} bits "
-      f"({est.bits / len(text):.3f} per char)")
-assert lz78_decode(alpha, est.stream) == text
+stream = lz78_encode(alpha, text)
+print(f"\nlz78: {len(text)} chars -> {len(stream)} bits "
+      f"({len(stream) / len(text):.3f} per char)")
+assert lz78_decode(alpha, stream) == text
 
 # -- repair coding: cheap when the edit is sparse ----------------------------------
 
@@ -60,11 +60,11 @@ for k in range(0, 1000, 101):
     corrupted[k] = "1" if corrupted[k] == "0" else "0"
 corrupted = "".join(corrupted)
 
-est = repair_code(binary, base, corrupted)
-fresh = freq_coder(binary, corrupted)
-print(f"\nrepair of 10 flips in 1000 bits: {est.bits} bits "
-      f"(recoding from scratch: {fresh.bits} bits)")
-assert repair_decode(binary, base, est.stream) == corrupted
+stream = repair_encode(binary, base, corrupted)
+fresh = freq_encode(binary, corrupted)
+print(f"\nrepair of 10 flips in 1000 bits: {len(stream)} bits "
+      f"(recoding from scratch: {len(fresh)} bits)")
+assert repair_decode(binary, base, stream) == corrupted
 
 # normalized edit distance between two windows of the same shape
 from amenlab.groups import get_group
@@ -78,7 +78,7 @@ print("hamming distance of two 8-site windows:", hamming(t1, t2))
 
 # -- framing several parts into one stream ------------------------------------------
 
-framed = tuple_overhead(["0" * 100, "1010101"])
-parts = tuple_unpack(framed.stream, 2)
+framed = tuple_pack(["0" * 100, "1010101"])
+parts = tuple_unpack(framed, 2)
 assert list(parts) == ["0" * 100, "1010101"]
-print(f"\ntuple framing: 100 + 7 payload bits -> {framed.bits} bits total")
+print(f"\ntuple framing: 100 + 7 payload bits -> {len(framed)} bits total")

@@ -32,9 +32,8 @@ measure = BernoulliMeasure(binary_alphabet(), (0.9, 0.1))
 h = ks_entropy(measure)
 print(f"Bernoulli(0.1): entropy {h:.4f} bits per site")
 source = MeasureSource(measure, seed=2026)
-for name in ("freq", "lz78"):
-    series = rate_series(source, dyadic, name, upto=14)
-    rates = "  ".join(f"{p.rate:.3f}" for p in series.points[8:])
+for name, points in rate_series(source, dyadic, ["freq", "lz78"], upto=14).items():
+    rates = "  ".join(f"{p.rate:.3f}" for p in points[8:])
     print(f"  {name:>4} rates (windows 256..16384): {rates}")
 
 # -- a Markov chain with memory --------------------------------------------------
@@ -46,9 +45,8 @@ chain = MarkovMeasure(
 print(f"\nMarkov [[1/2,1/2],[1,0]]: entropy {float(ks_entropy(chain)):.4f}, "
       f"order-0 ceiling {-(2/3)*math.log2(2/3) - (1/3)*math.log2(1/3):.4f}")
 source = MeasureSource(chain, seed=7)
-for name in ("freq", "lz78"):
-    series = rate_series(source, dyadic, name, upto=14)
-    print(f"  {name:>4} rate at 16384 sites: {series.last().rate:.4f}")
+for name, points in rate_series(source, dyadic, ["freq", "lz78"], upto=14).items():
+    print(f"  {name:>4} rate at 16384 sites: {points[-1].rate:.4f}")
 
 # The freq coder only sees symbol counts, so it cannot exploit the rule
 # "no two 1s in a row"; LZ78 picks it up from repeated phrases.
@@ -59,6 +57,6 @@ z2 = get_group("z2")
 dyadic2 = builtin_families(z2)["dyadic"]
 fair = BernoulliMeasure(binary_alphabet(), (0.5, 0.5))
 source = MeasureSource(fair, seed=5)
-series = rate_series(source, dyadic2, "freq", upto=7)
+series = rate_series(source, dyadic2, ["freq"], upto=7)["freq"]
 print(f"\nfair coin on the plane, freq rate at 128x128: "
-      f"{series.last().rate:.4f} (entropy 1.0)")
+      f"{series[-1].rate:.4f} (entropy 1.0)")

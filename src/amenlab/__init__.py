@@ -4,14 +4,7 @@ complexity-rate estimators."""
 
 __version__ = "0.1.0"
 
-from .complexity import (
-    ESTIMATORS,
-    freq_coder,
-    lz78_estimate,
-    rate_series,
-    repair_code,
-    window_estimate,
-)
+from .complexity import ESTIMATORS, rate_series
 from .errors import BudgetExceededError
 from .folner import builtin_families, defect_report, description_bits, temperedness_constant
 from .groups import get_group
@@ -46,18 +39,14 @@ __all__ = [
     "defect_report",
     "description_bits",
     "encode_connected",
-    "freq_coder",
     "get_group",
     "golden_mean_sft",
     "load_sft",
-    "lz78_estimate",
     "parse_measure",
     "plan",
     "rate_series",
-    "repair_code",
     "sample",
     "temperedness_constant",
     "topological_entropy_estimate",
     "verify_cover",
-    "window_estimate",
 ]

@@ -21,11 +21,18 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .complexity import ESTIMATORS, freq_coder, lz78_estimate, repair_code, repair_decode
+from .complexity import (
+    ESTIMATORS,
+    freq_encode,
+    lz78_encode,
+    rate_series,
+    repair_decode,
+    repair_encode,
+)
 from .errors import BudgetExceededError
 from .folner import (
     builtin_families,
-    defect_report,
+    defect,
     description_bits,
     modest_search,
     temperedness_witnesses,
@@ -35,7 +42,7 @@ from .quasitiling import DEFAULT_HORIZON, cover, plan
 from .rng import derive, site_uniform
 from .setcodec import decode_connected, encode_connected
 from .stochastic import MarkovMeasure, MeasureSource, parse_measure
-from .symbolic import binary_alphabet, cont, load_sft, topological_entropy_estimate
+from .symbolic import binary_alphabet, load_sft, topological_entropy_estimate
 
 
 class UsageError(ValueError):
@@ -97,8 +104,9 @@ def _cmd_folner_defect(args):
     seq = _family(group, args.family)
     rows = []
     for i in seq.indices(args.upto):
-        F = seq.subset(i)
-        d = defect_report(seq, i).max_defect
+        F = seq.subset(i)  # built once: defect_report(seq, i) would build it again
+        Fset = frozenset(F)
+        d = max(defect(group, Fset, g) for g in group.generators)
         rows.append((i, len(F), d.numerator, d.denominator, description_bits(group, F)))
     _report(args, ["i", "size", "max_defect_num", "max_defect_den", "description_bits"], rows)
     return 0
@@ -107,10 +115,8 @@ def _cmd_folner_defect(args):
 def _cmd_folner_tempered(args):
     group = get_group(args.group)
     seq = _family(group, args.family)
-    rows = [
-        (i, len(seq.subset(i)), c.numerator, c.denominator)
-        for i, c in temperedness_witnesses(seq, args.upto)
-    ]
+    rows = [(i, size, c.numerator, c.denominator)
+            for i, size, c in temperedness_witnesses(seq, args.upto)]
     _report(args, ["i", "size", "tempered_num", "tempered_den"], rows)
     return 0
 
@@ -210,7 +216,7 @@ def _cmd_entropy_sft(args):
         series = topological_entropy_estimate(sft, seq, args.upto, budget=args.budget)
     except BudgetExceededError as err:
         series, stop = err.partial, err
-    rows = [[p.index, p.size, f"{p.bits:.6f}", f"{p.rate:.6f}"] for p in series.points]
+    rows = [[p.index, p.size, f"{p.bits:.6f}", f"{p.rate:.6f}"] for p in series]
     _report(args, ["i", "size", "bits", "rate"], rows, partial=stop is not None)
     if stop is None:
         return 0
@@ -230,18 +236,10 @@ def _cmd_brudno_run(args):
     if isinstance(measure, MarkovMeasure) and group.name != "z":
         raise UsageError(f"a markov measure needs --group z, not {args.group!r}")
     names = sorted(ESTIMATORS) if args.estimator == "all" else [args.estimator]
-    source = MeasureSource(measure, args.seed)
-    # sample each window once and code its content word with every
-    # estimator; rows are reported grouped by estimator
-    rows = {name: [] for name in names}
-    for i in seq.indices(args.upto):
-        F = seq.subset(i)
-        word = cont(source.window(F))
-        for name in names:
-            bits = ESTIMATORS[name](source.alphabet, word).bits
-            rows[name].append((name, i, len(F), bits, f"{bits / len(F):.6f}"))
+    series = rate_series(MeasureSource(measure, args.seed), seq, names, args.upto)
     _report(args, ["estimator", "i", "size", "bits", "rate"],
-            [row for name in names for row in rows[name]])
+            [(name, p.index, p.size, p.bits, f"{p.rate:.6f}")
+             for name, points in series.items() for p in points])
     return 0
 
 
@@ -260,12 +258,12 @@ def _cmd_repair_demo(args):
     target = "".join(
         ("1" if base[k] == "0" else "0") if k in flipped else base[k] for k in range(n)
     )
-    est = repair_code(alphabet, base, target)
-    ok = repair_decode(alphabet, base, est.stream) == target
-    plain_freq = freq_coder(alphabet, target).bits
-    plain_lz = lz78_estimate(alphabet, target).bits
+    stream = repair_encode(alphabet, base, target)
+    ok = repair_decode(alphabet, base, stream) == target
+    plain_freq = len(freq_encode(alphabet, target))
+    plain_lz = len(lz78_encode(alphabet, target))
     _report(args, ["length", "flips", "repair_bits", "freq_bits", "lz78_bits", "roundtrip_ok"],
-            [[n, flips, est.bits, plain_freq, plain_lz, ok]])
+            [[n, flips, len(stream), plain_freq, plain_lz, ok]])
     return 0
 
 

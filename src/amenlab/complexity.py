@@ -1,8 +1,9 @@
-"""Decodable description-length estimators for words and windows.
+"""Decodable coders for words, and complexity rates along window sequences.
 
-Every estimator here returns the exact bit length of a stream that a
-matching decoder in this module inverts, so estimates are true description
-lengths, never entropy formulas in disguise.
+A complexity estimate is the length of a code word that a matching decoder
+in this module inverts, ``len(encode(alphabet, word))``, so estimates are
+true description lengths, never entropy formulas in disguise.  ``ESTIMATORS``
+names the encoders that ``rate_series`` applies to sampled windows.
 
 Integers are framed with a self-delimiting code: the binary digits of n,
 each digit doubled, followed by the stop pair "01" (so 5 = 101 becomes
@@ -22,13 +23,12 @@ the top bits of rank and class size, and checks the guess exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import ne
 from typing import Callable
 
-from .series import RatePoint, RateSeries
+from .series import RatePoint
 from .symbolic import Alphabet, PartialConfiguration, cont
 
 FREQ_BLOCK = 1 << 16
@@ -378,7 +378,8 @@ def repair_decode(alphabet: Alphabet, base: str, bits: str) -> str:
 # -- tuple framing ------------------------------------------------------------
 
 def tuple_pack(parts: list[str]) -> str:
-    """Concatenate bit strings; every part but the last gets a length frame."""
+    """Concatenate bit strings; every part but the last gets a length frame,
+    so the framing costs 2*bitlen(len(part)) + 2 bits per framed part."""
     if not parts:
         raise ValueError("nothing to pack")
     out = []
@@ -404,53 +405,6 @@ def tuple_unpack(bits: str, k: int) -> list[str]:
     return out
 
 
-def tuple_overhead(parts: list[str]) -> "ComplexityEstimate":
-    """Framed concatenation cost: sum of part lengths plus 2*bitlen(len)+2
-    per framed part (all but the last)."""
-    stream = tuple_pack(parts)
-    return ComplexityEstimate("tuple", sum(len(p) for p in parts), len(stream), stream)
-
-
-# -- estimates ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComplexityEstimate:
-    """A description length in bits, with the stream that realizes it."""
-
-    method: str
-    input_len: int
-    bits: int
-    stream: str
-
-
-def freq_coder(alphabet: Alphabet, w: str) -> ComplexityEstimate:
-    stream = freq_encode(alphabet, w)
-    return ComplexityEstimate("freq", len(w), len(stream), stream)
-
-
-def lz78_estimate(alphabet: Alphabet, w: str) -> ComplexityEstimate:
-    stream = lz78_encode(alphabet, w)
-    return ComplexityEstimate("lz78", len(w), len(stream), stream)
-
-
-def repair_code(alphabet: Alphabet, base: str, target: str) -> ComplexityEstimate:
-    stream = repair_encode(alphabet, base, target)
-    return ComplexityEstimate("repair", len(target), len(stream), stream)
-
-
-ESTIMATORS: dict[str, Callable[[Alphabet, str], ComplexityEstimate]] = {
-    "freq": freq_coder,
-    "lz78": lz78_estimate,
-}
-
-
-def resolve_estimator(name: str) -> Callable[[Alphabet, str], ComplexityEstimate]:
-    try:
-        return ESTIMATORS[name]
-    except KeyError:
-        raise ValueError(f"unknown estimator {name!r} (have {sorted(ESTIMATORS)})") from None
-
-
 # -- windows -------------------------------------------------------------------
 
 def hamming(t1: PartialConfiguration, t2: PartialConfiguration) -> Fraction:
@@ -463,25 +417,30 @@ def hamming(t1: PartialConfiguration, t2: PartialConfiguration) -> Fraction:
     return Fraction(bad, len(t1))
 
 
-def window_estimate(alphabet: Alphabet, t: PartialConfiguration,
-                    estimator: str) -> ComplexityEstimate:
-    """Named estimator applied to the content word of a window; empty windows cost 0."""
-    fn = resolve_estimator(estimator)
-    if len(t) == 0:
-        return ComplexityEstimate(estimator, 0, 0, "")
-    return fn(alphabet, cont(t))
+ESTIMATORS: dict[str, Callable[[Alphabet, str], str]] = {
+    "freq": freq_encode,
+    "lz78": lz78_encode,
+}
 
 
-def rate_series(source, seq, estimator: str, upto: int) -> RateSeries:
+def rate_series(source, seq, estimators: list[str], upto: int) -> dict[str, list[RatePoint]]:
     """Description-length rates of one source along a Folner sequence.
 
     ``source`` provides ``window(F) -> PartialConfiguration`` and an
-    ``alphabet`` attribute; rates are bits per site.
+    ``alphabet`` attribute.  Each window is sampled once and its content word
+    coded by every named estimator; the bits are the code word's length and
+    rates are bits per site.  Returns the points of each name, in order.
     """
-    fn = resolve_estimator(estimator)
-    series = RateSeries(label=f"{estimator}/{seq.name}")
+    if isinstance(estimators, str):
+        raise TypeError(f"estimators is a list of names, not the string {estimators!r}")
+    for name in estimators:
+        if name not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {name!r} (have {sorted(ESTIMATORS)})")
+    series = {name: [] for name in estimators}
     for i in seq.indices(upto):
         F = seq.subset(i)  # never empty
-        bits = fn(source.alphabet, cont(source.window(F))).bits
-        series.points.append(RatePoint(i, len(F), bits, bits / len(F)))
+        word = cont(source.window(F))
+        for name, points in series.items():
+            bits = len(ESTIMATORS[name](source.alphabet, word))
+            points.append(RatePoint(i, len(F), bits, bits / len(F)))
     return series

@@ -159,7 +159,7 @@ def _abs_max(coords) -> tuple[int, ...]:
 
 
 def temperedness_witnesses(seq: FolnerSequence, upto: int):
-    """Yield (i, K_i) for every index i past the first, where K_i is the
+    """Yield (i, |F_i|, K_i) for every index i past the first, where K_i is the
     least witness K with |U_{j<i'} F_j^-1 F_i'| <= K |F_i'| for all i' <= i.
 
     Uses U_j (F_j^-1 F_i) = (U_j F_j^-1) F_i, so the growing union is
@@ -172,7 +172,7 @@ def temperedness_witnesses(seq: FolnerSequence, upto: int):
         Fi = seq.subset(i)
         if inv_union:
             best = max(best, Fraction(product_size(group, inv_union, Fi), len(Fi)))
-            yield i, best
+            yield i, len(Fi), best
         inv_union.update(group.inverse(f) for f in Fi)
 
 
@@ -180,7 +180,7 @@ def temperedness_constant(seq: FolnerSequence, upto: int) -> Fraction:
     """Least witness K with |U_{j<i} F_j^-1 F_i| <= K |F_i| on the prefix."""
     if upto <= seq.start:
         raise ValueError("need at least two indices to witness temperedness")
-    return max(c for _, c in temperedness_witnesses(seq, upto))
+    return max(c for _, _, c in temperedness_witnesses(seq, upto))
 
 
 def modest_search(group: ComputableGroup, i: int, cap: int = 1_000_000) -> FiniteSubset:

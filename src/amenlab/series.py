@@ -1,32 +1,16 @@
-"""Normalized rate tables shared by the entropy and complexity pipelines."""
+"""Rows of the normalized rate tables shared by the entropy and complexity
+pipelines; a table is a plain list of rows along a window sequence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class RatePoint:
+    """Window index, window size, bits, and bits per site."""
+
     index: int
     size: int
     bits: float
     rate: float
-
-
-@dataclass
-class RateSeries:
-    """Rows (index, window size, bits, bits per site) along a window sequence."""
-
-    label: str
-    points: list[RatePoint] = field(default_factory=list)
-
-    def last(self) -> RatePoint:
-        if not self.points:
-            raise ValueError("empty series")
-        return self.points[-1]
-
-    def rates(self) -> list[float]:
-        return [p.rate for p in self.points]
-
-    def __len__(self) -> int:
-        return len(self.points)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
 from operator import lt
@@ -93,12 +93,13 @@ def _strongly_connected(rows: Sequence[Sequence[float]]) -> bool:
 
 @dataclass(frozen=True)
 class MarkovMeasure:
-    """Irreducible chain on the alphabet; stationary vector solved exactly
-    enough that the residual ||pi P - pi||_inf stays below 1e-10."""
+    """Irreducible chain on the alphabet; stationary vector always solved from
+    the rows, exactly enough that the residual ||pi P - pi||_inf stays below
+    1e-10."""
 
     alphabet: Alphabet
     rows: tuple
-    stationary: ProbabilityVector = None
+    stationary: ProbabilityVector = field(init=False)
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.rows)
@@ -110,19 +111,16 @@ class MarkovMeasure:
             ProbabilityVector(r)
         if not _strongly_connected(rows):
             raise ValueError("transition matrix is not irreducible")
-        if self.stationary is None:
-            P = np.array([[float(x) for x in r] for r in rows], dtype=float)
-            A = P.T - np.eye(n)
-            A[-1, :] = 1.0
-            b = np.zeros(n)
-            b[-1] = 1.0
-            pi = np.linalg.solve(A, b)
-            resid = float(np.max(np.abs(pi @ P - pi)))
-            if resid > _TOL_STATIONARY:
-                raise ValueError(f"stationary residual {resid} too large")
-            object.__setattr__(
-                self, "stationary", ProbabilityVector(tuple(float(x) for x in pi))
-            )
+        P = np.array([[float(x) for x in r] for r in rows], dtype=float)
+        A = P.T - np.eye(n)
+        A[-1, :] = 1.0
+        b = np.zeros(n)
+        b[-1] = 1.0
+        pi = np.linalg.solve(A, b)
+        resid = float(np.max(np.abs(pi @ P - pi)))
+        if resid > _TOL_STATIONARY:
+            raise ValueError(f"stationary residual {resid} too large")
+        object.__setattr__(self, "stationary", ProbabilityVector(tuple(float(x) for x in pi)))
 
 
 def ks_entropy(measure) -> float:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import BudgetExceededError
 from .groups import ComputableGroup, Zd, get_group, normalize_subset
-from .series import RatePoint, RateSeries
+from .series import RatePoint
 
 
 @dataclass(frozen=True)
@@ -385,14 +385,14 @@ def iter_admissible(sft: SFT, F, budget: int | None = 1_000_000) -> Iterator[Par
 
 
 def topological_entropy_estimate(sft: SFT, seq, upto: int,
-                                 budget: int | None = 20_000_000) -> RateSeries:
+                                 budget: int | None = 20_000_000) -> list[RatePoint]:
     """Normalized log-counts log2(N(F_i))/|F_i| along a Folner sequence.
 
     On budget exhaustion the raised error carries the completed prefix of
     the series in ``partial`` and the index of the window it stopped on in
     ``index``.
     """
-    series = RateSeries(label=f"sft-entropy/{seq.name}")
+    series = []
     for i in seq.indices(upto):
         F = seq.subset(i)
         try:
@@ -403,7 +403,7 @@ def topological_entropy_estimate(sft: SFT, seq, upto: int,
         if count == 0:
             raise ValueError(f"no admissible pattern on window {i} of size {len(F)}")
         bits = log2(count)
-        series.points.append(RatePoint(i, len(F), bits, bits / len(F)))
+        series.append(RatePoint(i, len(F), bits, bits / len(F)))
     return series
 
 

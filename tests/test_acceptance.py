@@ -17,12 +17,11 @@ import pytest
 
 from amenlab.cli import main as cli_main
 from amenlab.complexity import (
-    freq_coder,
-    lz78_estimate,
-    repair_code,
-    repair_decode,
+    ESTIMATORS,
     freq_decode,
-    window_estimate,
+    freq_encode,
+    repair_decode,
+    repair_encode,
 )
 from amenlab.folner import (
     builtin_families,
@@ -38,6 +37,7 @@ from amenlab.stochastic import BernoulliMeasure, MarkovMeasure, MeasureSource, s
 from amenlab.symbolic import (
     Alphabet,
     binary_alphabet,
+    cont,
     golden_mean_sft,
     iter_admissible,
     q_count_bound,
@@ -199,7 +199,7 @@ def test_criterion_07_topological_entropy():
     oracle = math.log2(eig)
     assert abs(oracle - 0.694242) < 1e-6
     series = topological_entropy_estimate(sft, seq, upto=32)
-    assert abs(series.last().rate - oracle) < 0.02
+    assert abs(series[-1].rate - oracle) < 0.02
 
     fib = [1, 1]
     while len(fib) < 24:
@@ -245,8 +245,7 @@ def bernoulli_rates():
             t = source.window(F)
             rates = {}
             for name in ("freq", "lz78"):
-                est = window_estimate(source.alphabet, t, name)
-                rates[name] = est.bits / len(F)
+                rates[name] = len(ESTIMATORS[name](source.alphabet, cont(t))) / len(F)
             rates["seconds"] = time.perf_counter() - start
             out[gid, p] = rates
     return out
@@ -279,8 +278,8 @@ def test_criterion_11_markov():
     F = seq.subset(20)
     t = sample(measure, F, seed=7)
     n = len(F)
-    lz = window_estimate(measure.alphabet, t, "lz78").bits / n
-    fr = window_estimate(measure.alphabet, t, "freq").bits / n
+    lz = len(ESTIMATORS["lz78"](measure.alphabet, cont(t))) / n
+    fr = len(ESTIMATORS["freq"](measure.alphabet, cont(t))) / n
     assert 0.64 <= lz <= 0.87, lz
     assert abs(fr - shannon((Fraction(2, 3), Fraction(1, 3)))) < 0.02, fr
     assert abs(shannon((Fraction(2, 3), Fraction(1, 3))) - 0.9183) < 1e-4
@@ -297,12 +296,12 @@ def test_criterion_12_coding_bounds():
         alphabet = alphabets[rng.randrange(len(alphabets))]
         n = 1 + rng.randrange(400)
         word = "".join(alphabet.symbols[rng.randrange(alphabet.size)] for _ in range(n))
-        est = freq_coder(alphabet, word)
-        assert freq_decode(alphabet, est.stream) == word
+        stream = freq_encode(alphabet, word)
+        assert freq_decode(alphabet, stream) == word
         counts = [word.count(s) for s in alphabet.symbols]
         h = shannon([c / n for c in counts])
         bound = n * h + alphabet.size * (2 * math.log2(n + 1) + 2) + 2
-        assert est.bits <= bound + 1e-9, (word[:20], est.bits, bound)
+        assert len(stream) <= bound + 1e-9, (word[:20], len(stream), bound)
 
     for _ in range(1000):
         alphabet = alphabets[rng.randrange(len(alphabets))]
@@ -316,8 +315,8 @@ def test_criterion_12_coding_bounds():
             alphabet.symbols[(alphabet.index(c) + 1) % alphabet.size] if i in positions else c
             for i, c in enumerate(base)
         )
-        est = repair_code(alphabet, base, target)
-        assert repair_decode(alphabet, base, est.stream) == target
+        stream = repair_encode(alphabet, base, target)
+        assert repair_decode(alphabet, base, stream) == target
         delta = k / n
         bound = (
             n * shannon((delta, 1 - delta))
@@ -325,7 +324,7 @@ def test_criterion_12_coding_bounds():
             + 2 * (2 * math.log2(n + 1) + 2)
             + 3
         )
-        assert est.bits <= bound + 1e-9, (n, k, est.bits, bound)
+        assert len(stream) <= bound + 1e-9, (n, k, len(stream), bound)
 
 
 # -- 13: CLI determinism -----------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from amenlab import folner
 from amenlab.cli import main
 from amenlab.folner import builtin_families, temperedness_constant
 from amenlab.groups import get_group
@@ -60,6 +61,25 @@ def test_folner_tempered_every_row_is_its_prefix_constant(tmp_path, group, upto)
         c = temperedness_constant(seq, int(i))
         assert (int(size), int(num), int(den)) == (
             len(seq.subset(int(i))), c.numerator, c.denominator)
+
+
+@pytest.mark.parametrize("argv,rows,built", [
+    (["folner", "defect", "--group", "z2", "--upto", "32"], 32, 32),
+    (["folner", "tempered", "--group", "z", "--family", "dyadic", "--upto", "12"], 12, 13),
+])
+def test_folner_reports_build_each_window_once(tmp_path, monkeypatch, argv, rows, built):
+    calls = []
+    box = folner._box
+
+    def counting(group, n):
+        calls.append(n)
+        return box(group, n)
+
+    monkeypatch.setattr(folner, "_box", counting)
+    out = tmp_path / "report.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(data_rows(out)[1]) == rows
+    assert len(calls) == built
 
 
 def test_modest_search_report(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -13,32 +14,31 @@ from hypothesis import strategies as st
 
 from amenlab import complexity
 from amenlab.complexity import (
+    ESTIMATORS,
     CoderDecodeError,
     _multinomial,
     _rank_in_class,
     _step_ratio,
     _unrank_in_class,
-    freq_coder,
     freq_decode,
     freq_encode,
     freq_read,
     hamming,
     lz78_decode,
     lz78_encode,
-    repair_code,
+    rate_series,
     repair_decode,
     repair_encode,
-    resolve_estimator,
     selfdelim_encode,
     selfdelim_length,
     selfdelim_read,
-    tuple_overhead,
     tuple_pack,
     tuple_unpack,
-    window_estimate,
 )
+from amenlab.folner import builtin_families
 from amenlab.groups import get_group
 from amenlab.rng import SplitMix64, derive, site_uniform
+from amenlab.stochastic import ConstantSource
 from amenlab.symbolic import Alphabet, PartialConfiguration, binary_alphabet
 
 AB = Alphabet(("a", "b"))
@@ -97,18 +97,18 @@ def test_selfdelim_rejects_bad_streams():
 
 
 def test_freq_constant_word_is_header_only():
-    est = freq_coder(AB, "aaaa")
+    stream = freq_encode(AB, "aaaa")
     # counts (4, 0), singleton type class: no payload bits at all
-    assert est.stream == selfdelim_encode(4) + selfdelim_encode(0)
-    assert est.bits == 10
-    assert freq_decode(AB, est.stream) == "aaaa"
+    assert stream == selfdelim_encode(4) + selfdelim_encode(0)
+    assert len(stream) == 10
+    assert freq_decode(AB, stream) == "aaaa"
 
 
 def test_freq_alternating_word_close_to_one_bit_per_symbol():
     w = "ab" * 500
-    est = freq_coder(AB, w)
-    assert est.bits <= 1000 + 50
-    assert freq_decode(AB, est.stream) == w
+    stream = freq_encode(AB, w)
+    assert len(stream) <= 1000 + 50
+    assert freq_decode(AB, stream) == w
 
 
 def test_freq_header_arithmetic_exact():
@@ -121,7 +121,7 @@ def test_freq_header_arithmetic_exact():
             rem += c
             m *= comb(rem, c)
         expect = sum(selfdelim_length(c) for c in counts) + (m - 1).bit_length()
-        assert freq_coder(AB, w).bits == expect
+        assert len(freq_encode(AB, w)) == expect
 
 
 def test_freq_bound_exhaustive_small_words():
@@ -132,9 +132,9 @@ def test_freq_bound_exhaustive_small_words():
             for tup in product(alphabet.symbols, repeat=n):
                 w = "".join(tup)
                 counts = [w.count(s) for s in alphabet.symbols]
-                est = freq_coder(alphabet, w)
-                assert est.bits <= freq_bound(counts, alphabet.size) + 1e-9
-                assert freq_decode(alphabet, est.stream) == w
+                stream = freq_encode(alphabet, w)
+                assert len(stream) <= freq_bound(counts, alphabet.size) + 1e-9
+                assert freq_decode(alphabet, stream) == w
 
 
 def test_freq_roundtrip_random_words():
@@ -159,8 +159,8 @@ def test_freq_block_mode_roundtrip(monkeypatch):
 def test_freq_rate_matches_entropy_on_biased_source():
     n = 10**5
     w = "".join("a" if site_uniform(99, k) < 0.1 else "b" for k in range(n))
-    est = freq_coder(AB, w)
-    assert abs(est.bits / n - 0.46899) < 0.02
+    stream = freq_encode(AB, w)
+    assert abs(len(stream) / n - 0.46899) < 0.02
 
 
 def test_freq_rejects_bad_streams():
@@ -570,26 +570,26 @@ def corrupt(alphabet, w, flips, seed):
 
 def test_repair_identical_is_header_only():
     w = random_word(AB, 200, seed=3)
-    est = repair_code(AB, w, w)
-    assert est.stream == freq_encode(binary_alphabet(), "0" * 200)
-    assert repair_decode(AB, w, est.stream) == w
+    stream = repair_encode(AB, w, w)
+    assert stream == freq_encode(binary_alphabet(), "0" * 200)
+    assert repair_decode(AB, w, stream) == w
 
 
 def test_repair_spec_point_1000_sites_50_flips():
     base = random_word(AB, 1000, seed=11)
     target = corrupt(AB, base, 50, seed=12)
-    est = repair_code(AB, base, target)
-    assert est.bits <= 1000 * (0.28640 + 0.05) + 120
-    assert repair_decode(AB, base, est.stream) == target
+    stream = repair_encode(AB, base, target)
+    assert len(stream) <= 1000 * (0.28640 + 0.05) + 120
+    assert repair_decode(AB, base, stream) == target
 
 
 def test_repair_full_corruption_binary():
     base = "a" * 500
     target = "b" * 500
-    est = repair_code(AB, base, target)
+    stream = repair_encode(AB, base, target)
     # n substitute bits plus a tiny all-ones bitmap code
-    assert 500 <= est.bits <= 500 + 50
-    assert repair_decode(AB, base, est.stream) == target
+    assert 500 <= len(stream) <= 500 + 50
+    assert repair_decode(AB, base, stream) == target
 
 
 def test_repair_roundtrip_various_rates():
@@ -598,8 +598,8 @@ def test_repair_roundtrip_various_rates():
         for n, flips in ((1, 0), (1, 1), (64, 3), (500, 50), (500, 500)):
             base = random_word(alphabet, n, seed=n + flips)
             target = corrupt(alphabet, base, flips, seed=n * 31 + flips)
-            est = repair_code(alphabet, base, target)
-            assert repair_decode(alphabet, base, est.stream) == target
+            stream = repair_encode(alphabet, base, target)
+            assert repair_decode(alphabet, base, stream) == target
 
 
 def test_repair_closed_form_bound():
@@ -616,7 +616,7 @@ def test_repair_closed_form_bound():
                     + 2 * (2 * math.log2(n + 1) + 2)
                     + 3
                 )
-                assert repair_code(alphabet, base, target).bits <= bound + 1e-9
+                assert len(repair_encode(alphabet, base, target)) <= bound + 1e-9
 
 
 def test_repair_rejects_mismatch_and_junk():
@@ -640,12 +640,12 @@ def test_repair_rejects_symbols_outside_the_alphabet():
 
 
 def test_tuple_frozen_example_123_bits():
-    est = tuple_overhead(["1" * 100, "0" * 7])
-    assert est.bits == 107 + 2 * 7 + 2 == 123
+    packed = tuple_pack(["1" * 100, "0" * 7])
+    assert len(packed) == 107 + 2 * 7 + 2 == 123
 
 
 def test_tuple_single_part_zero_overhead():
-    assert tuple_overhead(["10101"]).bits == 5
+    assert len(tuple_pack(["10101"])) == 5
 
 
 def test_tuple_roundtrip():
@@ -689,19 +689,17 @@ def test_hamming_rejects_support_mismatch():
         hamming(window_on(z, range(3), "000"), window_on(z, range(4), "0000"))
 
 
-def test_window_estimate_constant_window():
-    z = get_group("z")
-    t = window_on(z, range(10**4), "a" * 10**4)
-    est = window_estimate(AB, t, "freq")
-    assert est.bits / 10**4 < 0.01
+def test_rate_series_constant_window():
+    # the boxes family cut down to its one window of 10^4 sites
+    seq = replace(builtin_families(get_group("z"))["boxes"], start=10**4)
+    (point,) = rate_series(ConstantSource(AB, "a"), seq, ["freq"], 10**4)["freq"]
+    assert point.bits / 10**4 < 0.01
 
 
-def test_window_estimate_empty_support():
-    est = window_estimate(AB, PartialConfiguration({}), "freq")
-    assert est.bits == 0
-
-
-def test_resolve_estimator_names():
-    assert resolve_estimator("freq") is freq_coder
+def test_rate_series_rejects_unknown_names():
+    assert ESTIMATORS["freq"] is freq_encode
+    seq = builtin_families(get_group("z"))["boxes"]
     with pytest.raises(ValueError):
-        resolve_estimator("zip")
+        rate_series(ConstantSource(AB, "a"), seq, ["zip"], 3)
+    with pytest.raises(TypeError, match="list of names"):
+        rate_series(ConstantSource(AB, "a"), seq, "freq", 3)

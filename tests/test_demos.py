@@ -1,4 +1,5 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script and the README's quick tour run to completion in a
+fresh interpreter."""
 
 import os
 import subprocess
@@ -11,10 +12,22 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run_python(*args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_cleanly(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": path})
+    result = _run_python(str(demo))
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr

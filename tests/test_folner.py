@@ -350,7 +350,7 @@ def test_product_size_wide_keys_fall_back(generic_calls):
 
 def test_dyadic_temperedness_closed_form_to_16():
     seq = builtin_families(Z)["dyadic"]
-    closed = [(i, Fraction(3, 2) - Fraction(1, 2**i)) for i in range(1, 17)]
+    closed = [(i, 2**i, Fraction(3, 2) - Fraction(1, 2**i)) for i in range(1, 17)]
     assert list(temperedness_witnesses(seq, 16)) == closed
 
 

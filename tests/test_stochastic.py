@@ -151,6 +151,14 @@ def test_markov_stationary_and_entropy():
     assert abs(ks_entropy(m) - 2 / 3) < 1e-12
 
 
+def test_markov_stationary_is_not_a_parameter():
+    # always solved from the rows: a wrong vector here would skew the
+    # entropy rate and the samples without any error
+    with pytest.raises(TypeError):
+        MarkovMeasure(AB, ((Fraction(1, 2), Fraction(1, 2)), (1, 0)),
+                      stationary=ProbabilityVector((0.0, 1.0)))
+
+
 def test_markov_rejects_reducible_chain():
     with pytest.raises(ValueError):
         MarkovMeasure(AB, ((1, 0), (0, 1)))

@@ -303,7 +303,7 @@ def test_budget_error_says_where_it_stopped():
         topological_entropy_estimate(hard_squares_sft(), seq, upto=6, budget=50)
     err = info.value
     # windows 1 and 2 fit the budget; window 3 ran out after the work it reports
-    assert [p.index for p in err.partial.points] == [1, 2]
+    assert [p.index for p in err.partial] == [1, 2]
     assert err.index == 3
     assert 0 < err.work <= 50
     with pytest.raises(BudgetExceededError) as info:
@@ -317,13 +317,13 @@ def test_entropy_series_golden_mean():
     sft = golden_mean_sft()
     seq = builtin_families(Z)["boxes"]
     series = topological_entropy_estimate(sft, seq, upto=32)
-    assert series.points[0].size == 1
-    last = series.last()
+    assert series[0].size == 1
+    last = series[-1]
     assert last.size == 32
     phi = (1 + math.sqrt(5)) / 2
     assert abs(last.rate - math.log2(phi)) < 0.02
     # normalized counts decrease toward the limit on this subshift
-    assert all(a.rate >= b.rate - 1e-12 for a, b in zip(series.points, series.points[1:]))
+    assert all(a.rate >= b.rate - 1e-12 for a, b in zip(series, series[1:]))
 
 
 def test_entropy_names_a_window_without_admissible_patterns():
