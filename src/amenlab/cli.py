@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .complexity import (
     ESTIMATORS,
-    freq_encode,
+    freq_length,
     lz78_encode,
     rate_series,
     repair_decode,
@@ -260,7 +260,7 @@ def _cmd_repair_demo(args):
     )
     stream = repair_encode(alphabet, base, target)
     ok = repair_decode(alphabet, base, stream) == target
-    plain_freq = len(freq_encode(alphabet, target))
+    plain_freq = freq_length(alphabet, target)
     plain_lz = len(lz78_encode(alphabet, target))
     _report(args, ["length", "flips", "repair_bits", "freq_bits", "lz78_bits", "roundtrip_ok"],
             [[n, flips, len(stream), plain_freq, plain_lz, ok]])

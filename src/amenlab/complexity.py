@@ -1,9 +1,10 @@
 """Decodable coders for words, and complexity rates along window sequences.
 
-A complexity estimate is the length of a code word that a matching decoder
-in this module inverts, ``len(encode(alphabet, word))``, so estimates are
-true description lengths, never entropy formulas in disguise.  ``ESTIMATORS``
-names the encoders that ``rate_series`` applies to sampled windows.
+A complexity estimate is the exact length of a code word that a matching
+decoder in this module inverts, so estimates are true description lengths,
+never entropy formulas in disguise.  ``ESTIMATORS`` maps each name that
+``rate_series`` accepts to that length; for ``"freq"`` it is ``freq_length``,
+which computes it from the letter counts without building the code word.
 
 Integers are framed with a self-delimiting code: the binary digits of n,
 each digit doubled, followed by the stop pair "01" (so 5 = 101 becomes
@@ -11,9 +12,10 @@ each digit doubled, followed by the stop pair "01" (so 5 = 101 becomes
 2*bitlen(n) + 2 bits.
 
 The frequency coder is a two-part code: letter counts in self-delimiting
-frames followed by the rank of the word inside its type class, computed
-with exact big-integer arithmetic.  Words longer than ``FREQ_BLOCK`` are
-split into blocks; within one block the coder meets the closed-form bound
+frames followed by the rank of the word inside its type class, written in
+a width that the counts fix, so the length of a code word needs no rank.
+Words longer than ``FREQ_BLOCK`` are split into blocks; within one block the
+coder meets the closed-form bound
 |w|*H(p(w)) + |A|*(2*log2(|w|+1)+2) + 2 bits.  The rank advances in exact
 steps of 64 symbols, each multiplying the class size by ~1 kbit integers
 and dividing it by another, so a block of n symbols still costs time
@@ -158,37 +160,56 @@ def _unrank_in_class(rank: int, size: int, counts: list[int], symbols) -> str:
     return "".join(out)
 
 
-def _freq_encode_block(block: str, alphabet: Alphabet, index_of: dict) -> str:
-    counts = [0] * alphabet.size
-    for ch in block:
-        if ch not in index_of:
-            raise ValueError(f"symbol {ch!r} not in alphabet")
-        counts[index_of[ch]] += 1
-    parts = [selfdelim_encode(c) for c in counts]
+def _class_size(counts: list[int]) -> tuple[int, int]:
+    """Size of the type class of counts, and the bit width of a rank in it."""
     size = _multinomial(counts)
-    width = (size - 1).bit_length()
-    if width:
-        parts.append(format(_rank_in_class(block, index_of, counts, size), f"0{width}b"))
-    return "".join(parts)
+    return size, (size - 1).bit_length()
 
 
-def freq_encode(alphabet: Alphabet, w: str) -> str:
-    """Frequency-coder stream for w; blocks of FREQ_BLOCK symbols.
+def _freq_blocks(alphabet: Alphabet, w: str):
+    """(block, letter counts) per block of FREQ_BLOCK symbols of w.
 
     A final empty block terminates the stream when the last data block is
     full, so the stream is self-delimiting within a larger bit string.
     """
     if not w:
         raise ValueError("cannot frequency-code the empty word")
-    index_of = {s: i for i, s in enumerate(alphabet.symbols)}
     blocks = [w[i:i + FREQ_BLOCK] for i in range(0, len(w), FREQ_BLOCK)]
     if len(blocks[-1]) == FREQ_BLOCK:
         blocks.append("")
-    return "".join(_freq_encode_block(b, alphabet, index_of) for b in blocks)
+    for block in blocks:
+        counts = [block.count(s) for s in alphabet.symbols]
+        if sum(counts) != len(block):
+            bad = next(ch for ch in block if ch not in alphabet.symbols)
+            raise ValueError(f"symbol {bad!r} not in alphabet")
+        yield block, counts
+
+
+def freq_encode(alphabet: Alphabet, w: str) -> str:
+    """Self-delimiting frequency-coder stream for w, in blocks of FREQ_BLOCK symbols."""
+    index_of = {s: i for i, s in enumerate(alphabet.symbols)}
+    parts = []
+    for block, counts in _freq_blocks(alphabet, w):
+        parts.extend(selfdelim_encode(c) for c in counts)
+        size, width = _class_size(counts)
+        if width:
+            parts.append(format(_rank_in_class(block, index_of, counts, size), f"0{width}b"))
+    return "".join(parts)
+
+
+def freq_length(alphabet: Alphabet, w: str) -> int:
+    """``len(freq_encode(alphabet, w))``, from the letter counts, with no rank."""
+    return sum(sum(map(selfdelim_length, counts)) + _class_size(counts)[1]
+               for _, counts in _freq_blocks(alphabet, w))
 
 
 def freq_read(alphabet: Alphabet, bits: str, pos: int) -> tuple[str, int]:
-    """Decode one frequency-coder stream starting at pos; returns (word, end)."""
+    """Decode one frequency-coder stream starting at pos; returns (word, end).
+
+    Work is linear in the bits read, times a factor fixed by FREQ_BLOCK:
+    each block reads at least 2 bits per letter of the alphabet, and one
+    declaring more than FREQ_BLOCK symbols is refused before any big-integer work.
+    """
     out = []
     while True:
         counts = []
@@ -200,8 +221,7 @@ def freq_read(alphabet: Alphabet, bits: str, pos: int) -> tuple[str, int]:
         # big-integer work so junk headers cost time linear in their length
         if blen > FREQ_BLOCK:
             raise CoderDecodeError(f"block of {blen} symbols exceeds {FREQ_BLOCK}")
-        size = _multinomial(counts)
-        width = (size - 1).bit_length()
+        size, width = _class_size(counts)
         if pos + width > len(bits):
             raise CoderDecodeError("truncated type-class rank")
         rank = int(bits[pos:pos + width], 2) if width else 0
@@ -417,9 +437,9 @@ def hamming(t1: PartialConfiguration, t2: PartialConfiguration) -> Fraction:
     return Fraction(bad, len(t1))
 
 
-ESTIMATORS: dict[str, Callable[[Alphabet, str], str]] = {
-    "freq": freq_encode,
-    "lz78": lz78_encode,
+ESTIMATORS: dict[str, Callable[[Alphabet, str], int]] = {
+    "freq": freq_length,
+    "lz78": lambda alphabet, w: len(lz78_encode(alphabet, w)),
 }
 
 
@@ -427,9 +447,9 @@ def rate_series(source, seq, estimators: list[str], upto: int) -> dict[str, list
     """Description-length rates of one source along a Folner sequence.
 
     ``source`` provides ``window(F) -> PartialConfiguration`` and an
-    ``alphabet`` attribute.  Each window is sampled once and its content word
-    coded by every named estimator; the bits are the code word's length and
-    rates are bits per site.  Returns the points of each name, in order.
+    ``alphabet`` attribute.  Each window is sampled once and every named
+    estimator gives the length of its code word for the content word; rates
+    are bits per site.  Returns the points of each name, in order.
     """
     if isinstance(estimators, str):
         raise TypeError(f"estimators is a list of names, not the string {estimators!r}")
@@ -441,6 +461,6 @@ def rate_series(source, seq, estimators: list[str], upto: int) -> dict[str, list
         F = seq.subset(i)  # never empty
         word = cont(source.window(F))
         for name, points in series.items():
-            bits = len(ESTIMATORS[name](source.alphabet, word))
+            bits = ESTIMATORS[name](source.alphabet, word)
             points.append(RatePoint(i, len(F), bits, bits / len(F)))
     return series

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .complexity import freq_encode, selfdelim_length
+from .complexity import freq_length, selfdelim_length
 from .errors import BudgetExceededError
 from .groups import (
     ComputableGroup,
@@ -256,7 +256,7 @@ def description_bits(group: ComputableGroup, F) -> int:
             pass
         else:
             candidates.append(len(stream))
-            candidates.append(len(freq_encode(binary_alphabet(), stream)))
+            candidates.append(freq_length(binary_alphabet(), stream))
     return min(candidates)
 
 

@@ -245,7 +245,7 @@ def bernoulli_rates():
             t = source.window(F)
             rates = {}
             for name in ("freq", "lz78"):
-                rates[name] = len(ESTIMATORS[name](source.alphabet, cont(t))) / len(F)
+                rates[name] = ESTIMATORS[name](source.alphabet, cont(t)) / len(F)
             rates["seconds"] = time.perf_counter() - start
             out[gid, p] = rates
     return out
@@ -278,8 +278,8 @@ def test_criterion_11_markov():
     F = seq.subset(20)
     t = sample(measure, F, seed=7)
     n = len(F)
-    lz = len(ESTIMATORS["lz78"](measure.alphabet, cont(t))) / n
-    fr = len(ESTIMATORS["freq"](measure.alphabet, cont(t))) / n
+    lz = ESTIMATORS["lz78"](measure.alphabet, cont(t)) / n
+    fr = ESTIMATORS["freq"](measure.alphabet, cont(t)) / n
     assert 0.64 <= lz <= 0.87, lz
     assert abs(fr - shannon((Fraction(2, 3), Fraction(1, 3)))) < 0.02, fr
     assert abs(shannon((Fraction(2, 3), Fraction(1, 3))) - 0.9183) < 1e-4

@@ -22,6 +22,7 @@ from amenlab.complexity import (
     _unrank_in_class,
     freq_decode,
     freq_encode,
+    freq_length,
     freq_read,
     hamming,
     lz78_decode,
@@ -197,6 +198,35 @@ def test_freq_rejects_oversized_block_header_fast():
     with pytest.raises(CoderDecodeError, match="exceeds"):
         repair_decode(AB, "a" * 10, junk)
     assert time.perf_counter() - start < 1.0
+
+
+def test_freq_read_sizes_no_class_past_the_block_limit(monkeypatch):
+    # the only big-integer work per block starts at _multinomial, so an
+    # oversized header must be refused before that call
+    monkeypatch.setattr("amenlab.complexity.FREQ_BLOCK", 8)
+    calls = []
+    monkeypatch.setattr("amenlab.complexity._multinomial",
+                        lambda counts: calls.append(list(counts)) or _multinomial(counts))
+    full = freq_encode(AB, "abbabaab")[:-4]  # one full block, terminator dropped
+    calls.clear()
+    with pytest.raises(CoderDecodeError, match="exceeds"):
+        freq_decode(AB, full + selfdelim_encode(8) + selfdelim_encode(1))
+    assert calls == [[4, 4]]  # the full block only
+
+
+def test_freq_length_matches_stream_at_the_real_block():
+    for n in (1 << 16, 1 << 17):
+        for w in ("ab" * (n // 2), "b" * n):
+            assert freq_length(AB, w) == len(freq_encode(AB, w)), (n, w[:2])
+
+
+def test_freq_length_raises_like_the_encoder():
+    for w in ("", "axb", "ab" * 10 + "?"):
+        with pytest.raises(ValueError) as enc:
+            freq_encode(AB, w)
+        with pytest.raises(ValueError) as length:
+            freq_length(AB, w)
+        assert str(length.value) == str(enc.value)
 
 
 def test_freq_rejects_rank_wider_than_the_stream():
@@ -417,6 +447,18 @@ def test_freq_decode_arbitrary_bits(alphabet, bits):
 def test_freq_decode_mutated_streams(alphabet, data):
     w = data.draw(st.text(alphabet="".join(alphabet.symbols), min_size=1, max_size=80))
     freq_decodes_canonically(alphabet, mutate(freq_encode(alphabet, w), data))
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(0, 4), st.sampled_from([-1, 0, 1]), st.data())
+def test_freq_length_is_the_stream_length(asize, blocks, offset, data):
+    # a small block puts lengths at and around its multiples in reach
+    alphabet = Alphabet(tuple("abcd"[:asize]))
+    n = max(1, 8 * blocks + offset)
+    w = data.draw(st.text(alphabet="".join(alphabet.symbols), min_size=n, max_size=n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("amenlab.complexity.FREQ_BLOCK", 8)
+        assert freq_length(alphabet, w) == len(freq_encode(alphabet, w))
 
 
 @PROPERTY
@@ -697,7 +739,7 @@ def test_rate_series_constant_window():
 
 
 def test_rate_series_rejects_unknown_names():
-    assert ESTIMATORS["freq"] is freq_encode
+    assert ESTIMATORS["freq"] is freq_length
     seq = builtin_families(get_group("z"))["boxes"]
     with pytest.raises(ValueError):
         rate_series(ConstantSource(AB, "a"), seq, ["zip"], 3)
