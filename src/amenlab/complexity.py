@@ -31,7 +31,7 @@ from operator import ne
 from typing import Callable
 
 from .series import RatePoint
-from .symbolic import Alphabet, PartialConfiguration, cont
+from .symbolic import Alphabet, PartialConfiguration, binary_alphabet, cont
 
 FREQ_BLOCK = 1 << 16
 _STEP = 64  # symbols per exact rank/unrank step
@@ -257,7 +257,6 @@ def lz78_encode(alphabet: Alphabet, w: str) -> str:
     lit_width = (alphabet.size - 1).bit_length()
     parts = [selfdelim_encode(len(w))]
     trie: dict[tuple[int, str], int] = {}
-    lengths = [0]
     cur = 0
     for ch in w:
         if ch not in index_of:
@@ -266,16 +265,15 @@ def lz78_encode(alphabet: Alphabet, w: str) -> str:
         if nxt is not None:
             cur = nxt
             continue
-        width = (len(lengths) - 1).bit_length()
+        width = len(trie).bit_length()  # the trie holds every phrase but the empty one
         if width:
             parts.append(format(cur, f"0{width}b"))
         if lit_width:
             parts.append(format(index_of[ch], f"0{lit_width}b"))
-        trie[(cur, ch)] = len(lengths)
-        lengths.append(lengths[cur] + 1)
+        trie[(cur, ch)] = len(trie) + 1
         cur = 0
     if cur:
-        width = (len(lengths) - 1).bit_length()
+        width = len(trie).bit_length()
         if width:
             parts.append(format(cur, f"0{width}b"))
     return "".join(parts)
@@ -332,9 +330,6 @@ def lz78_decode(alphabet: Alphabet, bits: str) -> str:
 
 # -- difference (repair) coder -----------------------------------------------
 
-_BINARY = Alphabet(("0", "1"))
-
-
 def repair_encode(alphabet: Alphabet, base: str, target: str) -> str:
     """Code for ``target`` given ``base``: frequency-coded difference bitmap
     plus the substitute letters packed as one base-|A| integer."""
@@ -355,13 +350,13 @@ def repair_encode(alphabet: Alphabet, base: str, target: str) -> str:
             bitmap.append("1")
             subs_val = subs_val * alphabet.size + index_of[b]
             flips += 1
-    head = freq_encode(_BINARY, "".join(bitmap))
+    head = freq_encode(binary_alphabet(), "".join(bitmap))
     width = (alphabet.size ** flips - 1).bit_length()
     return head + (format(subs_val, f"0{width}b") if width else "")
 
 
 def repair_decode(alphabet: Alphabet, base: str, bits: str) -> str:
-    bitmap, pos = freq_read(_BINARY, bits, 0)
+    bitmap, pos = freq_read(binary_alphabet(), bits, 0)
     if len(bitmap) != len(base):
         raise CoderDecodeError("difference bitmap length mismatch")
     flips = bitmap.count("1")

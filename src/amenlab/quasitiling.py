@@ -17,6 +17,7 @@ hold with room to spare even when fewer scales than the classical k fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
@@ -86,15 +87,18 @@ class Cover:
 
 
 def scale_count(eps) -> int:
-    """Smallest k with (1-eps/2)^k <= eps, by exact rational arithmetic."""
+    """Smallest k with (1-eps/2)^k <= eps, by exact rational arithmetic.
+
+    A float estimate of k is moved one step at a time until the exact test
+    shrink^k <= eps < shrink^(k-1) holds (or k = 1)."""
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
     shrink = 1 - eps / 2
-    k = 1
-    power = shrink
-    while power > eps:
-        power *= shrink
+    k = max(1, math.ceil(math.log(eps) / math.log1p(-eps / 2)))
+    while k > 1 and shrink ** (k - 1) <= eps:
+        k -= 1
+    while shrink ** k > eps:
         k += 1
     return k
 

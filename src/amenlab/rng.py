@@ -67,9 +67,6 @@ class SplitMix64:
             if v < n:
                 return v
 
-    def split(self, *labels: int) -> "SplitMix64":
-        return SplitMix64(derive(self._state, *labels))
-
 
 def site_uniform(seed: int, site: int) -> float:
     """Uniform [0,1) value attached to (seed, site), independent per site."""

@@ -10,6 +10,7 @@ window's smallest coordinate, so windows with a common left end agree.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,23 +73,12 @@ class BernoulliMeasure:
             raise ValueError("probability vector length != alphabet size")
 
 
-def _strongly_connected(rows: Sequence[Sequence[float]]) -> bool:
+def _strongly_connected(rows: Sequence[Sequence]) -> bool:
+    """True when (S | I)^(n-1) has no zero entry, S marking the entries x > 0
+    (compared exactly, so a Fraction below the float range is an edge)."""
     n = len(rows)
-
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
-
-    fwd = [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
-    bwd = [[j for j in range(n) if rows[j][i] > 0] for i in range(n)]
-    return reach(fwd) and reach(bwd)
+    reach = np.array([[x > 0 for x in r] for r in rows], dtype=bool) | np.eye(n, dtype=bool)
+    return bool(np.linalg.matrix_power(reach, n - 1).all())
 
 
 @dataclass(frozen=True)
@@ -246,25 +236,31 @@ class ConstantSource:
         return PartialConfiguration.from_word(support, self.symbol * len(support))
 
 
+def _entries(text: str) -> tuple[Fraction, ...]:
+    try:
+        return tuple(Fraction(part) for part in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_measure(text: str) -> object:
     """Measure spec strings: ``bernoulli:0.5,0.5`` or ``markov:[[0.5,0.5],[1,0]]``.
 
-    Symbols are 0,1,2,... matching the vector/matrix positions.
+    Every entry is a decimal or a ratio such as ``1/3``, read as an exact
+    Fraction.  Symbols are 0,1,2,... matching the vector/matrix positions.
     """
     kind, _, body = text.partition(":")
     kind = kind.strip().lower()
     if not body:
         raise ValueError(f"bad measure spec {text!r}")
     if kind == "bernoulli":
-        entries = tuple(Fraction(part.strip()) for part in body.split(","))
+        entries = _entries(body)
         alphabet = Alphabet(tuple(str(i) for i in range(len(entries))))
         return BernoulliMeasure(alphabet, ProbabilityVector(entries))
     if kind == "markov":
-        import ast
-
-        rows = ast.literal_eval(body)
-        if not isinstance(rows, (list, tuple)):
+        if not re.fullmatch(r"\s*\[\s*\[[^][]*\](\s*,\s*\[[^][]*\])*\s*\]\s*", body):
             raise ValueError(f"bad markov matrix {body!r}")
+        rows = tuple(map(_entries, re.findall(r"\[([^][]*)\]", body)))
         alphabet = Alphabet(tuple(str(i) for i in range(len(rows))))
-        return MarkovMeasure(alphabet, tuple(tuple(r) for r in rows))
+        return MarkovMeasure(alphabet, rows)
     raise ValueError(f"unknown measure kind {kind!r}")

@@ -11,14 +11,17 @@ counting over a finite window is *local* admissibility: a pattern is
 counted unless some translate of a forbidden pattern fits entirely inside
 the window and matches.  This over-counts the true projection of the
 subshift in general, which is the safe direction for the upper bounds
-built on top of it.
+built on top of it.  Each ``SFT`` prepares its patterns for counting once,
+when it is built, and every count reads that prepared form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log2
 from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import BudgetExceededError
 from .groups import ComputableGroup, Zd, get_group, normalize_subset
@@ -191,18 +194,47 @@ def apply_cellular(cmap: CellularMap, t: PartialConfiguration) -> PartialConfigu
 
 @dataclass(frozen=True)
 class SFT:
-    """Subshift of finite type: forbidden finite patterns over an alphabet."""
+    """Subshift of finite type: forbidden finite patterns over an alphabet.
+
+    Construction prepares the patterns for counting once.  ``patterns``
+    holds, per forbidden pattern, its sites right-multiplied by the inverse
+    of its first site, and its symbol indices.  ``transfer`` is None unless
+    the subshift is nearest-neighbour on the line (one-site bans and bans on
+    two adjacent sites only); then row 0 marks the symbols a first site may
+    take and row 1 + a the symbols that may follow a.
+    """
 
     group: ComputableGroup
     alphabet: Alphabet
     forbidden: tuple[PartialConfiguration, ...]
+    patterns: tuple = field(init=False, repr=False, compare=False)
+    transfer: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        patterns = []
         for p in self.forbidden:
             if len(p) == 0:
                 raise ValueError("forbidden patterns must have nonempty support")
-            for v in cont(p):
-                self.alphabet.index(v)
+            syms = tuple(map(self.alphabet.index, cont(p)))
+            anchor_inv = self.group.inverse(p.support[0])
+            patterns.append((tuple(self.group.multiply(m, anchor_inv) for m in p.support), syms))
+        object.__setattr__(self, "patterns", tuple(patterns))
+        object.__setattr__(self, "transfer", _transfer(self.group, self.alphabet.size, patterns))
+
+
+def _transfer(group: ComputableGroup, size: int, patterns) -> np.ndarray | None:
+    if not isinstance(group, Zd) or group.dimension != 1:
+        return None
+    T = np.ones((size + 1, size), dtype=object)  # exact Python ints
+    for sites, syms in patterns:
+        if len(sites) == 1:
+            T[:, syms[0]] = 0
+        elif len(sites) == 2 and group.decode(sites[1]) in ((1,), (-1,)):
+            a, b = syms if group.decode(sites[1]) == (1,) else syms[::-1]
+            T[1 + a, b] = 0
+        else:
+            return None
+    return T
 
 
 def golden_mean_sft() -> SFT:
@@ -217,77 +249,28 @@ def golden_mean_sft() -> SFT:
 def _constraint_instances(sft: SFT, order: list[int]) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Forbidden-pattern occurrences inside the window, grouped by the
     position (in assignment order) at which they become fully determined;
-    an occurrence of p at g is kept when every site of supp(p)*g is inside."""
-    group = sft.group
+    the occurrence whose first site is f is kept when every prepared site
+    times f is inside."""
+    multiply = sft.group.multiply
     pos_of = {g: k for k, g in enumerate(order)}
     grouped: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in order]
-    for p in sft.forbidden:
-        syms = tuple(map(sft.alphabet.index, cont(p)))
-        supp = p.support
-        anchor_inv = group.inverse(supp[0])
+    for sites, syms in sft.patterns:
         for f in order:
-            g = group.multiply(anchor_inv, f)
-            positions = []
-            for m in supp:
-                k = pos_of.get(group.multiply(m, g))
-                if k is None:
-                    break
-                positions.append(k)
-            else:
-                grouped[max(positions)].append((tuple(positions), syms))
+            positions = tuple(pos_of.get(multiply(m, f)) for m in sites)
+            if None not in positions:
+                grouped[max(positions)].append((positions, syms))
     return grouped
-
-
-def _nearest_neighbor_data(sft: SFT):
-    """Transfer-matrix data for one-dimensional nearest-neighbor constraints,
-    or None when the subshift is not of that shape."""
-    group = sft.group
-    if not isinstance(group, Zd) or group.dimension != 1:
-        return None
-    n = sft.alphabet.size
-    allowed = [1] * n
-    pair_ok = [[1] * n for _ in range(n)]
-    for p in sft.forbidden:
-        sites = sorted(p.support, key=group.decode)
-        if len(sites) == 1:
-            allowed[sft.alphabet.index(p[sites[0]])] = 0
-        elif len(sites) == 2 and group.decode(sites[1])[0] == group.decode(sites[0])[0] + 1:
-            a, b = (sft.alphabet.index(p[g]) for g in sites)
-            pair_ok[a][b] = 0
-        else:
-            return None
-    return allowed, pair_ok
-
-
-def _mat_mul(X, Y):
-    n = len(X)
-    return [[sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
 
 
 def transfer_matrix_count(sft: SFT, length: int) -> int:
     """Exact admissible-word count on an interval of the given length for a
     one-dimensional nearest-neighbor subshift, by integer matrix powers."""
-    data = _nearest_neighbor_data(sft)
-    if data is None:
+    if sft.transfer is None:
         raise ValueError("subshift is not one-dimensional nearest-neighbor")
     if length < 1:
         raise ValueError("length >= 1")
-    allowed, pair_ok = data
-    n = sft.alphabet.size
-    A = [[pair_ok[a][b] * allowed[b] for b in range(n)] for a in range(n)]
-    e = length - 1
-    # P <- A^(length-1) by binary powering; P times the ones vector is its row sums
-    P = None
-    B = A
-    while e:
-        if e & 1:
-            P = B if P is None else _mat_mul(P, B)
-        B = _mat_mul(B, B)
-        e >>= 1
-    if P is None:
-        return sum(allowed)
-    return sum(allowed[a] * sum(P[a]) for a in range(n))
+    first, A = sft.transfer[0], sft.transfer[1:]
+    return int((first @ np.linalg.matrix_power(A, length - 1)).sum())
 
 
 def admissible_patterns(sft: SFT, F, budget: int | None = 20_000_000) -> int:
@@ -298,15 +281,13 @@ def admissible_patterns(sft: SFT, F, budget: int | None = 20_000_000) -> int:
     :func:`_count_frontier` otherwise.  A count that would take more than
     ``budget`` work units raises :class:`BudgetExceededError`.
     """
-    F = normalize_subset(F)
-    if not F:
-        raise ValueError("window must be nonempty")
     decode = sft.group.decode
-    order = sorted(F, key=decode)
-    if (sft.group.dimension == 1
-            and decode(order[-1])[0] - decode(order[0])[0] == len(F) - 1
-            and _nearest_neighbor_data(sft) is not None):
-        return transfer_matrix_count(sft, len(F))
+    order = sorted(set(F), key=decode)
+    if not order:
+        raise ValueError("window must be nonempty")
+    if (sft.transfer is not None
+            and decode(order[-1])[0] - decode(order[0])[0] == len(order) - 1):
+        return transfer_matrix_count(sft, len(order))
     return _count_frontier(sft, order, budget)
 
 

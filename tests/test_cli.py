@@ -506,6 +506,28 @@ def test_brudno_markov_needs_group_z(tmp_path, monkeypatch, capsys, group):
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("spec", [
+    "bernoulli:1/0,1", "markov:[[0.5,0.5],[1,0]]]", "markov:[['a','b'],[1,0]]",
+])
+def test_brudno_refuses_malformed_measure_specs(tmp_path, capsys, spec):
+    out = tmp_path / "rates.csv"
+    assert main(["brudno", "run", "--group", "z", "--family", "dyadic", "--measure", spec,
+                 "--estimator", "lz78", "--upto", "3", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_brudno_markov_ratios_match_decimals(tmp_path):
+    bodies = []
+    for spec in ("markov:[[0.5,0.5],[1,0]]", "markov:[[1/2,1/2],[1,0]]"):
+        out = tmp_path / "rates.csv"
+        assert main(["brudno", "run", "--group", "z", "--family", "dyadic", "--measure", spec,
+                     "--estimator", "all", "--upto", "6", "--seed", "2", "--out", str(out)]) == 0
+        bodies.append(data_rows(out))
+    assert bodies[0] == bodies[1]
+
+
 @pytest.mark.parametrize("flips", [-1, 21])
 def test_repair_demo_rejects_flips_outside_the_word(tmp_path, capsys, flips):
     out = tmp_path / "repair.csv"

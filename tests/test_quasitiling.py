@@ -1,6 +1,7 @@
 """Tile planning, greedy covers, and the counting bound they feed."""
 
 import math
+import random
 from dataclasses import fields
 from fractions import Fraction
 
@@ -41,6 +42,24 @@ def test_scale_count_frozen_values():
     assert scale_count(HALF) == 3
     assert scale_count(QUARTER) == 11
     assert scale_count(Fraction(9, 10)) == 1
+    assert scale_count(Fraction(1, 3000)) == 48035
+    assert scale_count(Fraction(1, 10**4)) == 184203
+
+
+def test_scale_count_matches_the_exact_power_loop():
+    def by_powers(eps):
+        shrink = 1 - eps / 2
+        k, power = 1, shrink
+        while power > eps:
+            power *= shrink
+            k += 1
+        return k
+
+    rng = random.Random(3000)
+    for _ in range(300):
+        den = rng.randint(2, 201)
+        eps = Fraction(rng.randint(1, den - 1), den)
+        assert scale_count(eps) == by_powers(eps), eps
 
 
 def test_scale_count_matches_log_formula():

@@ -1,6 +1,7 @@
 """Measures, samplers, and entropy rates."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,40 @@ def test_markov_rejects_reducible_chain():
         MarkovMeasure(AB, ((0.5, 0.5), (0.5, 0.6)))
 
 
+def _reaches_all(support, start, forward):
+    """Breadth-first search over the support graph, along or against its edges."""
+    n = len(support)
+    seen, frontier = {start}, [start]
+    while frontier:
+        i = frontier.pop(0)
+        for j in range(n):
+            edge = support[i][j] if forward else support[j][i]
+            if edge and j not in seen:
+                seen.add(j)
+                frontier.append(j)
+    return len(seen) == n
+
+
+def test_markov_accepts_exactly_the_strongly_connected_supports():
+    rng = random.Random(2026)
+    for case in range(400):
+        n = case % 5 + 1
+        support = [[rng.random() < 0.4 for _ in range(n)] for _ in range(n)]
+        for row in support:
+            row[rng.randrange(n)] = True  # every row must sum to 1
+        rows = tuple(tuple(Fraction(1, sum(row)) if s else 0 for s in row) for row in support)
+        alphabet = Alphabet(tuple("abcde"[:n]))
+        if _reaches_all(support, 0, True) and _reaches_all(support, 0, False):
+            MarkovMeasure(alphabet, rows)
+        else:
+            with pytest.raises(ValueError, match="not irreducible"):
+                MarkovMeasure(alphabet, rows)
+    # an entry far below the float range is still an edge
+    tiny = Fraction(1, 10**400)
+    m = MarkovMeasure(AB, ((1 - tiny, tiny), (1, 0)))
+    assert m.stationary.entries == (1.0, 0.0)
+
+
 def test_sample_degenerate_bernoulli_constant():
     m = BernoulliMeasure(AB, ProbabilityVector((1, 0)))
     t = sample(m, interval(50), seed=1)
@@ -243,6 +278,22 @@ def test_sources_expose_windows():
     assert src.window(F) == sample(src.measure, F, 11)
     const = ConstantSource(AB, "b")
     assert cont(const.window(F)) == "b" * 32
+
+
+@pytest.mark.parametrize("spec", [
+    "bernoulli:1/0,1", "markov:[[0.5,0.5],[1,0]]]", "markov:[['a','b'],[1,0]]",
+    "markov:[[0.5,0.5],[1/0,1]]", "markov:[[0.5,0.5],[1 0]]", "markov:[]", "markov:0.5",
+])
+def test_parse_measure_refuses_malformed_specs(spec):
+    with pytest.raises(ValueError):
+        parse_measure(spec)
+
+
+def test_parse_measure_reads_every_entry_as_a_fraction():
+    half = parse_measure("markov:[[1/2,1/2],[1,0]]")
+    assert half.rows == parse_measure("markov:[ [0.5, 0.5], [1, 0] ]").rows
+    assert half.rows == ((Fraction(1, 2), Fraction(1, 2)), (1, 0))
+    assert parse_measure("bernoulli:1/3, 2/3").p.entries == (Fraction(1, 3), Fraction(2, 3))
 
 
 def test_parse_measure_specs():

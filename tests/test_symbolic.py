@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from amenlab.errors import BudgetExceededError
+from amenlab.folner import builtin_families
 from amenlab.groups import get_group
 from amenlab.symbolic import (
     Alphabet,
@@ -177,12 +178,70 @@ def test_golden_mean_counts_match_fibonacci():
 
 
 def test_transfer_matches_backtracking():
+    from amenlab.symbolic import _count_frontier
     sft = golden_mean_sft()
     for n in range(1, 13):
         # force the generic route by passing a non-interval ordering is not
         # possible (the window is an interval); call the internal DP route
-        from amenlab.symbolic import _count_frontier
         assert transfer_matrix_count(sft, n) == _count_frontier(sft, sorted(interval(n)), None)
+    # random nearest-neighbour rules: single-site bans and adjacent pairs,
+    # listed with either site first and placed near 0 or far from it
+    rng = random.Random(1995)
+    for case in range(120):
+        alphabet = Alphabet(("a", "b", "c")[:rng.randint(2, 3)])
+        forbidden = []
+        for _ in range(rng.randint(0, 4)):
+            at = rng.choice((0, 3, -7, 1000))
+            sites = [at] if rng.random() < 0.3 else [at, at + rng.choice((1, -1))]
+            forbidden.append(PartialConfiguration(
+                {zc(k): rng.choice(alphabet.symbols) for k in sites}))
+        sft = SFT(Z, alphabet, tuple(forbidden))
+        assert sft.transfer is not None, case
+        for n in range(1, 9):
+            brute = sum(1 for _ in iter_admissible(sft, interval(n), budget=None))
+            assert transfer_matrix_count(sft, n) == brute, (case, n)
+            assert _count_frontier(sft, sorted(interval(n), key=Z.decode), None) == brute
+
+
+@pytest.mark.parametrize("sft", [
+    SFT(Z, binary_alphabet(), (PartialConfiguration({zc(0): "1", zc(2): "1"}),)),
+    SFT(Z, binary_alphabet(), (PartialConfiguration({zc(0): "1", zc(1): "1", zc(2): "0"}),)),
+    SFT(Z, binary_alphabet(), (PartialConfiguration({zc(5): "0"}),
+                               PartialConfiguration({zc(-3): "1", zc(-1): "1"}))),
+    hard_squares_sft(),
+    SFT(Z2, binary_alphabet(), (PartialConfiguration({Z2.encode((0, 0)): "1"}),)),
+], ids=["gap-2 pair", "triple", "ban and gap-2 pair", "hard squares", "z2 ban"])
+def test_transfer_is_none_off_nearest_neighbour_rules(sft):
+    assert sft.transfer is None
+    with pytest.raises(ValueError, match="subshift is not one-dimensional nearest-neighbor"):
+        transfer_matrix_count(sft, 4)
+    with pytest.raises(ValueError, match="subshift is not one-dimensional nearest-neighbor"):
+        transfer_matrix_count(sft, 0)
+
+
+def test_transfer_count_rejects_empty_interval():
+    with pytest.raises(ValueError, match="length >= 1"):
+        transfer_matrix_count(golden_mean_sft(), 0)
+
+
+def test_counts_read_the_prepared_patterns(monkeypatch):
+    # the patterns are re-anchored and their symbols indexed once, when the
+    # SFT is built; a count makes no inverse and no alphabet lookup
+    sft = hard_squares_sft()
+    boxes = builtin_families(Z2)["boxes"]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(type(Z2), "inverse", counted("inverse", type(Z2).inverse))
+    monkeypatch.setattr(Alphabet, "index", counted("index", Alphabet.index))
+    counts = [admissible_patterns(sft, boxes.subset(i)) for i in range(1, 6)]
+    assert counts == [hard_square_count(n, n) for n in range(1, 6)]
+    assert calls == []
 
 
 def test_full_shift_and_banned_symbol():
