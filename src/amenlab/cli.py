@@ -32,8 +32,8 @@ from .complexity import (
 from .errors import BudgetExceededError
 from .folner import (
     builtin_families,
-    defect,
     description_bits,
+    generator_defect_counts,
     modest_search,
     temperedness_witnesses,
 )
@@ -105,8 +105,7 @@ def _cmd_folner_defect(args):
     rows = []
     for i in seq.indices(args.upto):
         F = seq.subset(i)  # built once: defect_report(seq, i) would build it again
-        Fset = frozenset(F)
-        d = max(defect(group, Fset, g) for g in group.generators)
+        d = Fraction(max(generator_defect_counts(group, F)), len(F))
         rows.append((i, len(F), d.numerator, d.denominator, description_bits(group, F)))
     _report(args, ["i", "size", "max_defect_num", "max_defect_den", "description_bits"], rows)
     return 0

@@ -280,16 +280,24 @@ def lz78_encode(alphabet: Alphabet, w: str) -> str:
 
 
 def lz78_decode(alphabet: Alphabet, bits: str) -> str:
+    """Inverse of :func:`lz78_encode`; raises CoderDecodeError on any other stream.
+
+    The tokens are parsed as (back-reference, literal) pairs with phrase
+    lengths only, and the phrase strings are built once the stream is
+    accepted.  A forged header cannot make the parse build long phrases, so
+    the work is O(bits) before the stream is accepted, then O(output).
+    """
     total, pos = selfdelim_read(bits, 0)
     if total < 1:
         raise CoderDecodeError("stream encodes the empty word")
-    lit_width = (alphabet.size - 1).bit_length()
-    phrases = [""]
-    known = set()  # (back-reference, literal) of every phrase so far
-    out = []
+    asize = alphabet.size
+    lit_width = (asize - 1).bit_length()
+    lengths = [0]  # phrase lengths, phrase 0 being the empty one
+    known = {}  # back-reference * |A| + literal of every phrase so far, in order
+    final = 0  # phrase repeated as a bare back-reference at the end
     built = 0
     while built < total:
-        width = (len(phrases) - 1).bit_length()
+        width = (len(lengths) - 1).bit_length()
         ref = 0
         if width:
             chunk = bits[pos:pos + width]
@@ -297,11 +305,11 @@ def lz78_decode(alphabet: Alphabet, bits: str) -> str:
                 raise CoderDecodeError("truncated back-reference")
             ref = int(chunk, 2)
             pos += width
-        if ref >= len(phrases):
+        if ref >= len(lengths):
             raise CoderDecodeError("back-reference out of range")
-        stem = phrases[ref]
+        stem = lengths[ref]
         remaining = total - built
-        if len(stem) + 1 <= remaining:
+        if stem + 1 <= remaining:
             lit_idx = 0
             if lit_width:
                 chunk = bits[pos:pos + lit_width]
@@ -309,23 +317,28 @@ def lz78_decode(alphabet: Alphabet, bits: str) -> str:
                     raise CoderDecodeError("truncated literal")
                 lit_idx = int(chunk, 2)
                 pos += lit_width
-            if lit_idx >= alphabet.size:
+            if lit_idx >= asize:
                 raise CoderDecodeError("literal out of range")
-            if (ref, lit_idx) in known:  # the encoder would have extended it
+            token = ref * asize + lit_idx
+            if token in known:  # the encoder would have extended it
                 raise CoderDecodeError("token re-adds an existing phrase")
-            known.add((ref, lit_idx))
-            phrase = stem + alphabet.symbols[lit_idx]
-            phrases.append(phrase)
-            out.append(phrase)
-            built += len(phrase)
+            known[token] = None
+            lengths.append(stem + 1)
+            built += stem + 1
         else:
-            if len(stem) != remaining:
+            if stem != remaining:
                 raise CoderDecodeError("final phrase length mismatch")
-            out.append(stem)
-            built += len(stem)
+            final = ref
+            built += stem
     if pos != len(bits):
         raise CoderDecodeError(f"{len(bits) - pos} unread bits after stream end")
-    return "".join(out)
+    # every new phrase is emitted once, in order, so building them all is O(output)
+    symbols = alphabet.symbols
+    phrases = [""]
+    for token in known:
+        ref, lit_idx = divmod(token, asize)
+        phrases.append(phrases[ref] + symbols[lit_idx])
+    return "".join(phrases[1:]) + phrases[final]
 
 
 # -- difference (repair) coder -----------------------------------------------

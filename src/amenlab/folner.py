@@ -25,6 +25,7 @@ from .groups import (
     CoordinateRangeError,
     FiniteSubset,
     Heisenberg,
+    decode_subset,
     normalize_subset,
     pack_coords,
     pack_coords_array,
@@ -107,9 +108,24 @@ def defect(group: ComputableGroup, F, g: int) -> Fraction:
     return Fraction(len(shifted - Fset), len(Fset))
 
 
+def generator_defect_counts(group: ComputableGroup, F) -> tuple[int, ...]:
+    """|sF \\ F| for each s in the fixed generator order, in one pass.
+
+    F is decoded once; each site's ``steps`` are tested against the
+    coordinate set, so no translate is built per generator.
+    """
+    coords = decode_subset(group, F)
+    if not coords:
+        raise ValueError("empty window")
+    # s*c is injective in c, so column s holds |F| distinct sites of sF
+    return tuple(len(coords) - len(coords.intersection(column))
+                 for column in zip(*map(group.steps, coords)))
+
+
 def defect_report(seq: FolnerSequence, i: int) -> DefectReport:
     F = frozenset(seq.subset(i))
-    pairs = tuple((g, defect(seq.group, F, g)) for g in seq.group.generators)
+    counts = generator_defect_counts(seq.group, F)
+    pairs = tuple((g, Fraction(k, len(F))) for g, k in zip(seq.group.generators, counts))
     return DefectReport(i, len(F), pairs, max(v for _, v in pairs))
 
 

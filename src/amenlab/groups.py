@@ -4,7 +4,9 @@ A group element is represented everywhere as its index (a plain ``int``)
 in the group's fixed enumeration; index 0 is always the identity.  Each
 concrete group supplies an invertible codec between indices and canonical
 integer coordinates, the composition law on coordinates, and a fixed
-ordered symmetric generating set used for Cayley adjacency.
+ordered symmetric generating set used for Cayley adjacency.  Cayley walks
+step coordinate tuples with ``steps``, so they decode or pack an index once
+per member rather than once per neighbour.
 
 The enumeration, computed only by :func:`pack_coords` and its inverse
 :func:`unpack_coords`, composes two standard ingredients:
@@ -101,6 +103,12 @@ class ComputableGroup:
         so callers may pack the result without checking it again."""
         raise NotImplementedError
 
+    def steps(self, c: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Coordinates of s*c for s in the fixed generator order.  Each step
+        range-checks only the coordinates it moves; together they raise
+        CoordinateRangeError exactly where some ``compose(s, c)`` would."""
+        raise NotImplementedError
+
     def invert_coords(self, a: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
 
@@ -139,9 +147,7 @@ class ComputableGroup:
 
     def neighbors(self, g: int) -> list[int]:
         """Cayley neighbors s*g for s in the fixed generator order."""
-        gg = self.decode(g)
-        compose = self.compose
-        return [pack_coords(compose(s, gg)) for s in self.generator_coords]
+        return [pack_coords(n) for n in self.steps(self.decode(g))]
 
     # -- canonical text form -------------------------------------------------
 
@@ -182,6 +188,16 @@ class Zd(ComputableGroup):
         _check_range(out)
         return out
 
+    def steps(self, c):
+        out = []
+        for k, x in enumerate(c):
+            if not -COORD_LIMIT < x < COORD_LIMIT:
+                _check_range((x + 1, x - 1))
+            head, tail = c[:k], c[k + 1:]
+            out.append(head + (x + 1,) + tail)
+            out.append(head + (x - 1,) + tail)
+        return out
+
     def invert_coords(self, a):
         return tuple(-x for x in a)
 
@@ -208,6 +224,15 @@ class Heisenberg(ComputableGroup):
         out = (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
         _check_range(out)
         return out
+
+    def steps(self, c):
+        # x^+-1 (a, b, z) = (a +- 1, b, z +- b) and y^+-1 (a, b, z) = (a, b +- 1, z);
+        # |z + b| and |z - b| both stay in range iff |z| + |b| does
+        a, b, z = c
+        if not (-COORD_LIMIT < a < COORD_LIMIT and -COORD_LIMIT < b < COORD_LIMIT
+                and abs(z) + abs(b) <= COORD_LIMIT):
+            _check_range((a + 1, a - 1, b + 1, b - 1, z + b, z - b))
+        return [(a + 1, b, z + b), (a - 1, b, z - b), (a, b + 1, z), (a, b - 1, z)]
 
     def invert_coords(self, a):
         return (-a[0], -a[1], a[0] * a[1] - a[2])
@@ -288,32 +313,47 @@ def set_product(group: ComputableGroup, A: Iterable[int], B: Iterable[int]) -> f
 
 def generator_boundary(group: ComputableGroup, T: Iterable[int]) -> frozenset:
     """ST \\ T for the group's fixed generating set S."""
-    tset = frozenset(T)
-    return set_product(group, group.generators, tset) - tset
+    return frozenset(map(pack_coords, boundary_coords(group, decode_subset(group, T))))
 
 
-def walk(group: ComputableGroup, inside: Callable[[int], bool]) -> list[int]:
-    """Depth-first Cayley walk from the identity; the members it reaches, in order.
+def decode_subset(group: ComputableGroup, T: Iterable[int]) -> frozenset:
+    """The coordinate tuples of the members of T, each decoded once."""
+    return frozenset(map(group.decode, frozenset(T)))
 
-    ``inside(h)`` is asked once, on each vertex's first visit.  The walk
-    continues only through members, pushing a member's neighbors in reverse
-    so that they pop in generator order, as a recursive walk would visit them.
+
+def boundary_coords(group: ComputableGroup, coords: frozenset) -> set:
+    """ST \\ T in coordinates, for T given by its coordinate set."""
+    steps = group.steps
+    return {n for c in coords for n in steps(c) if n not in coords}
+
+
+def walk(group: ComputableGroup, inside: Callable[[tuple], bool]) -> list[tuple]:
+    """Depth-first Cayley walk from the identity; the coordinate tuples of the
+    members it reaches, in order.
+
+    ``inside(c)`` receives coordinates and is asked once, on each vertex's
+    first visit.  The walk continues only through members, pushing a
+    member's ``steps`` in reverse so that they pop in generator order, as a
+    recursive walk would visit them.  No index is decoded or packed.
     """
-    members: list[int] = []
-    visited: set[int] = set()
-    stack = [group.identity]
+    steps = group.steps
+    members: list[tuple] = []
+    visited: set[tuple] = set()
+    stack = [(0,) * group.dimension]
     while stack:
-        h = stack.pop()
-        if h in visited:
+        c = stack.pop()
+        if c in visited:
             continue
-        visited.add(h)
-        if inside(h):
-            members.append(h)
-            stack.extend(reversed(group.neighbors(h)))
+        visited.add(c)
+        if inside(c):
+            members.append(c)
+            stack.extend(reversed(steps(c)))
     return members
 
 
 def is_connected_with_identity(group: ComputableGroup, T: Iterable[int]) -> bool:
     """True iff T contains the identity and is path-connected in the Cayley graph."""
     tset = frozenset(T)
-    return group.identity in tset and len(walk(group, tset.__contains__)) == len(tset)
+    # a negative index is no element, so no walk reaches it
+    coords = frozenset(unpack_coords(g, group.dimension) for g in tset if g >= 0)
+    return group.identity in tset and len(walk(group, coords.__contains__)) == len(tset)

@@ -14,10 +14,12 @@ ones, so a disconnected set costs no separate traversal.
 
 Both directions run the one walk of :func:`groups.walk`, which uses an
 explicit stack instead of recursion (the recursion depth would otherwise
-be |T|) and replays the recursive order.  The encoder's membership test
-writes the bit; the decoder's reads it.  The decoder grows its visited set
-on demand rather than materializing a ball of the code-word radius, so
-memory stays proportional to |ST|.
+be |T|) and replays the recursive order.  The walk steps coordinate
+tuples: the encoder decodes each member of T once and the decoder packs
+each member once at the end, so no Cayley step decodes or packs an index.
+The encoder's membership test writes the bit; the decoder's reads it.  The
+decoder grows its visited set on demand rather than materializing a ball
+of the code-word radius, so memory stays proportional to |ST|.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from __future__ import annotations
 from .groups import (
     ComputableGroup,
     FiniteSubset,
-    generator_boundary,
-    normalize_subset,
+    boundary_coords,
+    decode_subset,
+    pack_coords,
+    unpack_coords,
     walk,
 )
 from .rng import SplitMix64
@@ -52,10 +56,13 @@ def encode_connected(group: ComputableGroup, T) -> str:
         raise EncodingDomainError("cannot encode the empty set")
     if group.identity not in tset:
         raise EncodingDomainError("set does not contain the identity")
+    # a negative index is no element: the walk never reaches it, so the set
+    # counts as disconnected below
+    coords = frozenset(unpack_coords(g, group.dimension) for g in tset if g >= 0)
     bits: list[str] = []
 
-    def inside(h: int) -> bool:
-        member = h in tset
+    def inside(c: tuple) -> bool:
+        member = c in coords
         bits.append("1" if member else "0")
         return member
 
@@ -74,7 +81,7 @@ def decode_connected(group: ComputableGroup, bits: str) -> FiniteSubset:
         raise DecodeError("expected a nonempty string of 0s and 1s")
     unread = iter(bits)
 
-    def inside(h: int) -> bool:
+    def inside(c: tuple) -> bool:
         bit = next(unread, None)
         if bit is None:
             raise DecodeError("bit string exhausted before traversal finished")
@@ -86,13 +93,14 @@ def decode_connected(group: ComputableGroup, bits: str) -> FiniteSubset:
         raise DecodeError(f"{left} unread bits after traversal finished")
     if not members:
         raise DecodeError("code word describes the empty set")
-    return normalize_subset(members)
+    return tuple(sorted(map(pack_coords, members)))
 
 
 def code_length(group: ComputableGroup, T) -> int:
-    """Exact code-word length |T| + |ST \\ T| without materializing the bits."""
-    tset = frozenset(T)
-    return len(tset) + len(generator_boundary(group, tset))
+    """Exact code-word length |T| + |ST \\ T| without materializing the bits;
+    it counts coordinate tuples and packs no index."""
+    coords = decode_subset(group, T)
+    return len(coords) + len(boundary_coords(group, coords))
 
 
 def random_connected_subset(group: ComputableGroup, size: int, seed: int) -> FiniteSubset:
@@ -107,8 +115,10 @@ def random_connected_subset(group: ComputableGroup, size: int, seed: int) -> Fin
     if size < 1:
         raise ValueError("size >= 1")
     rng = SplitMix64(seed)
-    members = {group.identity}
-    frontier = [n for n in group.neighbors(group.identity)]
+    steps = group.steps
+    identity = (0,) * group.dimension
+    members = {identity}
+    frontier = steps(identity)
     while len(members) < size:
         idx = rng.randrange(len(frontier))
         cand = frontier[idx]
@@ -118,5 +128,5 @@ def random_connected_subset(group: ComputableGroup, size: int, seed: int) -> Fin
         if cand in members:
             continue
         members.add(cand)
-        frontier.extend(n for n in group.neighbors(cand) if n not in members)
-    return normalize_subset(members)
+        frontier.extend(n for n in steps(cand) if n not in members)
+    return tuple(sorted(map(pack_coords, members)))

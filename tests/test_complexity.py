@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -579,6 +580,22 @@ def test_lz78_decode_arbitrary_bits(alphabet, bits):
 def test_lz78_decode_mutated_streams(alphabet, data):
     w = data.draw(st.text(alphabet="".join(alphabet.symbols), min_size=1, max_size=80))
     lz78_decodes_canonically(alphabet, mutate(lz78_encode(alphabet, w), data))
+
+
+def test_lz78_forged_header_is_refused_in_linear_memory():
+    # the header claims 2^80 letters and every token extends the newest
+    # phrase, so phrases of length 1, 2, 3, ... are claimed before the
+    # stream runs out; building them would take quadratic memory
+    tokens = [format(k, f"0{k.bit_length()}b") if k else "" for k in range(32000)]
+    stream = selfdelim_encode(1 << 80) + "".join(t + "0" for t in tokens)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CoderDecodeError, match="truncated back-reference"):
+            lz78_decode(AB, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_lz78_rejects_bad_streams():

@@ -20,6 +20,7 @@ from amenlab.folner import (
     defect,
     defect_report,
     description_bits,
+    generator_defect_counts,
     modest_search,
     series_tail,
     temperedness_constant,
@@ -166,9 +167,24 @@ def test_h3_max_defect_small_by_n16():
     assert defect_report(seq, 16).max_defect < Fraction(1, 10)
 
 
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "h3"])
+def test_generator_defect_counts_match_defect_per_generator(name):
+    group = get_group(name)
+    seq = builtin_families(group)["boxes"]
+    windows = [seq.subset(n) for n in range(1, 5 if name != "z" else 12)]
+    windows += [random_connected_subset(group, size, seed)
+                for size in (1, 2, 7, 40, 150) for seed in range(4)]
+    for F in windows:
+        counts = generator_defect_counts(group, F)
+        assert [Fraction(k, len(F)) for k in counts] == [
+            defect(group, F, s) for s in group.generators]
+
+
 def test_defect_rejects_empty():
     with pytest.raises(ValueError):
         defect(Z, (), Z.identity)
+    with pytest.raises(ValueError, match="empty window"):
+        generator_defect_counts(Z, ())
 
 
 # -- temperedness ---------------------------------------------------------

@@ -267,6 +267,37 @@ def test_neighbors_match_multiply_near_the_cap(name):
     assert 0 < raised < 400
 
 
+def _h3_points_where_c_plus_minus_b_crosses_the_cap():
+    """(a, b, c) with |c| + |b| just below, at and just past 2**40, where only
+    the x steps' c +- b term can leave the range."""
+    out = []
+    for b in (0, 1, -1, 5, -3, 1 << 20, -(1 << 20), (1 << 39) + 7):
+        for delta in range(-2, 3):
+            for sign in (1, -1):
+                out.append((sign * 3, b, sign * (COORD_LIMIT - abs(b) + delta)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "h3"])
+def test_steps_pack_to_multiply_near_the_cap(name):
+    group = get_group(name)
+    rng = SplitMix64(47)
+    points = [_coords_near_cap(rng, group.dimension) for _ in range(400)]
+    if name == "h3":
+        points += _h3_points_where_c_plus_minus_b_crosses_the_cap()
+    raised = 0
+    for p in points:
+        g = pack_coords(p)
+        want = [_outcome(group.multiply, s, g) for s in group.generators]
+        if CoordinateRangeError in want:
+            raised += 1
+            with pytest.raises(CoordinateRangeError):
+                group.steps(group.decode(g))
+        else:
+            assert [pack_coords(n) for n in group.steps(group.decode(g))] == want
+    assert 0 < raised < len(points)
+
+
 def test_set_products_match_pairwise_multiply_on_h3_near_the_cap():
     h = get_group("h3")
     rng = SplitMix64(43)

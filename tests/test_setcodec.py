@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amenlab.folner import description_bits
-from amenlab.groups import generator_boundary, get_group, normalize_subset
+from amenlab.groups import (
+    generator_boundary,
+    get_group,
+    is_connected_with_identity,
+    normalize_subset,
+    pack_coords,
+)
 from amenlab.setcodec import (
     DecodeError,
     EncodingDomainError,
@@ -171,11 +177,11 @@ def test_decoder_steps_once_per_member_bit(name, bits):
     group = copy.copy(get_group(name))
     stepped = []
 
-    def neighbors(g):
-        stepped.append(g)
-        return type(group).neighbors(group, g)
+    def steps(c):
+        stepped.append(c)
+        return type(group).steps(group, c)
 
-    group.neighbors = neighbors
+    group.steps = steps
     try:
         T = decode_connected(group, bits)
     except DecodeError:
@@ -183,4 +189,20 @@ def test_decoder_steps_once_per_member_bit(name, bits):
     assert len(stepped) <= bits.count("1")
     assert len(set(stepped)) == len(stepped)
     if T is not None:
-        assert sorted(stepped) == list(T)
+        assert sorted(map(pack_coords, stepped)) == list(T)
+
+
+def test_negative_indices_keep_their_answers():
+    # a negative index is no element: the walks never reach it, and counting
+    # its boundary decodes it
+    z2 = get_group("z2")
+    with pytest.raises(EncodingDomainError, match="not connected"):
+        encode_connected(z2, [0, -1])
+    with pytest.raises(EncodingDomainError, match="does not contain the identity"):
+        encode_connected(z2, [-1])
+    assert is_connected_with_identity(z2, [0, -1]) is False
+    with pytest.raises(ValueError, match="element indices are naturals") as err:
+        code_length(z2, [0, -1])
+    assert type(err.value) is ValueError
+    with pytest.raises(ValueError, match="element indices are naturals"):
+        generator_boundary(z2, [0, -1])
