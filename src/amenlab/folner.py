@@ -25,6 +25,7 @@ from .groups import (
     CoordinateRangeError,
     FiniteSubset,
     Heisenberg,
+    INDEX_ARRAY_LIMIT,
     decode_subset,
     normalize_subset,
     pack_coords,
@@ -32,6 +33,7 @@ from .groups import (
     set_product,
     subset_from_mask,
     translate_left,
+    unpack_coords_array,
 )
 from .setcodec import EncodingDomainError, encode_connected
 from .symbolic import binary_alphabet
@@ -75,7 +77,7 @@ def _box(group: ComputableGroup, n: int) -> FiniteSubset:
     sides = (n, n, n * n) if isinstance(group, Heisenberg) else (n,) * group.dimension
     # zigzag and Cantor pairing grow in each nonnegative coordinate, so the
     # far corner holds the largest index; encode range-checks it first
-    if group.encode(tuple(s - 1 for s in sides)) > 1 << 62:
+    if group.encode(tuple(s - 1 for s in sides)) >= INDEX_ARRAY_LIMIT:
         return normalize_subset(group.encode(c) for c in product(*map(range, sides)))
     axes = np.meshgrid(*(np.arange(s, dtype=np.int64) for s in sides),
                        indexing="ij", sparse=True)
@@ -136,14 +138,17 @@ def product_size(group: ComputableGroup, A, B) -> int:
     consecutive b_d.  On both shipped laws a fixed a maps a run onto one
     interval of the last axis (a_d + b_d on z^d, c + c' + a_1*b_2' on h3),
     so |A*B| is the union length of |A| x runs(B) intervals on mixed-radix
-    int64 keys; duplicate sites only overlap.  Where a coordinate may leave
+    int64 keys; duplicate sites only overlap.  A set with every index in
+    [0, 2**62) is decoded as one array.  Where a coordinate may leave
     +/-2**40 or a key pass 2**62 (near that cap, d >= 2), the generic set
     product answers, raising CoordinateRangeError where A*B leaves the range.
     """
     d = group.dimension
     try:
-        a = np.asarray([group.decode(x) for x in A], dtype=np.int64)
-        b = np.asarray([group.decode(y) for y in B], dtype=np.int64)
+        a, b = (unpack_coords_array(np.array(X, dtype=np.int64), d)
+                if X and 0 <= min(X) and max(X) < INDEX_ARRAY_LIMIT
+                else np.asarray([group.decode(x) for x in X], dtype=np.int64)
+                for X in (list(A), list(B)))
         # both shipped laws are sums and products of coordinates, so the law
         # applied to the per-axis maxima of |a| and |b| bounds every |a*b|
         # coordinate; compose raises CoordinateRangeError past 2**40

@@ -9,7 +9,8 @@ step coordinate tuples with ``steps``, so they decode or pack an index once
 per member rather than once per neighbour.
 
 The enumeration, computed only by :func:`pack_coords` and its inverse
-:func:`unpack_coords`, composes two standard ingredients:
+:func:`unpack_coords`, or by their int64 array forms for indices below
+``INDEX_ARRAY_LIMIT`` = 2**62, composes two standard ingredients:
 
 * zigzag coding per coordinate, sending 0, +1, -1, +2, -2, ... to
   0, 1, 2, 3, 4, ...;
@@ -31,6 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 COORD_LIMIT = 1 << 40
+INDEX_ARRAY_LIMIT = 1 << 62
 
 FiniteSubset = tuple  # sorted, duplicate-free tuple of element indices
 
@@ -55,7 +57,7 @@ def pack_coords(coords: Sequence[int]) -> int:
 def pack_coords_array(coords: Sequence[np.ndarray]) -> np.ndarray:
     """pack_coords over int64 arrays, ``coords[k]`` holding coordinate k and
     all of them broadcasting together.  The caller keeps every index below
-    2**62, which keeps each partial fold and product inside int64."""
+    INDEX_ARRAY_LIMIT, which keeps each partial fold and product inside int64."""
     c = coords[-1]
     acc = np.where(c > 0, 2 * c - 1, -2 * c)
     for c in reversed(coords[:-1]):
@@ -75,6 +77,28 @@ def unpack_coords(index: int, d: int) -> tuple[int, ...]:
         index = y
     out.append((index + 1) // 2 if index & 1 else -(index // 2))
     return tuple(out)
+
+
+def unpack_coords_array(index: np.ndarray, d: int) -> np.ndarray:
+    """unpack_coords over int64 indices in [0, INDEX_ARRAY_LIMIT), one row of
+    the (n, d) result per index.  A float sqrt guesses each Cantor diagonal w;
+    exact triangular numbers correct it by one either way."""
+    out = np.empty((len(index), d), dtype=np.int64)
+    for k in range(d - 1):
+        w = ((np.sqrt(8.0 * index + 1.0) - 1.0) / 2.0).astype(np.int64)
+        w -= _triangle(w) > index
+        w += _triangle(w + 1) <= index
+        index = index - _triangle(w)
+        out[:, k] = w - index
+    out[:, -1] = index
+    # undo the zigzag; arithmetic rather than bit operations keeps the set of
+    # numpy loops small, and each new loop adds code pages to peak RSS
+    return np.where(out % 2 == 1, (out + 1) // 2, out // -2)
+
+
+def _triangle(w: np.ndarray) -> np.ndarray:
+    # w(w+1)/2 with the even factor halved first, so no product passes int64
+    return np.where(w % 2 == 1, w * ((w + 1) // 2), (w // 2) * (w + 1))
 
 
 def _check_range(coords: Iterable[int]) -> None:

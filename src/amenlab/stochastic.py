@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import FiniteSubset
+from .groups import INDEX_ARRAY_LIMIT, FiniteSubset
 from .rng import site_uniforms
 from .symbolic import Alphabet, PartialConfiguration, cont
 
@@ -173,7 +173,7 @@ def _chain(measure: MarkovMeasure, sites, u: np.ndarray, exact) -> np.ndarray:
     ``exact`` holds the sites as uint64, or is None where one does not fit."""
     if not sites:
         raise ValueError("empty window")
-    if exact is None or exact.max() >= 1 << 62:
+    if exact is None or exact.max() >= INDEX_ARRAY_LIMIT:
         g = np.array(sites, dtype=object)  # exact Python ints
         if min(sites) < 0:
             raise ValueError("element indices are naturals")

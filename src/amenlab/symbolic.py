@@ -24,7 +24,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import BudgetExceededError
-from .groups import ComputableGroup, Zd, get_group, normalize_subset
+from .groups import (INDEX_ARRAY_LIMIT, ComputableGroup, Zd, get_group, normalize_subset,
+                     unpack_coords_array)
 from .series import RatePoint
 
 
@@ -279,10 +280,20 @@ def admissible_patterns(sft: SFT, F, budget: int | None = 20_000_000) -> int:
     Uses the exact transfer-matrix route for nearest-neighbor constraints on
     intervals of the line, and the frontier dynamic program of
     :func:`_count_frontier` otherwise.  A count that would take more than
-    ``budget`` work units raises :class:`BudgetExceededError`.
+    ``budget`` work units raises :class:`BudgetExceededError`.  A window with
+    every index in [0, 2**62) is sorted and decoded once as an int64 array.
     """
+    sites = list(F)
+    if sites and 0 <= min(sites) and max(sites) < INDEX_ARRAY_LIMIT:
+        index = np.sort(np.array(sites, dtype=np.int64))
+        index = index[np.concatenate(([True], index[1:] != index[:-1]))]
+        coords = unpack_coords_array(index, sft.group.dimension)
+        if sft.transfer is not None and np.ptp(coords[:, 0]) == len(index) - 1:
+            return transfer_matrix_count(sft, len(index))
+        # lexsort's last key is the primary one, so this is tuple order
+        return _count_frontier(sft, index[np.lexsort(coords.T[::-1])].tolist(), budget)
     decode = sft.group.decode
-    order = sorted(set(F), key=decode)
+    order = sorted(set(sites), key=decode)
     if not order:
         raise ValueError("window must be nonempty")
     if (sft.transfer is not None

@@ -28,6 +28,7 @@ from amenlab.folner import (
 )
 from amenlab.groups import (
     COORD_LIMIT,
+    INDEX_ARRAY_LIMIT,
     CoordinateRangeError,
     get_group,
     is_connected_with_identity,
@@ -292,6 +293,22 @@ def test_product_size_pinned_cases():
         B = {H3.identity, H3.encode((0, 2**e, 0))}
         with pytest.raises(CoordinateRangeError):
             product_size(H3, A, B)
+
+
+def test_product_size_decodes_only_sets_below_2_62_as_arrays(monkeypatch):
+    arrays = []
+    unpack = folner.unpack_coords_array
+    monkeypatch.setattr(folner, "unpack_coords_array",
+                        lambda index, d: arrays.append(index) or unpack(index, d))
+    far = [INDEX_ARRAY_LIMIT, INDEX_ARRAY_LIMIT + 7, (1 << 63) + 5]
+    for group in (Z2, H3):
+        near = [group.encode(c) for c in product(range(-1, 2), repeat=group.dimension)]
+        for A, B in ((near, near), (far + near, near), (near, far), (far, far)):
+            assert (_size_or_range_error(product_size, group, A, B)
+                    == _size_or_range_error(lambda *p: len(set_product(*p)), group, A, B))
+    # each pair decodes its sets below 2**62 as arrays, the rest site by site
+    assert len(arrays) == 2 * 4
+    assert all(a.max() < INDEX_ARRAY_LIMIT for a in arrays)
 
 
 def _box(group, corner, sides):

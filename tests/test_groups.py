@@ -1,11 +1,13 @@
 import hashlib
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from amenlab.groups import (
     COORD_LIMIT,
+    INDEX_ARRAY_LIMIT,
     CoordinateRangeError,
     Heisenberg,
     Zd,
@@ -19,6 +21,7 @@ from amenlab.groups import (
     translate_left,
     translate_right,
     unpack_coords,
+    unpack_coords_array,
 )
 from amenlab.rng import SplitMix64
 
@@ -91,6 +94,32 @@ def test_pack_coords_array_matches_scalar_below_2_62():
                 tuples.append(c)
         coords = np.array(tuples, dtype=np.int64).T
         assert pack_coords_array(coords).tolist() == [pack_coords(c) for c in tuples]
+
+
+def test_unpack_coords_array_pinned():
+    # random indices, both ends of [0, 2**62) and the triangular numbers near
+    # the top, where the float guess of the Cantor diagonal is most often off
+    rng = SplitMix64(20261020)
+    top = isqrt(2 * INDEX_ARRAY_LIMIT)
+    triangles = [w * (w + 1) // 2 for w in range(top - 40, top + 2)]
+    edges = [0, 1, INDEX_ARRAY_LIMIT - 1] + [t + e for t in triangles for e in (-1, 0, 1)]
+    for d in range(1, 6):
+        index = [rng.randrange(INDEX_ARRAY_LIMIT) for _ in range(3000)]
+        index += [g for g in edges if 0 <= g < INDEX_ARRAY_LIMIT]
+        array = np.array(index, dtype=np.int64)
+        coords = unpack_coords_array(array, d)
+        assert coords.shape == (len(index), d)
+        assert coords.tolist() == [list(unpack_coords(g, d)) for g in index]
+        assert pack_coords_array(list(coords.T)).tolist() == index
+
+
+def test_index_at_the_array_limit_stays_exact():
+    # INDEX_ARRAY_LIMIT itself is past the array form's range; the scalar
+    # codec decodes it and packs it back
+    for d in range(1, 6):
+        coords = get_group("z" if d == 1 else f"z{d}").decode(INDEX_ARRAY_LIMIT)
+        assert coords == unpack_coords(INDEX_ARRAY_LIMIT, d)
+        assert pack_coords(coords) == INDEX_ARRAY_LIMIT
 
 
 def test_identity_is_index_zero():

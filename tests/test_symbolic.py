@@ -1,12 +1,14 @@
 import math
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from amenlab.errors import BudgetExceededError
 from amenlab.folner import builtin_families
-from amenlab.groups import get_group
+from amenlab import symbolic
+from amenlab.groups import INDEX_ARRAY_LIMIT, get_group
 from amenlab.symbolic import (
     Alphabet,
     CellularMap,
@@ -329,6 +331,56 @@ def test_windows_are_normalized_sets():
         list(iter_admissible(sft, [-1]))
     with pytest.raises(ValueError):
         list(iter_admissible(sft, []))
+
+
+def _box_at(group, corner, side):
+    return [group.encode(tuple(c + o for c, o in zip(corner, off)))
+            for off in product(range(side), repeat=group.dimension)]
+
+
+def test_counts_past_the_int64_index_range_are_exact(monkeypatch):
+    """The 3x3 hard-squares box at the origin and translated where its
+    indices straddle 2**62, lie in [2**62, 2**63), straddle 2**63 and pass
+    2**63: every window past 2**62 is counted on the exact path."""
+    sft = hard_squares_sft()
+    arrays = []
+    unpack = symbolic.unpack_coords_array
+    monkeypatch.setattr(symbolic, "unpack_coords_array",
+                        lambda index, d: arrays.append(index) or unpack(index, d))
+    corners = [(0, 0), (759250124, 759250124), (2**30 - 8, 2**30 - 8), (2**30, 2**30),
+               (2**31, 2**31), (2**33, 0)]
+    windows = [_box_at(Z2, c, 3) for c in corners]
+    windows.append(_box_at(Z2, Z2.decode(INDEX_ARRAY_LIMIT), 3))
+    assert INDEX_ARRAY_LIMIT in windows[-1]
+    for F in windows:
+        assert admissible_patterns(sft, F) == 63
+        assert admissible_patterns(sft, F[::-1] + F[:4]) == 63
+        assert admissible_patterns(sft, iter(F)) == 63
+        assert admissible_patterns(sft, frozenset(F)) == 63
+        with pytest.raises(ValueError, match="element indices are naturals"):
+            admissible_patterns(sft, F + [-1])
+    # only the origin box takes the array path, once per accepted form
+    assert len(arrays) == 4
+    assert all(a.max() < INDEX_ARRAY_LIMIT for a in arrays)
+
+
+@pytest.mark.parametrize("group", [Z2, get_group("h3")], ids=["z2", "h3"])
+def test_frontier_order_is_coordinate_tuple_order(monkeypatch, group):
+    x = group.encode((1,) + (0,) * (group.dimension - 1))
+    sft = SFT(group, binary_alphabet(), (PartialConfiguration({0: "1", x: "1"}),))
+    orders = []
+    frontier = symbolic._count_frontier
+    monkeypatch.setattr(symbolic, "_count_frontier",
+                        lambda sft, order, budget: orders.append(order) or frontier(sft, order, budget))
+    rng = random.Random(20261019)
+    for _ in range(20):
+        F = [group.encode(tuple(rng.randrange(-4, 5) for _ in range(group.dimension)))
+             for _ in range(rng.randrange(1, 12))]
+        F += F[: rng.randrange(len(F) + 1)]
+        admissible_patterns(sft, F)
+        assert orders[-1] == sorted(set(F), key=group.decode)
+        assert all(type(g) is int for g in orders[-1])
+    assert len(orders) == 20
 
 
 def test_parse_sft_rejects_an_element_named_twice():
