@@ -55,6 +55,8 @@ def selfdelim_length(n: int) -> int:
 
 
 def selfdelim_read(bits: str, pos: int) -> tuple[int, int]:
+    """Read one framed integer starting at pos; returns (n, end).  Slices
+    each input bit at most once, two at a time."""
     digits = []
     while True:
         pair = bits[pos:pos + 2]
@@ -206,9 +208,10 @@ def freq_length(alphabet: Alphabet, w: str) -> int:
 def freq_read(alphabet: Alphabet, bits: str, pos: int) -> tuple[str, int]:
     """Decode one frequency-coder stream starting at pos; returns (word, end).
 
-    Work is linear in the bits read, times a factor fixed by FREQ_BLOCK:
-    each block reads at least 2 bits per letter of the alphabet, and one
-    declaring more than FREQ_BLOCK symbols is refused before any big-integer work.
+    Slices each input bit at most once.  Work is linear in the bits read,
+    times a factor fixed by FREQ_BLOCK: each block reads at least 2 bits per
+    letter of the alphabet, and one declaring more than FREQ_BLOCK symbols
+    is refused before any big-integer work.
     """
     out = []
     while True:
@@ -285,7 +288,8 @@ def lz78_decode(alphabet: Alphabet, bits: str) -> str:
     The tokens are parsed as (back-reference, literal) pairs with phrase
     lengths only, and the phrase strings are built once the stream is
     accepted.  A forged header cannot make the parse build long phrases, so
-    the work is O(bits) before the stream is accepted, then O(output).
+    the work is O(bits) before the stream is accepted, then O(output).  Each
+    input bit is sliced at most once.
     """
     total, pos = selfdelim_read(bits, 0)
     if total < 1:
@@ -345,7 +349,8 @@ def lz78_decode(alphabet: Alphabet, bits: str) -> str:
 
 def repair_encode(alphabet: Alphabet, base: str, target: str) -> str:
     """Code for ``target`` given ``base``: frequency-coded difference bitmap
-    plus the substitute letters packed as one base-|A| integer."""
+    plus the substitute letters packed as one base-|A| integer, built one
+    digit per flip on about flips*log2|A| bits, so in O(flips**2)."""
     if len(base) != len(target):
         raise ValueError("base and target must have equal length")
     if not base:
@@ -369,6 +374,10 @@ def repair_encode(alphabet: Alphabet, base: str, target: str) -> str:
 
 
 def repair_decode(alphabet: Alphabet, base: str, bits: str) -> str:
+    """Inverse of :func:`repair_encode` for this base.  Slices each input bit
+    at most once, refuses a bitmap whose length differs from ``base`` before
+    |A|**flips is computed, and peels one base-|A| digit per flip off about
+    flips*log2|A| bits, so unpacking the substitutes is O(flips**2)."""
     bitmap, pos = freq_read(binary_alphabet(), bits, 0)
     if len(bitmap) != len(base):
         raise CoderDecodeError("difference bitmap length mismatch")
@@ -419,6 +428,7 @@ def tuple_pack(parts: list[str]) -> str:
 
 
 def tuple_unpack(bits: str, k: int) -> list[str]:
+    """Inverse of :func:`tuple_pack` for k parts; slices each input bit at most once."""
     if k < 1:
         raise ValueError("k >= 1")
     out = []

@@ -1,10 +1,11 @@
 """Symbolic configurations over a computable group and shift-invariant rules.
 
 A partial configuration assigns alphabet symbols to a finite set of group
-elements.  The group acts on configurations by (g.x)(h) = x(h*g), so the
-support of g.x is supp(x)*g^-1.  Reading a configuration off as a word
-always uses increasing element-index order; every word-level estimator in
-this package consumes exactly that order.
+elements; it is stored as its sorted support and the word read off it in
+increasing element-index order, and every estimator in this package reads
+exactly that word.  The group acts on configurations by (g.x)(h) = x(h*g),
+so the support of g.x is supp(x)*g^-1; the translates of forbidden
+patterns checked during pattern counting follow this convention.
 
 Subshifts of finite type are given by forbidden partial patterns.  Pattern
 counting over a finite window is *local* admissibility: a pattern is
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import log2
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -65,13 +66,13 @@ def binary_alphabet() -> Alphabet:
 
 
 class PartialConfiguration:
-    """Finite-support map from group elements (as indices) to symbols.
+    """Symbols assigned to a finite set of group elements (as indices).
 
-    Stored as the sorted support plus the aligned content word; the map
-    itself is built on the first lookup.
+    Stored and read only as the sorted support plus the aligned content
+    word: ``support[k]`` carries the symbol ``cont(t)[k]``.
     """
 
-    __slots__ = ("_values", "_support", "_word")
+    __slots__ = ("_support", "_word")
 
     def __init__(self, values: Mapping[int, str]):
         pairs = sorted(dict(values).items())
@@ -81,39 +82,21 @@ class PartialConfiguration:
                 raise ValueError(f"symbol {v!r} at element {g} is not one character")
         self._support = tuple(g for g, _ in pairs)
         self._word = "".join(v for _, v in pairs)
-        self._values: dict[int, str] | None = None
 
     @classmethod
     def from_word(cls, support: tuple[int, ...], word: str) -> "PartialConfiguration":
         """The configuration giving support[k] the symbol word[k]; ``support``
         must be sorted and duplicate-free, and as long as ``word``."""
         t = cls.__new__(cls)
-        t._values, t._support, t._word = None, support, word
+        t._support, t._word = support, word
         return t
-
-    def _map(self) -> dict[int, str]:
-        if self._values is None:
-            self._values = dict(zip(self._support, self._word))
-        return self._values
 
     @property
     def support(self) -> tuple[int, ...]:
         return self._support
 
-    def __getitem__(self, g: int) -> str:
-        return self._map()[g]
-
-    def get(self, g: int, default=None):
-        return self._map().get(g, default)
-
-    def __contains__(self, g: int) -> bool:
-        return g in self._map()
-
     def __len__(self) -> int:
         return len(self._support)
-
-    def items(self):
-        return self._map().items()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartialConfiguration):
@@ -132,65 +115,6 @@ class PartialConfiguration:
 def cont(t: PartialConfiguration) -> str:
     """The content word: symbols of t listed in increasing element-index order."""
     return t._word
-
-
-def restrict(source: Callable[[int], str], F: Iterable[int]) -> PartialConfiguration:
-    """Window of a total configuration: evaluate ``source`` on every element of F."""
-    return PartialConfiguration({g: source(g) for g in F})
-
-
-def translate(group: ComputableGroup, g: int, t: PartialConfiguration) -> PartialConfiguration:
-    """The shifted configuration g.t with (g.t)(h) = t(h*g)."""
-    ginv = group.inverse(g)
-    return PartialConfiguration(
-        {group.multiply(s, ginv): v for s, v in t.items()})
-
-
-class CellularMap:
-    """Sliding-window map: output(g) = rule(values of the input at M*g).
-
-    The memory set M is normalized to contain the identity; the rule reads
-    the window word in increasing element-index order of M.  ``rule`` may
-    be a callable or a lookup table over window words.
-    """
-
-    def __init__(self, group: ComputableGroup, memory: Iterable[int],
-                 rule: Callable[[str], str] | Mapping[str, str]):
-        mem = set(memory)
-        mem.add(group.identity)
-        self.group = group
-        self.memory = tuple(sorted(mem))
-        if callable(rule):
-            self._rule = rule
-        else:
-            table = dict(rule)
-            self._rule = lambda w: table[w]
-
-    def rule(self, window_word: str) -> str:
-        return self._rule(window_word)
-
-
-def apply_cellular(cmap: CellularMap, t: PartialConfiguration) -> PartialConfiguration:
-    """Image window of a cellular map.
-
-    The output support is the largest T with M*T inside supp(t); since the
-    identity belongs to M, T is a subset of supp(t).
-    """
-    group = cmap.group
-    supp = t._map()
-    out: dict[int, str] = {}
-    for g in t.support:
-        window = []
-        for m in cmap.memory:
-            s = group.multiply(m, g)
-            v = supp.get(s)
-            if v is None:
-                window = None
-                break
-            window.append(v)
-        if window is not None:
-            out[g] = cmap.rule("".join(window))
-    return PartialConfiguration(out)
 
 
 @dataclass(frozen=True)

@@ -501,6 +501,103 @@ def test_tuple_unpack_arbitrary_bits(bits, k):
     assert tuple_pack(parts) == bits
 
 
+class SlicedBits(str):
+    """A bit string that counts the characters its slices return, the work
+    unit of the decoders: each one reads its input only by slicing it."""
+
+    def __new__(cls, bits):
+        s = super().__new__(cls, bits)
+        s.sliced = 0
+        return s
+
+    def __getitem__(self, key):
+        part = str.__getitem__(self, key)
+        self.sliced += len(part)
+        return part
+
+
+def random_bits(n, seed):
+    rng = SplitMix64(derive(seed, n))
+    return "".join("01"[rng.randrange(2)] for _ in range(n))
+
+
+def mutations(stream, seed, k=6):
+    """A valid stream, then truncations, extensions and single bit flips of it."""
+    yield stream
+    rng = SplitMix64(derive(seed, len(stream)))
+    for _ in range(k):
+        i = rng.randrange(len(stream))
+        yield stream[:i]
+        yield stream + random_bits(1 + rng.randrange(64), seed + i)
+        yield stream[:i] + "10"[int(stream[i])] + stream[i + 1:]
+
+
+def sliced_reading(decode, bits):
+    """Characters sliced from bits while decode runs, rejected or not."""
+    bits = SlicedBits(bits)
+    try:
+        decode(bits)
+    except CoderDecodeError:
+        pass
+    return bits.sliced
+
+
+def work_inputs(alphabet, encode):
+    """Random bits at 64, 1024 and 16384 bits, then valid streams of random
+    words and their mutations."""
+    for seed, n in enumerate((64, 1024, 16384)):
+        yield random_bits(n, seed)
+    for n in (1, 40, 1500):
+        yield from mutations(encode(random_word(alphabet, n, seed=n)), n)
+
+
+def decoder_cases():
+    ab_bits = str.maketrans("ab", "01")
+    yield pytest.param(AB, lambda b: selfdelim_read(b, 0),
+                       lambda w: selfdelim_encode(int(w.translate(ab_bits), 2)) + "0110",
+                       id="selfdelim_read")
+    yield pytest.param(AB, lambda b: tuple_unpack(b, 3),
+                       lambda w: tuple_pack([w.translate(ab_bits)] * 3), id="tuple_unpack")
+    for alphabet in (AB, Alphabet(("a", "b", "c"))):
+        name = "".join(alphabet.symbols)
+        base = random_word(alphabet, 1500, seed=5)
+        yield pytest.param(alphabet, lambda b, a=alphabet: lz78_decode(a, b),
+                           lambda w, a=alphabet: lz78_encode(a, w), id=f"lz78_decode-{name}")
+        yield pytest.param(alphabet, lambda b, a=alphabet: freq_read(a, b, 0),
+                           lambda w, a=alphabet: freq_encode(a, w), id=f"freq_read-{name}")
+        yield pytest.param(alphabet, lambda b, a=alphabet, base=base: repair_decode(a, base, b),
+                           lambda w, a=alphabet, base=base: repair_encode(a, base, (w * 1500)[:1500]),
+                           id=f"repair_decode-{name}")
+
+
+@pytest.mark.parametrize("alphabet, decode, encode", decoder_cases())
+def test_decoder_slices_each_bit_at_most_once(alphabet, decode, encode):
+    for bits in work_inputs(alphabet, encode):
+        assert sliced_reading(decode, bits) <= len(bits)
+
+
+def test_repair_decode_refuses_a_bitmap_of_the_wrong_length_before_sizing_substitutes():
+    reads = []
+
+    class WatchedAlphabet(Alphabet):
+        @property
+        def size(self):
+            reads.append(1)
+            return len(self.symbols)
+
+    watched = WatchedAlphabet(AB.symbols)
+    base = "a" * 4000
+    stream = repair_encode(AB, base, "b" * 4000)  # 4000 flips
+    head = len(freq_encode(binary_alphabet(), "1" * 4000))
+    for wrong in (base[:-1], base + "a", "a"):
+        bits = SlicedBits(stream)
+        with pytest.raises(CoderDecodeError, match="difference bitmap length mismatch"):
+            repair_decode(watched, wrong, bits)
+        # neither |A| ** flips nor the substitution block was touched
+        assert not reads and bits.sliced == head
+    assert repair_decode(watched, base, stream) == "b" * 4000 and reads
+
+
 def test_repair_decode_rejects_substitute_equal_to_base():
     # bitmap "1" flags the only site, and substitute 0 is the base letter "a"
     bits = freq_encode(binary_alphabet(), "1") + "0"

@@ -11,21 +11,17 @@ from amenlab import symbolic
 from amenlab.groups import INDEX_ARRAY_LIMIT, get_group
 from amenlab.symbolic import (
     Alphabet,
-    CellularMap,
     PartialConfiguration,
     SFT,
     admissible_patterns,
-    apply_cellular,
     binary_alphabet,
     cont,
     golden_mean_sft,
     iter_admissible,
     load_sft,
     parse_sft,
-    restrict,
     topological_entropy_estimate,
     transfer_matrix_count,
-    translate,
 )
 
 Z = get_group("z")
@@ -98,10 +94,11 @@ def test_word_backed_configuration_behaves_like_its_dict():
     assert t.support == d.support == support
     assert len(t) == len(d) == 13
     assert t == d and d == t and hash(t) == hash(d) and repr(t) == repr(d)
-    assert [t[g] for g in support] == [d[g] for g in support] == list(word)
-    assert t.get(99) is d.get(99) is None and t.get(support[3]) == "a"
-    assert (99 in t) is (99 in d) is False and support[0] in t
-    assert dict(t.items()) == dict(d.items())
+    tmap, dmap = dict(zip(t.support, cont(t))), dict(zip(d.support, cont(d)))
+    assert [tmap[g] for g in support] == [dmap[g] for g in support] == list(word)
+    assert tmap.get(99) is dmap.get(99) is None and tmap.get(support[3]) == "a"
+    assert (99 in tmap) is (99 in dmap) is False and support[0] in tmap
+    assert tmap == dmap
     assert PartialConfiguration.from_word(support, word) == t
     assert t != PartialConfiguration.from_word(support, "b" + word[1:])
     assert PartialConfiguration.from_word((), "") == PartialConfiguration({})
@@ -112,63 +109,6 @@ def test_configuration_symbols_are_single_characters(values):
     # a longer or empty symbol would misalign the stored word with the support
     with pytest.raises(ValueError, match="is not one character"):
         PartialConfiguration(values)
-
-
-def test_restrict_from_callable():
-    t = restrict(lambda g: "01"[Z.decode(g)[0] % 2], interval(4))
-    assert len(t) == 4
-    # coordinates 0,1,2,3 sit at indices 0,1,3,5, so index order is 0,1,2,3
-    assert cont(t) == "0101"
-
-
-def test_translate_shifts_support():
-    t = PartialConfiguration({zc(0): "a", zc(1): "b"})
-    s = translate(Z, zc(1), t)
-    assert sorted(Z.decode(g)[0] for g in s.support) == [-1, 0]
-    assert s[zc(-1)] == "a"
-    assert s[zc(0)] == "b"
-    # word order follows element indices: 0 before -1
-    assert cont(s) == "ba"
-
-
-def test_translate_round_trip():
-    t = PartialConfiguration({zc(k): "ab"[k % 2] for k in range(5)})
-    g = zc(3)
-    back = translate(Z, Z.inverse(g), translate(Z, g, t))
-    assert back == t
-
-
-def test_cellular_xor():
-    table = {"00": "0", "01": "1", "10": "1", "11": "0"}
-    cmap = CellularMap(Z, [zc(0), zc(1)], table)
-    t = PartialConfiguration({zc(k): "01101"[k] for k in range(5)})
-    out = apply_cellular(cmap, t)
-    assert sorted(Z.decode(g)[0] for g in out.support) == [0, 1, 2, 3]
-    words = {Z.decode(g)[0]: v for g, v in out.items()}
-    assert [words[k] for k in range(4)] == ["1", "0", "1", "1"]
-
-
-def test_cellular_memory_normalized_to_contain_identity():
-    cmap = CellularMap(Z, [zc(1)], {"00": "0", "01": "1", "10": "1", "11": "0"})
-    assert Z.identity in cmap.memory
-
-
-def test_cellular_commutes_with_translation():
-    table = {"00": "0", "01": "1", "10": "1", "11": "0"}
-    cmap = CellularMap(Z, [zc(0), zc(1)], table)
-
-    def source(g):
-        return "01" [Z.decode(g)[0] % 2]
-
-    g = zc(2)
-    window = [zc(k) for k in range(-3, 6)]
-    t = restrict(source, window)
-    left = translate(Z, g, apply_cellular(cmap, t))
-    right = apply_cellular(cmap, translate(Z, g, t))
-    # compare on the common support
-    common = set(left.support) & set(right.support)
-    assert common
-    assert all(left[h] == right[h] for h in common)
 
 
 # -- SFT counting ------------------------------------------------------------
