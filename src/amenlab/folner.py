@@ -33,7 +33,6 @@ from .groups import (
     set_product,
     subset_from_mask,
     translate_left,
-    unpack_coords_array,
 )
 from .setcodec import EncodingDomainError, encode_connected
 from .symbolic import binary_alphabet
@@ -138,17 +137,13 @@ def product_size(group: ComputableGroup, A, B) -> int:
     consecutive b_d.  On both shipped laws a fixed a maps a run onto one
     interval of the last axis (a_d + b_d on z^d, c + c' + a_1*b_2' on h3),
     so |A*B| is the union length of |A| x runs(B) intervals on mixed-radix
-    int64 keys; duplicate sites only overlap.  A set with every index in
-    [0, 2**62) is decoded as one array.  Where a coordinate may leave
+    int64 keys; duplicate sites only overlap.  Where a coordinate may leave
     +/-2**40 or a key pass 2**62 (near that cap, d >= 2), the generic set
     product answers, raising CoordinateRangeError where A*B leaves the range.
     """
     d = group.dimension
     try:
-        a, b = (unpack_coords_array(np.array(X, dtype=np.int64), d)
-                if X and 0 <= min(X) and max(X) < INDEX_ARRAY_LIMIT
-                else np.asarray([group.decode(x) for x in X], dtype=np.int64)
-                for X in (list(A), list(B)))
+        a, b = group.decode_array(A), group.decode_array(B)
         # both shipped laws are sums and products of coordinates, so the law
         # applied to the per-axis maxima of |a| and |b| bounds every |a*b|
         # coordinate; compose raises CoordinateRangeError past 2**40
@@ -182,10 +177,13 @@ def _abs_max(coords) -> tuple[int, ...]:
 def temperedness_witnesses(seq: FolnerSequence, upto: int):
     """Yield (i, |F_i|, K_i) for every index i past the first, where K_i is the
     least witness K with |U_{j<i'} F_j^-1 F_i'| <= K |F_i'| for all i' <= i.
+    Raises ValueError, on the first step, unless ``upto`` passes the first index.
 
     Uses U_j (F_j^-1 F_i) = (U_j F_j^-1) F_i, so the growing union is
     maintained once instead of per pair.
     """
+    if upto <= seq.start:
+        raise ValueError("need at least two indices to witness temperedness")
     group = seq.group
     inv_union: set[int] = set()
     best = Fraction(0)
@@ -199,8 +197,6 @@ def temperedness_witnesses(seq: FolnerSequence, upto: int):
 
 def temperedness_constant(seq: FolnerSequence, upto: int) -> Fraction:
     """Least witness K with |U_{j<i} F_j^-1 F_i| <= K |F_i| on the prefix."""
-    if upto <= seq.start:
-        raise ValueError("need at least two indices to witness temperedness")
     return max(c for _, _, c in temperedness_witnesses(seq, upto))
 
 

@@ -19,7 +19,8 @@ The enumeration, computed only by :func:`pack_coords` and its inverse
 
 Coordinates are reliable up to +/- 2**40; arithmetic leaving that range
 raises :class:`CoordinateRangeError` instead of returning an element of a
-different group than the caller asked for.
+different group than the caller asked for.  A window becomes coordinates
+only through :meth:`ComputableGroup.decode_array`.
 """
 
 from __future__ import annotations
@@ -150,6 +151,20 @@ class ComputableGroup:
         if g < 0:
             raise ValueError("element indices are naturals")
         return unpack_coords(g, self.dimension)
+
+    def decode_array(self, F: Iterable[int]) -> np.ndarray:
+        """The (n, d) int64 coordinate rows of F, in F's order: one array decode
+        when every index is in [0, INDEX_ARRAY_LIMIT), else ``decode`` per site
+        (ValueError on a negative index).  A coordinate past int64 raises
+        CoordinateRangeError; it never wraps or becomes a float."""
+        sites = F if isinstance(F, (list, tuple)) else list(F)
+        if sites and 0 <= min(sites) and max(sites) < INDEX_ARRAY_LIMIT:
+            return unpack_coords_array(np.array(sites, dtype=np.int64), self.dimension)
+        rows = [self.decode(g) for g in sites]
+        try:
+            return np.array(rows, dtype=np.int64).reshape(len(rows), self.dimension)
+        except OverflowError:
+            raise CoordinateRangeError("a window coordinate does not fit int64") from None
 
     def encode(self, coords: Sequence[int]) -> int:
         if len(coords) != self.dimension:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import INDEX_ARRAY_LIMIT, FiniteSubset
+from .groups import FiniteSubset, get_group
 from .rng import site_uniforms
 from .symbolic import Alphabet, PartialConfiguration, cont
 
@@ -144,7 +144,6 @@ def sample(measure, F: FiniteSubset, seed: int) -> PartialConfiguration:
     try:
         exact = np.fromiter(sites, np.uint64, n)
     except OverflowError:  # an index past 2**64 (coordinates near 2**40 on z2, h3) or below 0
-        exact = None
         increasing = all(map(lt, sites, islice(sites, 1, None)))
         u = site_uniforms(seed, np.fromiter((g % (1 << 64) for g in sites), np.uint64, n))
     else:
@@ -155,7 +154,7 @@ def sample(measure, F: FiniteSubset, seed: int) -> PartialConfiguration:
     if isinstance(measure, BernoulliMeasure):
         states = np.minimum(np.searchsorted(_cdf(measure.p), u, side="right"), last)
     else:
-        states = _chain(measure, sites, u, exact)
+        states = _chain(measure, sites, u)
     word = np.array(sym, dtype="<U1")[states].tobytes().decode("utf-32-le")
     if increasing:
         return PartialConfiguration.from_word(sites, word)
@@ -167,21 +166,14 @@ def _cdf(p) -> np.ndarray:
     return np.array(list(accumulate(map(float, p))))
 
 
-def _chain(measure: MarkovMeasure, sites, u: np.ndarray, exact) -> np.ndarray:
+def _chain(measure: MarkovMeasure, sites, u: np.ndarray) -> np.ndarray:
     """Markov states of the sites of an interval of the line, aligned with
-    ``sites``; the chain runs in coordinate order from the smallest one.
-    ``exact`` holds the sites as uint64, or is None where one does not fit."""
+    ``sites``; the chain runs in coordinate order from the smallest one."""
     if not sites:
         raise ValueError("empty window")
-    if exact is None or exact.max() >= INDEX_ARRAY_LIMIT:
-        g = np.array(sites, dtype=object)  # exact Python ints
-        if min(sites) < 0:
-            raise ValueError("element indices are naturals")
-    else:
-        g = exact.astype(np.int64)
-    coord = np.where(g & 1, (g + 1) // 2, -(g // 2))  # the line's zigzag decode
+    coord = get_group("z").decode_array(sites)[:, 0]
     order = np.argsort(coord, kind="stable")
-    if coord[order[-1]] - coord[order[0]] + 1 != len(sites):
+    if int(coord[order[-1]]) - int(coord[order[0]]) + 1 != len(sites):
         raise ValueError("Markov sampling needs an interval of the line")
     last = measure.alphabet.size - 1
     u = u[order]

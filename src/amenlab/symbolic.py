@@ -25,8 +25,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import BudgetExceededError
-from .groups import (INDEX_ARRAY_LIMIT, ComputableGroup, Zd, get_group, normalize_subset,
-                     unpack_coords_array)
+from .groups import ComputableGroup, Zd, get_group, normalize_subset
 from .series import RatePoint
 
 
@@ -122,8 +121,9 @@ class SFT:
     """Subshift of finite type: forbidden finite patterns over an alphabet.
 
     Construction prepares the patterns for counting once.  ``patterns``
-    holds, per forbidden pattern, its sites right-multiplied by the inverse
-    of its first site, and its symbol indices.  ``transfer`` is None unless
+    holds, per forbidden pattern, the coordinate offsets of its sites (each
+    site composed with the inverse of its first site, so the first offset
+    is the identity) and its symbol indices.  ``transfer`` is None unless
     the subshift is nearest-neighbour on the line (one-site bans and bans on
     two adjacent sites only); then row 0 marks the symbols a first site may
     take and row 1 + a the symbols that may follow a.
@@ -136,26 +136,28 @@ class SFT:
     transfer: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        group = self.group
         patterns = []
         for p in self.forbidden:
             if len(p) == 0:
                 raise ValueError("forbidden patterns must have nonempty support")
             syms = tuple(map(self.alphabet.index, cont(p)))
-            anchor_inv = self.group.inverse(p.support[0])
-            patterns.append((tuple(self.group.multiply(m, anchor_inv) for m in p.support), syms))
+            anchor_inv = group.decode(group.inverse(p.support[0]))  # range-checked
+            offsets = (group.compose(c, anchor_inv) for c in map(group.decode, p.support))
+            patterns.append((tuple(offsets), syms))
         object.__setattr__(self, "patterns", tuple(patterns))
-        object.__setattr__(self, "transfer", _transfer(self.group, self.alphabet.size, patterns))
+        object.__setattr__(self, "transfer", _transfer(group, self.alphabet.size, patterns))
 
 
 def _transfer(group: ComputableGroup, size: int, patterns) -> np.ndarray | None:
     if not isinstance(group, Zd) or group.dimension != 1:
         return None
     T = np.ones((size + 1, size), dtype=object)  # exact Python ints
-    for sites, syms in patterns:
-        if len(sites) == 1:
+    for offsets, syms in patterns:
+        if len(offsets) == 1:
             T[:, syms[0]] = 0
-        elif len(sites) == 2 and group.decode(sites[1]) in ((1,), (-1,)):
-            a, b = syms if group.decode(sites[1]) == (1,) else syms[::-1]
+        elif len(offsets) == 2 and offsets[1] in ((1,), (-1,)):
+            a, b = syms if offsets[1] == (1,) else syms[::-1]
             T[1 + a, b] = 0
         else:
             return None
@@ -171,17 +173,17 @@ def golden_mean_sft() -> SFT:
 
 # -- pattern counting -------------------------------------------------------
 
-def _constraint_instances(sft: SFT, order: list[int]) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Forbidden-pattern occurrences inside the window, grouped by the
-    position (in assignment order) at which they become fully determined;
-    the occurrence whose first site is f is kept when every prepared site
-    times f is inside."""
-    multiply = sft.group.multiply
-    pos_of = {g: k for k, g in enumerate(order)}
+def _constraint_instances(sft: SFT, order: list[tuple[int, ...]]) -> list[list[tuple]]:
+    """Forbidden-pattern occurrences inside the window, given by the
+    coordinates of its sites in assignment order, grouped by the position
+    at which they become fully determined; the occurrence whose first site
+    is f is kept when every prepared offset times f is inside."""
+    compose = sft.group.compose
+    pos_of = {c: k for k, c in enumerate(order)}
     grouped: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in order]
-    for sites, syms in sft.patterns:
+    for offsets, syms in sft.patterns:
         for f in order:
-            positions = tuple(pos_of.get(multiply(m, f)) for m in sites)
+            positions = tuple(pos_of.get(compose(m, f)) for m in offsets)
             if None not in positions:
                 grouped[max(positions)].append((positions, syms))
     return grouped
@@ -201,33 +203,28 @@ def transfer_matrix_count(sft: SFT, length: int) -> int:
 def admissible_patterns(sft: SFT, F, budget: int | None = 20_000_000) -> int:
     """Number of locally admissible patterns on the window F.
 
-    Uses the exact transfer-matrix route for nearest-neighbor constraints on
-    intervals of the line, and the frontier dynamic program of
-    :func:`_count_frontier` otherwise.  A count that would take more than
-    ``budget`` work units raises :class:`BudgetExceededError`.  A window with
-    every index in [0, 2**62) is sorted and decoded once as an int64 array.
+    The window is decoded once.  Uses the exact transfer-matrix route for
+    nearest-neighbor constraints on intervals of the line, and the frontier
+    dynamic program of :func:`_count_frontier` otherwise.  A count that would
+    take more than ``budget`` work units raises :class:`BudgetExceededError`.
     """
-    sites = list(F)
-    if sites and 0 <= min(sites) and max(sites) < INDEX_ARRAY_LIMIT:
-        index = np.sort(np.array(sites, dtype=np.int64))
-        index = index[np.concatenate(([True], index[1:] != index[:-1]))]
-        coords = unpack_coords_array(index, sft.group.dimension)
-        if sft.transfer is not None and np.ptp(coords[:, 0]) == len(index) - 1:
-            return transfer_matrix_count(sft, len(index))
-        # lexsort's last key is the primary one, so this is tuple order
-        return _count_frontier(sft, index[np.lexsort(coords.T[::-1])].tolist(), budget)
-    decode = sft.group.decode
-    order = sorted(set(sites), key=decode)
-    if not order:
+    coords = sft.group.decode_array(F)
+    if not len(coords):
         raise ValueError("window must be nonempty")
-    if (sft.transfer is not None
-            and decode(order[-1])[0] - decode(order[0])[0] == len(order) - 1):
-        return transfer_matrix_count(sft, len(order))
-    return _count_frontier(sft, order, budget)
+    # lexsort's last key is the primary one, so this is tuple order
+    coords = coords[np.lexsort(coords.T[::-1])]
+    new = coords[1:, 0] != coords[:-1, 0]  # per column: np.any(axis=1) maps more numpy code
+    for k in range(1, coords.shape[1]):
+        new |= coords[1:, k] != coords[:-1, k]
+    coords = coords[np.concatenate(([True], new))]
+    if sft.transfer is not None and int(coords[-1, 0]) - int(coords[0, 0]) == len(coords) - 1:
+        return transfer_matrix_count(sft, len(coords))
+    return _count_frontier(sft, list(map(tuple, coords.tolist())), budget)
 
 
-def _count_frontier(sft: SFT, order: list[int], budget: int | None) -> int:
-    """Exact pattern count by a dynamic program that assigns sites in ``order``.
+def _count_frontier(sft: SFT, order: list[tuple[int, ...]], budget: int | None) -> int:
+    """Exact pattern count by a dynamic program that assigns the sites, given
+    as distinct coordinate tuples, in ``order``.
 
     A state is the tuple of symbols on the live sites: assigned sites that
     belong to a constraint instance not yet fully assigned.  Each step
@@ -273,7 +270,7 @@ def iter_admissible(sft: SFT, F, budget: int | None = 1_000_000) -> Iterator[Par
     order = normalize_subset(F)
     if not order:
         raise ValueError("window must be nonempty")
-    grouped = _constraint_instances(sft, order)
+    grouped = _constraint_instances(sft, list(map(sft.group.decode, order)))
     syms = sft.alphabet.symbols
     n = len(order)
     trial = [0]  # symbol index tried at each assigned depth

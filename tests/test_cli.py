@@ -63,6 +63,16 @@ def test_folner_tempered_every_row_is_its_prefix_constant(tmp_path, group, upto)
             len(seq.subset(int(i))), c.numerator, c.denominator)
 
 
+@pytest.mark.parametrize("family,upto", [("dyadic", 0), ("boxes", 1)])
+def test_folner_tempered_refuses_a_single_index(tmp_path, capsys, family, upto):
+    out = tmp_path / "temp.csv"
+    assert main(["folner", "tempered", "--group", "z", "--family", family,
+                 "--upto", str(upto), "--out", str(out)]) == 2
+    assert ("error: need at least two indices to witness temperedness"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,rows,built", [
     (["folner", "defect", "--group", "z2", "--upto", "32"], 32, 32),
     (["folner", "tempered", "--group", "z", "--family", "dyadic", "--upto", "12"], 12, 13),

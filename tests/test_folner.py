@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from amenlab import folner
+from amenlab import folner, groups
 from amenlab.errors import BudgetExceededError
 from amenlab.folner import (
     DefectReport,
@@ -297,8 +297,8 @@ def test_product_size_pinned_cases():
 
 def test_product_size_decodes_only_sets_below_2_62_as_arrays(monkeypatch):
     arrays = []
-    unpack = folner.unpack_coords_array
-    monkeypatch.setattr(folner, "unpack_coords_array",
+    unpack = groups.unpack_coords_array
+    monkeypatch.setattr(groups, "unpack_coords_array",
                         lambda index, d: arrays.append(index) or unpack(index, d))
     far = [INDEX_ARRAY_LIMIT, INDEX_ARRAY_LIMIT + 7, (1 << 63) + 5]
     for group in (Z2, H3):

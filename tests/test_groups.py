@@ -23,7 +23,10 @@ from amenlab.groups import (
     unpack_coords,
     unpack_coords_array,
 )
+from amenlab.folner import product_size
 from amenlab.rng import SplitMix64
+from amenlab.stochastic import parse_measure, sample
+from amenlab.symbolic import admissible_patterns, golden_mean_sft
 
 
 def test_zigzag_enumeration_prefix():
@@ -111,6 +114,52 @@ def test_unpack_coords_array_pinned():
         assert coords.shape == (len(index), d)
         assert coords.tolist() == [list(unpack_coords(g, d)) for g in index]
         assert pack_coords_array(list(coords.T)).tolist() == index
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "h3"])
+def test_decode_array_contract(name):
+    group = get_group(name)
+    d = group.dimension
+
+    def rows(F):
+        return [list(unpack_coords(g, d)) for g in F]
+
+    # F's order and its repeats are kept, for every kind of iterable
+    F = [5, 0, 5, 3, 0, 12]
+    for form in (F, tuple(F), iter(F)):
+        got = group.decode_array(form)
+        assert got.dtype == np.int64 and got.shape == (len(F), d)
+        assert got.tolist() == rows(F)
+    # windows straddling 2**62 and 2**63 decode exactly, still as int64
+    L = INDEX_ARRAY_LIMIT
+    for F in ([L - 2, L, 7, L - 1, L + 1, 7], [3, (1 << 63) + 5, L - 1], [L, L + 9]):
+        got = group.decode_array(F)
+        assert got.dtype == np.int64 and got.tolist() == rows(F)
+    empty = group.decode_array([])
+    assert empty.shape == (0, d) and empty.dtype == np.int64
+    for F in ([0, -1, 2], [L + 1, -1]):
+        with pytest.raises(ValueError, match="element indices are naturals"):
+            group.decode_array(F)
+    # int64's own ends still fit; one past either end is refused, not wrapped
+    # or turned into a float
+    ends = [pack_coords((c,) + (0,) * (d - 1)) for c in (2**63 - 1, -2**63)]
+    assert group.decode_array(ends)[:, 0].tolist() == [2**63 - 1, -2**63]
+    for c in (2**63, -2**63 - 1):
+        with pytest.raises(CoordinateRangeError):
+            group.decode_array([0, pack_coords((0,) * (d - 1) + (c,))])
+
+
+def test_windows_past_int64_coordinates_raise_on_every_route():
+    # a golden interval of the line at 2**70, far past the documented
+    # +/-2**40: counting, Markov sampling and product sizes all refuse it
+    z = get_group("z")
+    F = tuple(pack_coords((2**70 + k,)) for k in range(5))
+    with pytest.raises(CoordinateRangeError):
+        admissible_patterns(golden_mean_sft(), F)
+    with pytest.raises(CoordinateRangeError):
+        sample(parse_measure("markov:[[0.5,0.5],[1,0]]"), F, 1)
+    with pytest.raises(CoordinateRangeError):
+        product_size(z, F, F)
 
 
 def test_index_at_the_array_limit_stays_exact():

@@ -7,7 +7,7 @@ import pytest
 
 from amenlab.errors import BudgetExceededError
 from amenlab.folner import builtin_families
-from amenlab import symbolic
+from amenlab import groups, symbolic
 from amenlab.groups import INDEX_ARRAY_LIMIT, get_group
 from amenlab.symbolic import (
     Alphabet,
@@ -125,7 +125,8 @@ def test_transfer_matches_backtracking():
     for n in range(1, 13):
         # force the generic route by passing a non-interval ordering is not
         # possible (the window is an interval); call the internal DP route
-        assert transfer_matrix_count(sft, n) == _count_frontier(sft, sorted(interval(n)), None)
+        order = [Z.decode(g) for g in sorted(interval(n))]
+        assert transfer_matrix_count(sft, n) == _count_frontier(sft, order, None)
     # random nearest-neighbour rules: single-site bans and adjacent pairs,
     # listed with either site first and placed near 0 or far from it
     rng = random.Random(1995)
@@ -142,7 +143,7 @@ def test_transfer_matches_backtracking():
         for n in range(1, 9):
             brute = sum(1 for _ in iter_admissible(sft, interval(n), budget=None))
             assert transfer_matrix_count(sft, n) == brute, (case, n)
-            assert _count_frontier(sft, sorted(interval(n), key=Z.decode), None) == brute
+            assert _count_frontier(sft, sorted(map(Z.decode, interval(n))), None) == brute
 
 
 @pytest.mark.parametrize("sft", [
@@ -167,10 +168,11 @@ def test_transfer_count_rejects_empty_interval():
 
 
 def test_counts_read_the_prepared_patterns(monkeypatch):
-    # the patterns are re-anchored and their symbols indexed once, when the
-    # SFT is built; a count makes no inverse and no alphabet lookup
+    # the patterns are re-anchored as coordinate offsets and their symbols
+    # indexed once, when the SFT is built; a count makes no inverse, no
+    # alphabet lookup, and no index product, decode or pack
     sft = hard_squares_sft()
-    boxes = builtin_families(Z2)["boxes"]
+    windows = [builtin_families(Z2)["boxes"].subset(i) for i in range(1, 6)]
     calls = []
 
     def counted(name, fn):
@@ -181,7 +183,10 @@ def test_counts_read_the_prepared_patterns(monkeypatch):
 
     monkeypatch.setattr(type(Z2), "inverse", counted("inverse", type(Z2).inverse))
     monkeypatch.setattr(Alphabet, "index", counted("index", Alphabet.index))
-    counts = [admissible_patterns(sft, boxes.subset(i)) for i in range(1, 6)]
+    monkeypatch.setattr(type(Z2), "multiply", counted("multiply", type(Z2).multiply))
+    monkeypatch.setattr(type(Z2), "decode", counted("decode", type(Z2).decode))
+    monkeypatch.setattr(groups, "pack_coords", counted("pack_coords", groups.pack_coords))
+    counts = [admissible_patterns(sft, F) for F in windows]
     assert counts == [hard_square_count(n, n) for n in range(1, 6)]
     assert calls == []
 
@@ -254,7 +259,7 @@ def test_frontier_count_matches_enumeration_on_random_sfts():
         F = sorted({site(3 if d == 1 else 1) for _ in range(rng.randint(1, 8))})
         brute = sum(1 for _ in iter_admissible(sft, F, budget=None))
         assert admissible_patterns(sft, F, budget=None) == brute, case
-        order = list(F)
+        order = [group.decode(g) for g in F]
         rng.shuffle(order)
         assert _count_frontier(sft, order, None) == brute, case
 
@@ -284,8 +289,8 @@ def test_counts_past_the_int64_index_range_are_exact(monkeypatch):
     2**63: every window past 2**62 is counted on the exact path."""
     sft = hard_squares_sft()
     arrays = []
-    unpack = symbolic.unpack_coords_array
-    monkeypatch.setattr(symbolic, "unpack_coords_array",
+    unpack = groups.unpack_coords_array
+    monkeypatch.setattr(groups, "unpack_coords_array",
                         lambda index, d: arrays.append(index) or unpack(index, d))
     corners = [(0, 0), (759250124, 759250124), (2**30 - 8, 2**30 - 8), (2**30, 2**30),
                (2**31, 2**31), (2**33, 0)]
@@ -318,8 +323,8 @@ def test_frontier_order_is_coordinate_tuple_order(monkeypatch, group):
              for _ in range(rng.randrange(1, 12))]
         F += F[: rng.randrange(len(F) + 1)]
         admissible_patterns(sft, F)
-        assert orders[-1] == sorted(set(F), key=group.decode)
-        assert all(type(g) is int for g in orders[-1])
+        assert orders[-1] == sorted(set(map(group.decode, F)))
+        assert all(type(x) is int for c in orders[-1] for x in c)
     assert len(orders) == 20
 
 
