@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .groups import (
     Heisenberg,
     INDEX_ARRAY_LIMIT,
     decode_subset,
+    _check_range,
     normalize_subset,
     pack_coords,
     pack_coords_array,
@@ -38,14 +39,79 @@ from .setcodec import EncodingDomainError, encode_connected
 from .symbolic import binary_alphabet
 
 
+@dataclass(frozen=True, eq=False)
+class Runs:
+    """A window as disjoint runs: run k is heads[k] + j*e_d for j < lengths[k],
+    e_d the last axis, heads an (r, d) int64 array; every site lies within
+    +/-2**40.  ``len`` counts the sites and iteration yields their indices."""
+
+    heads: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return sum(self.lengths.tolist())
+
+    def __iter__(self):
+        for h, n in zip(self.heads.tolist(), self.lengths.tolist()):
+            yield from (pack_coords((*h[:-1], h[-1] + k)) for k in range(n))
+
+
+def runs_union(*parts: Runs, exact: bool = True) -> Optional[Runs]:
+    """The union of runs, overlapping or not, as disjoint maximal runs in
+    coordinate order, by one argsort of mixed-radix keys that leave a gap
+    after each line.  Keys are int64 below 2**62; past that they are Python
+    ints, or with ``exact=False`` the answer is None."""
+    heads = np.concatenate([p.heads for p in parts])
+    lengths = np.concatenate([p.lengths for p in parts])
+    lo = heads.min(axis=0).tolist()
+    spans = [h - l + 1 for l, h in zip(lo, heads.max(axis=0).tolist())]
+    spans[-1] = int((heads[:, -1] + lengths).max()) - lo[-1] + 1
+    wide = prod(spans) > 1 << 62
+    if wide and not exact:
+        return None
+    key = np.zeros(len(heads), dtype=object if wide else np.int64)
+    for k, span in enumerate(spans):
+        key *= span
+        key += heads[:, k] - lo[k]
+    order = np.argsort(key)
+    start = key[order]
+    reach = np.maximum.accumulate(start + lengths[order])  # the end of all runs so far
+    first = np.flatnonzero(np.concatenate(([True], start[1:] > reach[:-1])))
+    last = np.append(first[1:], len(start)) - 1
+    return Runs(heads[order[first]], np.array(reach[last] - start[first], dtype=np.int64))
+
+
+def runs_of(group: ComputableGroup, F) -> Runs:
+    """The nonempty index set F as Runs, decoded once; a site past
+    +/-2**40 raises CoordinateRangeError."""
+    c = group.decode_array(F)
+    _check_range((int(c.min()), int(c.max())))
+    return runs_union(Runs(c, np.ones(len(c), dtype=np.int64)))
+
+
+def inverse_runs(group: ComputableGroup, runs: Runs) -> Runs:
+    """The inverses of the sites of ``runs``: on both shipped laws the inverse
+    of a run is the run headed by the inverse of its last site.  Heads are
+    inverted in Python ints, and raise where ``inverse`` would on a site."""
+    heads = []
+    for *prefix, last, n in np.column_stack((runs.heads, runs.lengths)).tolist():
+        h = group.invert_coords((*prefix, last + n - 1))
+        _check_range((*h, h[-1] + n - 1))
+        heads.append(h)
+    return Runs(np.array(heads, dtype=np.int64).reshape(-1, group.dimension), runs.lengths)
+
+
 @dataclass(frozen=True)
 class FolnerSequence:
-    """A window family i -> F_i with nonempty members of nondecreasing size."""
+    """A window family i -> F_i with nonempty members of nondecreasing size.
+    ``member_runs``, if given, builds window i as Runs without its index
+    tuple (the box families read them off their sides)."""
 
     group: ComputableGroup
     name: str
     start: int
     member: Callable[[int], FiniteSubset]
+    member_runs: Optional[Callable[[int], Runs]] = None
 
     def subset(self, i: int) -> FiniteSubset:
         if i < self.start:
@@ -54,6 +120,11 @@ class FolnerSequence:
         if not F:
             raise ValueError(f"{self.name} produced an empty member at {i}")
         return F
+
+    def runs(self, i: int) -> Runs:
+        if self.member_runs is None or i < self.start:  # subset(i) validates i
+            return runs_of(self.group, self.subset(i))
+        return self.member_runs(i)
 
     def indices(self, upto: int) -> range:
         if upto < self.start:
@@ -71,12 +142,18 @@ class DefectReport:
     max_defect: Fraction
 
 
-def _box(group: ComputableGroup, n: int) -> FiniteSubset:
-    """The box of side n, built anew on each call; nothing is cached."""
+def _box_sides(group: ComputableGroup, n: int) -> tuple[tuple[int, ...], int]:
+    """The sides of the box of side n and the index of its far corner."""
     sides = (n, n, n * n) if isinstance(group, Heisenberg) else (n,) * group.dimension
     # zigzag and Cantor pairing grow in each nonnegative coordinate, so the
     # far corner holds the largest index; encode range-checks it first
-    if group.encode(tuple(s - 1 for s in sides)) >= INDEX_ARRAY_LIMIT:
+    return sides, group.encode(tuple(s - 1 for s in sides))
+
+
+def _box(group: ComputableGroup, n: int) -> FiniteSubset:
+    """The box of side n, built anew on each call; nothing is cached."""
+    sides, far = _box_sides(group, n)
+    if far >= INDEX_ARRAY_LIMIT:
         return normalize_subset(group.encode(c) for c in product(*map(range, sides)))
     axes = np.meshgrid(*(np.arange(s, dtype=np.int64) for s in sides),
                        indexing="ij", sparse=True)
@@ -85,15 +162,25 @@ def _box(group: ComputableGroup, n: int) -> FiniteSubset:
     return tuple(index.tolist())
 
 
+def _box_runs(group: ComputableGroup, n: int) -> Runs:
+    """The box of side n from its sides alone: n^(d-1) runs of length m."""
+    (*prefix, m), _ = _box_sides(group, n)
+    heads = np.indices((*prefix, 1), dtype=np.int64).reshape(len(prefix) + 1, -1).T
+    return Runs(heads, np.full(len(heads), m, dtype=np.int64))
+
+
 def builtin_families(group: ComputableGroup) -> dict[str, FolnerSequence]:
     """The shipped families: ``boxes`` (side i) and ``dyadic`` (side 2^i).
 
     Boxes are [0,n)^d; the Heisenberg box is [0,n) x [0,n) x [0,n^2), which
-    keeps the vertical extent in step with the commutator growth.
+    keeps the vertical extent in step with the commutator growth.  Both
+    give their runs from the sides (``FolnerSequence.runs``).
     """
     return {
-        "boxes": FolnerSequence(group, "boxes", 1, lambda i: _box(group, i)),
-        "dyadic": FolnerSequence(group, "dyadic", 0, lambda i: _box(group, 1 << i)),
+        "boxes": FolnerSequence(group, "boxes", 1, lambda i: _box(group, i),
+                                lambda i: _box_runs(group, i)),
+        "dyadic": FolnerSequence(group, "dyadic", 0, lambda i: _box(group, 1 << i),
+                                 lambda i: _box_runs(group, 1 << i)),
     }
 
 
@@ -131,47 +218,37 @@ def defect_report(seq: FolnerSequence, i: int) -> DefectReport:
 
 
 def product_size(group: ComputableGroup, A, B) -> int:
-    """|A*B|, exact, in O(|A| x runs(B)) time and memory.
+    """|A*B|, exact, in O(runs(A) x runs(B)) time; A and B are index sets or Runs.
 
-    A run of B is a maximal set of sites sharing b_1..b_{d-1} with
-    consecutive b_d.  On both shipped laws a fixed a maps a run onto one
-    interval of the last axis (a_d + b_d on z^d, c + c' + a_1*b_2' on h3),
-    so |A*B| is the union length of |A| x runs(B) intervals on mixed-radix
-    int64 keys; duplicate sites only overlap.  Where a coordinate may leave
-    +/-2**40 or a key pass 2**62 (near that cap, d >= 2), the generic set
-    product answers, raising CoordinateRangeError where A*B leaves the range.
+    On both shipped laws a run of A (length la) times a run of B (length lb)
+    is the run of length la + lb - 1 headed by the product of the heads (see
+    ``compose_array``).  Run pairs are composed 2**18 at a time and merged at
+    once, so memory follows the union.  The coordinate check bounds both ends
+    of every run; where a product coordinate may leave +/-2**40 or a key pass
+    2**62 (near that cap, d >= 2), the generic set product answers, raising
+    CoordinateRangeError where A*B leaves the range.  Nothing wraps.
     """
-    d = group.dimension
     try:
-        a, b = group.decode_array(A), group.decode_array(B)
+        a, b = (X if isinstance(X, Runs) else runs_of(group, X) for X in (A, B))
         # both shipped laws are sums and products of coordinates, so the law
         # applied to the per-axis maxima of |a| and |b| bounds every |a*b|
         # coordinate; compose raises CoordinateRangeError past 2**40
         group.compose(_abs_max(a), _abs_max(b))
-        b = b[np.lexsort(b.T[::-1])]
-        cut = np.any(b[1:, :-1] != b[:-1, :-1], axis=1) | (np.diff(b[:, -1]) != 1)
-        first = np.flatnonzero(np.concatenate(([True], cut)))
-        heads = group.compose_array(a[:, None, :], b[first][None, :, :]).reshape(-1, d)
+        d, step = group.dimension, max(1, (1 << 18) // len(b.heads))
+        parts = [runs_union(Runs(
+            group.compose_array(a.heads[k:k + step, None], b.heads[None]).reshape(-1, d),
+            (a.lengths[k:k + step, None] + b.lengths - 1).ravel()), exact=False)
+            for k in range(0, len(a.heads), step)]
+        union = None if None in parts else runs_union(*parts, exact=False)
     except (NotImplementedError, ValueError, OverflowError, CoordinateRangeError):
-        return len(set_product(group, A, B))
-    runs = np.diff(first, append=len(b))
-    lo, hi = heads.min(axis=0), heads.max(axis=0)
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-    spans[-1] += int(runs.max()) - 1  # room for the longest run past the last head
-    if prod(spans) > 1 << 62:  # leaves int64 headroom for the fold below
-        return len(set_product(group, A, B))
-    start = heads[:, 0] - lo[0]
-    for k in range(1, d):
-        start *= spans[k]
-        start += heads[:, k] - lo[k]
-    order = np.argsort(start)
-    start, end = start[order], (start + np.tile(runs, len(a)))[order]
-    reach = np.maximum.accumulate(end)  # each interval adds what it reaches past all before it
-    return int((reach - np.maximum(start, np.concatenate((start[:1], reach[:-1])))).sum())
+        union = None
+    return len(set_product(group, A, B) if union is None else union)
 
 
-def _abs_max(coords) -> tuple[int, ...]:
-    return tuple(max(-int(lo), int(hi)) for lo, hi in zip(coords.min(axis=0), coords.max(axis=0)))
+def _abs_max(runs: Runs) -> tuple[int, ...]:
+    lo, hi = runs.heads.min(axis=0), runs.heads.max(axis=0)
+    hi[-1] = (runs.heads[:, -1] + runs.lengths).max() - 1  # the far end of each run
+    return tuple(max(-int(l), int(h)) for l, h in zip(lo, hi))
 
 
 def temperedness_witnesses(seq: FolnerSequence, upto: int):
@@ -180,19 +257,21 @@ def temperedness_witnesses(seq: FolnerSequence, upto: int):
     Raises ValueError, on the first step, unless ``upto`` passes the first index.
 
     Uses U_j (F_j^-1 F_i) = (U_j F_j^-1) F_i, so the growing union is
-    maintained once instead of per pair.
+    maintained once instead of per pair, as disjoint runs merged after each
+    window.  Windows are read by ``seq.runs``: a box family builds none.
     """
     if upto <= seq.start:
         raise ValueError("need at least two indices to witness temperedness")
     group = seq.group
-    inv_union: set[int] = set()
+    inv_union = None
     best = Fraction(0)
     for i in seq.indices(upto):
-        Fi = seq.subset(i)
-        if inv_union:
+        Fi = seq.runs(i)
+        if inv_union is not None:
             best = max(best, Fraction(product_size(group, inv_union, Fi), len(Fi)))
             yield i, len(Fi), best
-        inv_union.update(group.inverse(f) for f in Fi)
+        inv = inverse_runs(group, Fi)
+        inv_union = inv if inv_union is None else runs_union(inv_union, inv)
 
 
 def temperedness_constant(seq: FolnerSequence, upto: int) -> Fraction:
@@ -202,25 +281,12 @@ def temperedness_constant(seq: FolnerSequence, upto: int) -> Fraction:
 
 def modest_search(group: ComputableGroup, i: int, cap: int = 1_000_000) -> FiniteSubset:
     """First finite subset F (bitmask enumeration order) with |F| > i whose
-    defect under every element of index < i stays below 1/(i+1).
-
-    The comparison |gF \\ F| * (i+1) < |F| is exact integer arithmetic.
-    """
+    defect under every element of index < i stays below 1/(i+1), exactly."""
     if i < 0:
         raise ValueError("i must be a natural")
     for mask in range(1, cap + 1):
         F = subset_from_mask(mask)
-        if len(F) <= i:
-            continue
-        Fset = frozenset(F)
-        n = len(Fset)
-        ok = True
-        for g in range(i):
-            shifted = translate_left(group, g, Fset)
-            if (i + 1) * len(shifted - Fset) >= n:
-                ok = False
-                break
-        if ok:
+        if len(F) > i and all(defect(group, F, g) * (i + 1) < 1 for g in range(i)):
             return F
     raise BudgetExceededError(f"modest_search({group.name}, i={i}) hit cap {cap}", work=cap)
 
@@ -229,22 +295,13 @@ def modest_search(group: ComputableGroup, i: int, cap: int = 1_000_000) -> Finit
 
 
 def _delta_bits(F: FiniteSubset) -> int:
-    bits = selfdelim_length(len(F))
-    prev = None
-    for g in F:
-        bits += selfdelim_length(g if prev is None else g - prev)
-        prev = g
-    return bits
+    return selfdelim_length(len(F)) + sum(selfdelim_length(g - p) for p, g in zip((0, *F), F))
 
 
 def _box_bits(group: ComputableGroup, F: FiniteSubset):
-    coords = [group.decode(g) for g in F]
-    lows = [min(c[k] for c in coords) for k in range(group.dimension)]
-    highs = [max(c[k] for c in coords) for k in range(group.dimension)]
-    volume = 1
-    for lo, hi in zip(lows, highs):
-        volume *= hi - lo + 1
-    if volume != len(F):
+    axes = list(zip(*map(group.decode, F)))
+    lows, highs = list(map(min, axes)), list(map(max, axes))
+    if prod(hi - lo + 1 for lo, hi in zip(lows, highs)) != len(F):
         return None
     return sum(
         selfdelim_length(pack_coords((lo,))) + selfdelim_length(hi - lo + 1)
@@ -272,8 +329,7 @@ def description_bits(group: ComputableGroup, F) -> int:
         except EncodingDomainError:
             pass
         else:
-            candidates.append(len(stream))
-            candidates.append(freq_length(binary_alphabet(), stream))
+            candidates += [len(stream), freq_length(binary_alphabet(), stream)]
     return min(candidates)
 
 

@@ -140,8 +140,9 @@ class ComputableGroup:
     def compose_array(self, a, b):
         """Composition on ndarrays of coordinates (last axis), broadcasting.
 
-        Only valid when every product stays inside the coordinate range.
-        folner.product_size relies on a*(b + e_d) == a*b + e_d for the last axis e_d.
+        Only valid when every product stays inside the coordinate range.  Both
+        shipped laws satisfy (a + k*e_d)*(b + m*e_d) = a*b + (k+m)*e_d for the
+        last axis e_d, so a run times a run is a run (``folner.Runs``).
         """
         raise NotImplementedError
 
@@ -323,14 +324,7 @@ def subset_from_mask(mask: int) -> FiniteSubset:
     """Finite subset number ``mask``: element indices at the 1-bits of mask."""
     if mask < 0:
         raise ValueError("mask must be a natural")
-    out = []
-    pos = 0
-    while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
-    return tuple(out)
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def translate_right(group: ComputableGroup, F: Iterable[int], c: int) -> frozenset:

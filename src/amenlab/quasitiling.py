@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
-from .folner import FolnerSequence, product_size
+from .folner import FolnerSequence, product_size, runs_of, runs_union
 from .groups import translate_right
 
 DEFAULT_HORIZON = 64
@@ -104,13 +104,12 @@ def scale_count(eps) -> int:
 
 
 def _invariance_defect(seq: FolnerSequence, K_index: int, F_index: int) -> Fraction:
-    """|F_K * F_F \\ F_F| / |F_F|, exact."""
+    """|F_K * F_F \\ F_F| / |F_F|, exact, from the runs of both windows."""
     group = seq.group
-    K = seq.subset(K_index)
-    F = seq.subset(F_index)
-    # (K u {1})F = KF u F, so |KF \ F| = |(K u {1})F| - |F|
-    if group.identity not in K:
-        K = (group.identity, *K)
+    # (K u {1})F = KF u F, so |KF \ F| = |(K u {1})F| - |F|; the union adds
+    # the identity as a length-1 run only when K lacks it
+    K = runs_union(seq.runs(K_index), runs_of(group, (group.identity,)))
+    F = seq.runs(F_index)
     return Fraction(product_size(group, K, F) - len(F), len(F))
 
 
@@ -125,7 +124,8 @@ def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan
     (eps/4)-invariance under the top tile fails (so every examined i > N
     passes; indices beyond the horizon are not certified).  It is computed
     for the top scale only: the start scale's threshold is searched for
-    only when no second scale is appended.
+    only when no second scale is appended.  Windows are read as runs
+    (``FolnerSequence.runs``), so a box family builds none here.
     """
     eps = Fraction(eps)
     goal = scale_count(eps)

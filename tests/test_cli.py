@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import time
 from pathlib import Path
 
 import pytest
@@ -78,14 +79,14 @@ def test_folner_tempered_refuses_a_single_index(tmp_path, capsys, family, upto):
     (["folner", "tempered", "--group", "z", "--family", "dyadic", "--upto", "12"], 12, 13),
 ])
 def test_folner_reports_build_each_window_once(tmp_path, monkeypatch, argv, rows, built):
+    # a window counts as built as an index tuple (_box) or as runs (_box_runs)
     calls = []
-    box = folner._box
+    for name in ("_box", "_box_runs"):
+        def counting(group, n, build=getattr(folner, name)):
+            calls.append(n)
+            return build(group, n)
 
-    def counting(group, n):
-        calls.append(n)
-        return box(group, n)
-
-    monkeypatch.setattr(folner, "_box", counting)
+        monkeypatch.setattr(folner, name, counting)
     out = tmp_path / "report.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert len(data_rows(out)[1]) == rows
@@ -231,6 +232,24 @@ def test_tile_dyadic_window_past_the_coordinate_range_exits_2(tmp_path, capsys):
     assert ("error: coordinate 18446744073709551615 outside supported range +/-2**40"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_tile_h3_boxes_plans_to_the_default_horizon_from_runs(tmp_path, monkeypatch):
+    # the planner reads windows up to index 64 (4096 runs each) without
+    # building them; the only windows built are the one covered and the tiles
+    calls = []
+    box = folner._box
+    monkeypatch.setattr(folner, "_box", lambda group, n: calls.append(n) or box(group, n))
+    out = tmp_path / "tile.csv"
+    start = time.perf_counter()
+    assert main(["tile", "--group", "h3", "--family", "boxes", "--eps", "1/4",
+                 "--i", "6", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 60
+    (note,) = [ln for ln in out.read_text().splitlines() if ln.startswith("# plan ")]
+    assert note == "# plan scales=1,2 threshold=41"
+    assert set(calls) == {6, 1, 2}
+    header, rows = data_rows(out)
+    assert [r[-1] for r in rows if r[0] == "assertion"] == ["True"] * 4
 
 
 def test_brudno_fair_coin(tmp_path):

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from amenlab import folner, groups
@@ -15,7 +16,11 @@ from amenlab.errors import BudgetExceededError
 from amenlab.folner import (
     DefectReport,
     FolnerSequence,
+    Runs,
+    inverse_runs,
     product_size,
+    runs_of,
+    runs_union,
     builtin_families,
     defect,
     defect_report,
@@ -36,6 +41,7 @@ from amenlab.groups import (
     set_product,
     subset_from_mask,
 )
+from amenlab.quasitiling import plan
 from amenlab.rng import SplitMix64, derive
 from amenlab.setcodec import random_connected_subset
 
@@ -228,6 +234,40 @@ def test_tempered_singleton_sequence_is_one():
     assert temperedness_constant(seq, 5) == 1
 
 
+@pytest.mark.parametrize("name,family,upto", [
+    ("z2", "boxes", 7), ("h3", "boxes", 4), ("z2", "dyadic", 3), ("h3", "dyadic", 2),
+    ("z3", "boxes", 4)])
+def test_tempered_box_families_match_brute_force(name, family, upto):
+    seq = builtin_families(get_group(name))[family]
+    assert temperedness_constant(seq, upto) == brute_tempered(seq, upto)
+
+
+@pytest.mark.parametrize("name", ["z2", "h3"])
+def test_tempered_custom_families_match_brute_force(name):
+    # windows that are not boxes, miss the identity, and sit at negative
+    # coordinates, where the h3 inverse shears every run
+    group = get_group(name)
+    g = group.encode((-3,) * group.dimension)
+    blobs = FolnerSequence(group, "blobs", 1, lambda i: normalize_subset(
+        set_product(group, (g,), random_connected_subset(group, 4 * i, 7 + i))))
+    assert temperedness_constant(blobs, 6) == brute_tempered(blobs, 6)
+
+
+def test_tempered_and_plan_on_box_families_build_no_window(monkeypatch):
+    """Both read box windows as runs from their sides: no index tuple is
+    built and no site is inverted one at a time."""
+    calls = []
+    monkeypatch.setattr(folner, "_box", lambda group, n: calls.append(("box", n)))
+    for group in (Z, Z2, H3):
+        monkeypatch.setattr(group, "inverse", lambda g: calls.append(("inverse", g)))
+    assert temperedness_constant(builtin_families(Z)["dyadic"], 12) == Fraction(6143, 4096)
+    assert temperedness_constant(builtin_families(H3)["boxes"], 6) == Fraction(1625, 324)
+    assert temperedness_constant(builtin_families(Z2)["dyadic"], 6) > 1
+    assert plan(builtin_families(Z2)["boxes"], Fraction(1, 4)).scales == (1, 2)
+    assert plan(builtin_families(H3)["boxes"], Fraction(1, 2), horizon=10).scales == (1,)
+    assert calls == []
+
+
 def test_tempered_needs_two_indices():
     seq = builtin_families(Z)["boxes"]
     with pytest.raises(ValueError):
@@ -241,6 +281,11 @@ def testproduct_size_matches_generic_sets():
             A = random_connected_subset(group, 1 + rng.randrange(20), seed=trial)
             B = random_connected_subset(group, 1 + rng.randrange(20), seed=trial + 100)
             assert product_size(group, A, B) == len(set_product(group, A, B))
+
+
+def _operand_mixes(group, A, B):
+    """(A, B) with either or both operands given as Runs."""
+    return [(runs_of(group, A), B), (A, runs_of(group, B)), (runs_of(group, A), runs_of(group, B))]
 
 
 def _size_or_range_error(fn, group, A, B):
@@ -279,6 +324,8 @@ def test_product_size_oracle_up_to_the_coordinate_cap():
             B = _random_near(rng, group, 1 + rng.randrange(12), centre_b, scale)
             got = _size_or_range_error(product_size, group, A, B)
             assert got == _size_or_range_error(generic, group, A, B), (group, trial)
+            for mixed in _operand_mixes(group, A, B):
+                assert _size_or_range_error(product_size, group, *mixed) == got, (group, trial)
             outcomes.add(got == "range")
     assert outcomes == {True, False}
 
@@ -355,7 +402,10 @@ def test_product_size_on_runs_of_every_shape(generic_calls):
             A = sites(1 + rng.randrange(12), 6)
             if trial % 3 == 0:  # duplicate sites in A
                 A = A + A[: 1 + rng.randrange(len(A))]
-            assert product_size(group, A, B) == len(set_product(group, A, B)), (group, trial)
+            want = len(set_product(group, A, B))
+            assert product_size(group, A, B) == want, (group, trial)
+            for mixed in _operand_mixes(group, A, B):
+                assert product_size(group, *mixed) == want, (group, trial)
     # negative a1 shears every run of an h3 box by a1*b2'
     for a in [(-3, 0, 0), (-1, 2, 5), (-7, -4, -9)]:
         A = [H3.encode(a), H3.identity]
@@ -379,6 +429,147 @@ def test_product_size_wide_keys_fall_back(generic_calls):
         B = _box(group, corner, sides)
         assert product_size(group, A, B) == len(set_product(group, A, B)) == 2 * len(B)
     assert len(generic_calls) == len(cases)
+
+
+def test_product_size_wide_keys_fall_back_on_runs_operands(generic_calls):
+    # the same near-cap boxes as above, with B given as Runs: the generic
+    # product expands the runs to their sites and answers exactly
+    c = COORD_LIMIT - (1 << 32)
+    A = [Z2.encode(a) for a in [(0, 0), (4 - (1 << 32), 1 << 32)]]
+    B = _box(Z2, (c, 0), (4, 3))
+    assert product_size(Z2, A, runs_of(Z2, B)) == len(set_product(Z2, A, B)) == 24
+    assert len(generic_calls) == 1
+
+
+# -- runs ------------------------------------------------------------------
+
+
+def _runs_equal(a, b):
+    return (a.heads.tolist(), a.lengths.tolist()) == (b.heads.tolist(), b.lengths.tolist())
+
+
+def _assert_disjoint_maximal(runs, sites):
+    """runs holds exactly the given sites, and no two of its runs meet or touch."""
+    assert sorted(runs) == sorted(set(sites)) and len(runs) == len(set(sites))
+    ends = sorted((tuple(h[:-1]), h[-1], h[-1] + n)
+                  for h, n in zip(runs.heads.tolist(), runs.lengths.tolist()))
+    assert all(n > 0 for n in runs.lengths.tolist())
+    assert all(p[0] != q[0] or p[2] < q[1] for p, q in zip(ends, ends[1:]))
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "h3"])
+def test_box_runs_from_the_sides_equal_the_runs_of_the_built_window(name):
+    group = get_group(name)
+    fams = builtin_families(group)
+    top = {"z": 40, "z2": 12, "z3": 6, "h3": 5}[name]
+    for family, indices in (("boxes", range(1, top + 1)), ("dyadic", range(0, 4))):
+        seq = fams[family]
+        for i in indices:
+            F = seq.subset(i)
+            runs = seq.runs(i)
+            assert _runs_equal(runs, runs_of(group, F)), (family, i)
+            assert runs.heads.dtype == runs.lengths.dtype == np.int64
+            assert len(runs) == len(F)
+            assert sorted(runs) == list(F)
+
+
+def test_box_runs_past_the_coordinate_range_raise_before_building():
+    with pytest.raises(CoordinateRangeError,
+                       match=r"coordinate 18446744073709551615 outside supported range \+/-2\*\*40"):
+        builtin_families(Z)["dyadic"].runs(64)
+    with pytest.raises(ValueError, match="starts at index 1"):
+        builtin_families(Z)["boxes"].runs(0)
+
+
+def test_runs_of_a_custom_family_come_from_its_members():
+    seq = FolnerSequence(Z2, "blobs", 1, lambda i: random_connected_subset(Z2, 5 * i, i))
+    for i in range(1, 6):
+        assert _runs_equal(seq.runs(i), runs_of(Z2, seq.subset(i)))
+    with pytest.raises(ValueError, match="starts at index 1"):
+        seq.runs(0)
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "h3"])
+def test_runs_union_merges_overlapping_touching_and_repeated_runs(name):
+    group = get_group(name)
+    d = group.dimension
+    rng = SplitMix64(derive(61))
+    for trial in range(40):
+        spread = (2, 6, 1 << 20)[trial % 3]
+        sites = [group.encode(tuple(rng.randrange(2 * spread + 1) - spread for _ in range(d)))
+                 for _ in range(1 + rng.randrange(30))]
+        if trial % 4 == 0:  # whole lines, so that runs touch end to end
+            sites += _box(group, (0,) * d, (2,) * (d - 1) + (9,))
+        parts = [runs_of(group, sites[k::3]) for k in range(3) if sites[k::3]]
+        union = runs_union(*parts)
+        _assert_disjoint_maximal(union, sites)
+        assert _runs_equal(union, runs_of(group, sites))
+        # a set given with repeats and in any order has the same runs
+        assert _runs_equal(runs_of(group, sites[::-1] + sites), union)
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "h3"])
+def test_runs_union_is_exact_past_int64_keys(name):
+    # lines 2**41 apart on two axes: the mixed-radix keys pass 2**62, and the
+    # union switches to Python-int keys instead of failing or wrapping
+    group = get_group(name)
+    d = group.dimension
+    lim = COORD_LIMIT
+    corners = [(-lim,) * d, (lim,) * (d - 1) + (lim - 4,), (0,) * d,
+               (lim,) + (-lim,) * (d - 2) + (3,)]
+    sites = [group.encode(c[:-1] + (c[-1] + k,)) for c in corners for k in range(3)]
+    sites += [group.encode(corners[2][:-1] + (5,))]
+    union = runs_union(*(runs_of(group, sites[k::2]) for k in range(2)))
+    _assert_disjoint_maximal(union, sites)
+    assert len(union.lengths) == 5
+    assert union.heads.dtype == union.lengths.dtype == np.int64
+    assert runs_union(runs_of(group, sites), exact=False) is None
+
+
+def test_runs_of_refuses_sites_past_the_coordinate_range():
+    far = groups.pack_coords((COORD_LIMIT + 1,))
+    with pytest.raises(CoordinateRangeError):
+        runs_of(Z, [0, far])
+    assert len(runs_of(Z, [Z.encode((COORD_LIMIT,)), Z.encode((-COORD_LIMIT,))])) == 2
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "h3"])
+def test_inverse_runs_match_the_pointwise_inverse(name):
+    group = get_group(name)
+    d = group.dimension
+    rng = SplitMix64(derive(67))
+    windows = [random_connected_subset(group, size, seed)
+               for size in (1, 5, 30, 80) for seed in range(3)]
+    for trial in range(12):  # boxes with negative corners shear the h3 runs
+        corner = tuple(rng.randrange(41) - 20 for _ in range(d))
+        windows.append(_box(group, corner, [1 + rng.randrange(5) for _ in range(d)]))
+    for F in windows:
+        inverse = inverse_runs(group, runs_of(group, F))
+        pointwise = {group.inverse(f) for f in F}
+        assert sorted(inverse) == sorted(pointwise) and len(inverse) == len(pointwise)
+        assert _runs_equal(runs_union(inverse), runs_of(group, pointwise))
+
+
+def test_inverse_runs_raise_where_the_pointwise_inverse_does():
+    # (a, b, c)^-1 = (-a, -b, ab - c) on h3: ab = 2**40, so the run c in [0, 2]
+    # inverts inside the range and the run c in [-2, 0] leaves it at its far end
+    a = 1 << 20
+    for c0, fits in ((0, True), (-2, False), (1, True)):
+        F = [H3.encode((a, a, c0 + k)) for k in range(3)]
+        runs = runs_of(H3, F)
+        if fits:
+            assert sorted(inverse_runs(H3, runs)) == sorted(H3.inverse(f) for f in F)
+            continue
+        with pytest.raises(CoordinateRangeError):
+            [H3.inverse(f) for f in F]
+        with pytest.raises(CoordinateRangeError):
+            inverse_runs(H3, runs)
+
+
+def test_runs_value_counts_and_lists_its_sites():
+    runs = Runs(np.array([[0, 5], [-2, -1]], dtype=np.int64), np.array([3, 1], dtype=np.int64))
+    assert len(runs) == 4
+    assert list(runs) == [Z2.encode(c) for c in [(0, 5), (0, 6), (0, 7), (-2, -1)]]
 
 
 def test_dyadic_temperedness_closed_form_to_16():

@@ -93,6 +93,19 @@ def test_invariance_defect_of_windows_without_the_identity(group):
             assert _invariance_defect(shifted, j, i) == want, (j, i)
 
 
+@pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
+def test_invariance_defect_of_box_windows_matches_the_set_product(group):
+    # box windows are read as runs from their sides; the oracle builds them
+    small = group is H3
+    for family, top in (("boxes", 4 if small else 6), ("dyadic", 2 if small else 3)):
+        seq = builtin_families(group)[family]
+        for j in seq.indices(top):
+            for i in seq.indices(top):
+                F = frozenset(seq.subset(i))
+                want = Fraction(len(set_product(group, seq.subset(j), F) - F), len(F))
+                assert _invariance_defect(seq, j, i) == want, (family, j, i)
+
+
 # -- planning -----------------------------------------------------------------
 
 
