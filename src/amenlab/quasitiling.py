@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cache, partial
 from fractions import Fraction
 from typing import Optional
 
-from .folner import FolnerSequence, product_size, runs_of, runs_union
+from .folner import FolnerSequence, Runs, product_size, runs_of, runs_union
 from .groups import translate_right
 
 DEFAULT_HORIZON = 64
@@ -103,14 +104,20 @@ def scale_count(eps) -> int:
     return k
 
 
-def _invariance_defect(seq: FolnerSequence, K_index: int, F_index: int) -> Fraction:
-    """|F_K * F_F \\ F_F| / |F_F|, exact, from the runs of both windows."""
-    group = seq.group
-    # (K u {1})F = KF u F, so |KF \ F| = |(K u {1})F| - |F|; the union adds
-    # the identity as a length-1 run only when K lacks it
-    K = runs_union(seq.runs(K_index), runs_of(group, (group.identity,)))
+def _padded(seq: FolnerSequence, j: int) -> Runs:
+    """The runs of F_j u {1}; the identity joins as a length-1 run only when
+    F_j lacks it."""
+    return runs_union(seq.runs(j), runs_of(seq.group, (seq.group.identity,)))
+
+
+def _invariance_defect(seq: FolnerSequence, K_index: int, F_index: int,
+                       K: Optional[Runs] = None) -> Fraction:
+    """|F_K * F_F \\ F_F| / |F_F|, exact, from the runs of both windows; K is
+    ``_padded(seq, K_index)``, built here unless the caller passes it."""
+    K = _padded(seq, K_index) if K is None else K
+    # (K u {1})F = KF u F, so |KF \ F| = |(K u {1})F| - |F|
     F = seq.runs(F_index)
-    return Fraction(product_size(group, K, F) - len(F), len(F))
+    return Fraction(product_size(seq.group, K, F) - len(F), len(F))
 
 
 def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan:
@@ -134,10 +141,12 @@ def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan
     tol = eps / 4
     scales = [seq.start]
 
+    padded = cache(partial(_padded, seq))  # each scale's runs, built once per search
+
     def threshold_for(j: int) -> int:
         # largest failing index; everything above it up to the horizon passes
         for i in range(horizon, j, -1):
-            if _invariance_defect(seq, j, i) > tol:
+            if _invariance_defect(seq, j, i, padded(j)) > tol:
                 return i
         return j
 
@@ -145,7 +154,7 @@ def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan
     while len(scales) < goal:
         nxt = None
         for j in range(scales[-1] + 1, horizon + 1):
-            if _invariance_defect(seq, scales[-1], j) <= tol:
+            if _invariance_defect(seq, scales[-1], j, padded(scales[-1])) <= tol:
                 nxt = j
                 break
         if nxt is None:

@@ -23,7 +23,7 @@ from amenlab.groups import (
     unpack_coords,
     unpack_coords_array,
 )
-from amenlab.folner import product_size
+from amenlab.folner import builtin_families, product_size
 from amenlab.rng import SplitMix64
 from amenlab.stochastic import parse_measure, sample
 from amenlab.symbolic import admissible_patterns, golden_mean_sft
@@ -308,6 +308,47 @@ def test_connectivity_check():
     z2 = get_group("z2")
     box = [z2.encode((a, b)) for a in range(3) for b in range(3)]
     assert is_connected_with_identity(z2, box)
+    # a negative index is no element: the walk never reaches it
+    assert not is_connected_with_identity(z, interval + [-1])
+    assert not is_connected_with_identity(z2, box + [-3])
+
+
+# -- the scalar decode memo ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "z4", "z5", "h3"])
+def test_memoised_decode_matches_the_plain_decode(name):
+    group = get_group(name)
+    d = group.dimension
+    rng = SplitMix64(53)
+    edge = [sign * (COORD_LIMIT + k) for sign in (1, -1) for k in range(-2, 3)]
+    points = [tuple(edge[rng.randrange(len(edge))] for _ in range(d)) for _ in range(200)]
+    indices = [rng.randrange(1 << 64) for _ in range(200)] + list(map(pack_coords, points))
+    hits = unpack_coords.cache_info().hits
+    for g in indices:
+        want = unpack_coords.__wrapped__(g, d)
+        assert group.decode(g) == want == group.decode(g), g  # a miss, then a hit
+    assert unpack_coords.cache_info().hits >= hits + len(indices)
+    assert [group.decode(pack_coords(p)) for p in points] == points
+
+
+def test_negative_index_is_refused_before_the_memo():
+    unpack_coords.cache_clear()
+    for name in ("z", "z2", "h3"):
+        with pytest.raises(ValueError):
+            get_group(name).decode(-1)
+    info = unpack_coords.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 0)
+
+
+def test_memo_stays_bounded_on_a_window_decoded_site_by_site():
+    z2 = get_group("z2")
+    F = builtin_families(z2)["dyadic"].subset(8)
+    assert len(F) == 1 << 16
+    coords = [z2.decode(g) for g in F]
+    info = unpack_coords.cache_info()
+    assert info.maxsize == 1 << 12 and info.currsize <= info.maxsize
+    assert coords == list(map(tuple, z2.decode_array(F).tolist()))
 
 
 def _coords_near_cap(rng, d):
@@ -328,21 +369,32 @@ def _outcome(fn, *args):
         return CoordinateRangeError
 
 
-@pytest.mark.parametrize("name", ["z", "z2", "z3", "h3"])
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "z4", "h3"])
 def test_neighbors_match_multiply_near_the_cap(name):
+    """neighbors against multiply, and steps against compose, on random points
+    and on every point whose coordinates are 0 or within 1 of +/-2**40."""
     group = get_group(name)
     rng = SplitMix64(41)
+    edge = (0, COORD_LIMIT - 1, COORD_LIMIT, COORD_LIMIT + 1,
+            1 - COORD_LIMIT, -COORD_LIMIT, -1 - COORD_LIMIT)
+    points = [_coords_near_cap(rng, group.dimension) for _ in range(400)]
+    points += product(edge, repeat=group.dimension)
     raised = 0
-    for _ in range(400):
-        g = pack_coords(_coords_near_cap(rng, group.dimension))
+    for p in points:
+        g = pack_coords(p)
         want = [_outcome(group.multiply, s, g) for s in group.generators]
+        composed = [_outcome(group.compose, s, p) for s in group.generator_coords]
+        assert (CoordinateRangeError in want) == (CoordinateRangeError in composed), p
         if CoordinateRangeError in want:
             raised += 1
             with pytest.raises(CoordinateRangeError):
                 group.neighbors(g)
+            with pytest.raises(CoordinateRangeError):
+                group.steps(p)
         else:
             assert group.neighbors(g) == want
-    assert 0 < raised < 400
+            assert group.steps(p) == composed
+    assert 0 < raised < len(points)
 
 
 def _h3_points_where_c_plus_minus_b_crosses_the_cap():

@@ -16,6 +16,7 @@ from amenlab.quasitiling import (
     PlanningError,
     TilingPlan,
     _invariance_defect,
+    _padded,
     cover,
     plan,
     scale_count,
@@ -193,15 +194,24 @@ def test_plan_matches_the_reference_loop(gid, family):
 
 def test_plan_searches_only_the_top_scale_threshold(monkeypatch):
     calls = []
+    padded = []
 
     def counting(group, A, B):
         calls.append(len(A))
         return product_size(group, A, B)
 
+    def padding(seq, j):
+        padded.append(j)
+        return _padded(seq, j)
+
     monkeypatch.setattr(quasitiling, "product_size", counting)
+    monkeypatch.setattr(quasitiling, "_padded", padding)
     assert plan(builtin_families(Z2)["boxes"], QUARTER) == TilingPlan(QUARTER, (1, 2), 32)
     # searching the start scale's threshold too would add 63 calls
     assert len(calls) == 66
+    # each K is padded with the identity once, not once per call: the scales 1
+    # and 2, and 33, the third scale whose threshold passes the horizon
+    assert padded == [1, 2, 33]
 
 
 def test_plan_validation():
