@@ -26,67 +26,20 @@ from .groups import (
     FiniteSubset,
     Heisenberg,
     INDEX_ARRAY_LIMIT,
+    Runs,
     decode_subset,
     _check_range,
     normalize_subset,
     pack_coords,
     pack_coords_array,
+    runs_of,
+    runs_union,
     set_product,
     subset_from_mask,
     translate_left,
 )
 from .setcodec import EncodingDomainError, encode_connected
 from .symbolic import binary_alphabet
-
-
-@dataclass(frozen=True, eq=False)
-class Runs:
-    """A window as disjoint runs: run k is heads[k] + j*e_d for j < lengths[k],
-    e_d the last axis, heads an (r, d) int64 array; every site lies within
-    +/-2**40.  ``len`` counts the sites and iteration yields their indices."""
-
-    heads: np.ndarray
-    lengths: np.ndarray
-
-    def __len__(self) -> int:
-        return sum(self.lengths.tolist())
-
-    def __iter__(self):
-        for h, n in zip(self.heads.tolist(), self.lengths.tolist()):
-            yield from (pack_coords((*h[:-1], h[-1] + k)) for k in range(n))
-
-
-def runs_union(*parts: Runs, exact: bool = True) -> Optional[Runs]:
-    """The union of runs, overlapping or not, as disjoint maximal runs in
-    coordinate order, by one argsort of mixed-radix keys that leave a gap
-    after each line.  Keys are int64 below 2**62; past that they are Python
-    ints, or with ``exact=False`` the answer is None."""
-    heads = np.concatenate([p.heads for p in parts])
-    lengths = np.concatenate([p.lengths for p in parts])
-    lo = heads.min(axis=0).tolist()
-    spans = [h - l + 1 for l, h in zip(lo, heads.max(axis=0).tolist())]
-    spans[-1] = int((heads[:, -1] + lengths).max()) - lo[-1] + 1
-    wide = prod(spans) > 1 << 62
-    if wide and not exact:
-        return None
-    key = np.zeros(len(heads), dtype=object if wide else np.int64)
-    for k, span in enumerate(spans):
-        key *= span
-        key += heads[:, k] - lo[k]
-    order = np.argsort(key)
-    start = key[order]
-    reach = np.maximum.accumulate(start + lengths[order])  # the end of all runs so far
-    first = np.flatnonzero(np.concatenate(([True], start[1:] > reach[:-1])))
-    last = np.append(first[1:], len(start)) - 1
-    return Runs(heads[order[first]], np.array(reach[last] - start[first], dtype=np.int64))
-
-
-def runs_of(group: ComputableGroup, F) -> Runs:
-    """The nonempty index set F as Runs, decoded once; a site past
-    +/-2**40 raises CoordinateRangeError."""
-    c = group.decode_array(F)
-    _check_range((int(c.min()), int(c.max())))
-    return runs_union(Runs(c, np.ones(len(c), dtype=np.int64)))
 
 
 def inverse_runs(group: ComputableGroup, runs: Runs) -> Runs:

@@ -28,9 +28,10 @@ which bypasses the memo.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import isqrt
-from typing import Callable, Iterable, Sequence
+from math import isqrt, prod
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -147,7 +148,7 @@ class ComputableGroup:
 
         Only valid when every product stays inside the coordinate range.  Both
         shipped laws satisfy (a + k*e_d)*(b + m*e_d) = a*b + (k+m)*e_d for the
-        last axis e_d, so a run times a run is a run (``folner.Runs``).
+        last axis e_d, so a run times a run is a run (``Runs``).
         """
         raise NotImplementedError
 
@@ -375,6 +376,58 @@ def boundary_coords(group: ComputableGroup, coords: frozenset) -> set:
     """ST \\ T in coordinates, for T given by its coordinate set."""
     steps = group.steps
     return {n for c in coords for n in steps(c) if n not in coords}
+
+
+@dataclass(frozen=True, eq=False)
+class Runs:
+    """A window as disjoint runs: run k is heads[k] + j*e_d for j < lengths[k],
+    e_d the last axis, heads an (r, d) int64 array; every site lies within
+    +/-2**40.  ``len`` counts the sites and iteration yields their indices."""
+
+    heads: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return sum(self.lengths.tolist())
+
+    def __iter__(self):
+        for h, n in zip(self.heads.tolist(), self.lengths.tolist()):
+            yield from (pack_coords((*h[:-1], h[-1] + k)) for k in range(n))
+
+
+def runs_union(*parts: Runs, exact: bool = True) -> Optional[Runs]:
+    """The union of runs, overlapping or not, as disjoint maximal runs in
+    coordinate order, by one argsort of mixed-radix keys that leave a gap
+    after each line.  Keys are int64 below 2**62; past that they are Python
+    ints, or with ``exact=False`` the answer is None."""
+    heads = np.concatenate([p.heads for p in parts])
+    lengths = np.concatenate([p.lengths for p in parts])
+    lo = heads.min(axis=0).tolist()
+    spans = [h - l + 1 for l, h in zip(lo, heads.max(axis=0).tolist())]
+    spans[-1] = int((heads[:, -1] + lengths).max()) - lo[-1] + 1
+    wide = prod(spans) > 1 << 62
+    if wide and not exact:
+        return None
+    key = np.zeros(len(heads), dtype=object if wide else np.int64)
+    for k, span in enumerate(spans):
+        key *= span
+        key += heads[:, k] - lo[k]
+    order = np.argsort(key)
+    start = key[order]
+    reach = np.maximum.accumulate(start + lengths[order])  # the end of all runs so far
+    first = np.flatnonzero(np.concatenate(([True], start[1:] > reach[:-1])))
+    last = np.append(first[1:], len(start)) - 1
+    return Runs(heads[order[first]], np.array(reach[last] - start[first], dtype=np.int64))
+
+
+def runs_of(group: ComputableGroup, F) -> Runs:
+    """The nonempty index set F as Runs, decoded once; a site past
+    +/-2**40 raises CoordinateRangeError."""
+    c = group.decode_array(F)
+    if not len(c):
+        raise ValueError("window must be nonempty")
+    _check_range((int(c.min()), int(c.max())))
+    return runs_union(Runs(c, np.ones(len(c), dtype=np.int64)))
 
 
 def walk(group: ComputableGroup, inside: Callable[[tuple], bool]) -> list[tuple]:

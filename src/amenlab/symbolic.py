@@ -14,6 +14,15 @@ the window and matches.  This over-counts the true projection of the
 subshift in general, which is the safe direction for the upper bounds
 built on top of it.  Each ``SFT`` prepares its patterns for counting once,
 when it is built, and every count reads that prepared form.
+
+A count reads its window as runs along the last axis (``groups.Runs``): a
+box family gives them from its sides, and an index set is decoded once
+into them.  On the line, a window of one run under a nearest-neighbour SFT
+is counted by that SFT's transfer walk, a row vector of Python ints kept
+at the last length asked, so a series of growing intervals costs one
+|A| x |A| step per window.  Every other window is counted by one array
+frontier dynamic program, whose states are int64 codes of base-|A| digits
+(rows of a digit array past 2**62) and whose counts are Python ints.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import BudgetExceededError
-from .groups import ComputableGroup, Zd, get_group, normalize_subset
+from .groups import ComputableGroup, Runs, Zd, get_group, normalize_subset, runs_of
 from .series import RatePoint
 
 
@@ -126,7 +135,8 @@ class SFT:
     is the identity) and its symbol indices.  ``transfer`` is None unless
     the subshift is nearest-neighbour on the line (one-site bans and bans on
     two adjacent sites only); then row 0 marks the symbols a first site may
-    take and row 1 + a the symbols that may follow a.
+    take and row 1 + a the symbols that may follow a, and ``walk`` is this
+    SFT's own transfer walk (else None).
     """
 
     group: ComputableGroup
@@ -134,6 +144,7 @@ class SFT:
     forbidden: tuple[PartialConfiguration, ...]
     patterns: tuple = field(init=False, repr=False, compare=False)
     transfer: np.ndarray | None = field(init=False, repr=False, compare=False)
+    walk: "_TransferWalk | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         group = self.group
@@ -146,7 +157,9 @@ class SFT:
             offsets = (group.compose(c, anchor_inv) for c in map(group.decode, p.support))
             patterns.append((tuple(offsets), syms))
         object.__setattr__(self, "patterns", tuple(patterns))
-        object.__setattr__(self, "transfer", _transfer(group, self.alphabet.size, patterns))
+        transfer = _transfer(group, self.alphabet.size, patterns)
+        object.__setattr__(self, "transfer", transfer)
+        object.__setattr__(self, "walk", None if transfer is None else _TransferWalk(transfer))
 
 
 def _transfer(group: ComputableGroup, size: int, patterns) -> np.ndarray | None:
@@ -164,6 +177,31 @@ def _transfer(group: ComputableGroup, size: int, patterns) -> np.ndarray | None:
     return T
 
 
+class _TransferWalk:
+    """The row vector first @ A**(length-1) of a transfer matrix, in Python
+    ints, kept with its length as ``state``, the last length asked: a length
+    at least that long steps on from it, a shorter one restarts from the
+    first row.  ``state`` is one attribute, so it is replaced in one store."""
+
+    __slots__ = ("first", "into", "state")
+
+    def __init__(self, transfer: np.ndarray):
+        self.first = transfer[0].tolist()
+        A = transfer[1:].tolist()
+        # into[b]: the symbols that b may follow
+        self.into = [[a for a in range(len(A)) if A[a][b]] for b in range(len(A))]
+        self.state = (1, self.first)
+
+    def count(self, length: int) -> int:
+        n, v = self.state
+        if length < n:
+            n, v = 1, self.first
+        for _ in range(length - n):
+            v = [sum([v[a] for a in into]) for into in self.into]
+        self.state = (length, v)
+        return sum(v)
+
+
 def golden_mean_sft() -> SFT:
     """Binary subshift on the line forbidding adjacent 1s."""
     z = Zd(1)
@@ -173,13 +211,20 @@ def golden_mean_sft() -> SFT:
 
 # -- pattern counting -------------------------------------------------------
 
+# the frontier DP keeps a state as one int64 code while |A|**slots <= 2**CODE_BITS
+CODE_BITS = 62
+
+
 def _constraint_instances(sft: SFT, order: list[tuple[int, ...]]) -> list[list[tuple]]:
     """Forbidden-pattern occurrences inside the window, given by the
     coordinates of its sites in assignment order, grouped by the position
     at which they become fully determined; the occurrence whose first site
-    is f is kept when every prepared offset times f is inside."""
+    is f is kept when every prepared offset times f is inside.  A site
+    listed twice (runs that overlap) raises ValueError."""
     compose = sft.group.compose
     pos_of = {c: k for k, c in enumerate(order)}
+    if len(pos_of) < len(order):
+        raise ValueError("window runs overlap")
     grouped: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in order]
     for offsets, syms in sft.patterns:
         for f in order:
@@ -191,77 +236,142 @@ def _constraint_instances(sft: SFT, order: list[tuple[int, ...]]) -> list[list[t
 
 def transfer_matrix_count(sft: SFT, length: int) -> int:
     """Exact admissible-word count on an interval of the given length for a
-    one-dimensional nearest-neighbor subshift, by integer matrix powers."""
-    if sft.transfer is None:
+    one-dimensional nearest-neighbor subshift: the sum of the row vector
+    first @ A**(length-1), walked over Python ints by the SFT's ``walk``.
+    Asking for lengths in rising order costs one |A| x |A| step each."""
+    if sft.walk is None:
         raise ValueError("subshift is not one-dimensional nearest-neighbor")
     if length < 1:
         raise ValueError("length >= 1")
-    first, A = sft.transfer[0], sft.transfer[1:]
-    return int((first @ np.linalg.matrix_power(A, length - 1)).sum())
+    return sft.walk.count(length)
 
 
 def admissible_patterns(sft: SFT, F, budget: int | None = 20_000_000) -> int:
-    """Number of locally admissible patterns on the window F.
+    """Number of locally admissible patterns on the window F, given as Runs
+    (disjoint runs along the last axis) or as an index set, which is decoded
+    once into its runs (``runs_of``).
 
-    The window is decoded once.  Uses the exact transfer-matrix route for
-    nearest-neighbor constraints on intervals of the line, and the frontier
-    dynamic program of :func:`_count_frontier` otherwise.  A count that would
+    A window of one run on the line, for an SFT with a transfer matrix, is
+    counted by :func:`transfer_matrix_count`; every other window by the array
+    frontier dynamic program of :func:`_count_frontier`.  A count that would
     take more than ``budget`` work units raises :class:`BudgetExceededError`.
     """
-    coords = sft.group.decode_array(F)
-    if not len(coords):
+    runs = F if isinstance(F, Runs) else runs_of(sft.group, F)
+    size = len(runs)
+    if not size:
         raise ValueError("window must be nonempty")
-    # lexsort's last key is the primary one, so this is tuple order
-    coords = coords[np.lexsort(coords.T[::-1])]
-    new = coords[1:, 0] != coords[:-1, 0]  # per column: np.any(axis=1) maps more numpy code
-    for k in range(1, coords.shape[1]):
-        new |= coords[1:, k] != coords[:-1, k]
-    coords = coords[np.concatenate(([True], new))]
-    if sft.transfer is not None and int(coords[-1, 0]) - int(coords[0, 0]) == len(coords) - 1:
-        return transfer_matrix_count(sft, len(coords))
-    return _count_frontier(sft, list(map(tuple, coords.tolist())), budget)
+    if sft.walk is not None and len(runs.lengths) == 1:
+        return transfer_matrix_count(sft, size)
+    return _count_frontier(sft, runs, budget)
 
 
-def _count_frontier(sft: SFT, order: list[tuple[int, ...]], budget: int | None) -> int:
-    """Exact pattern count by a dynamic program that assigns the sites, given
-    as distinct coordinate tuples, in ``order``.
+def _count_frontier(sft: SFT, runs: Runs, budget: int | None) -> int:
+    """Exact pattern count by a dynamic program that assigns the sites of
+    ``runs`` in run order, each run along the last axis.
 
-    A state is the tuple of symbols on the live sites: assigned sites that
-    belong to a constraint instance not yet fully assigned.  Each step
-    extends every state by every symbol, rejects the symbols that complete a
-    forbidden occurrence, forgets the sites no later instance contains, and
-    adds up the counts of equal states.  One work unit is one (state,
-    symbol) extension.
+    A state is the symbols on the live sites: assigned sites that belong to
+    a constraint instance not yet fully assigned.  A live site keeps one
+    digit slot from the step that assigns it to the last step whose
+    instances read it.  Each step extends every state by every symbol,
+    masks the rows that complete a forbidden occurrence by digit tests,
+    clears the slots no later instance reads, and adds up the counts of
+    equal states (a sort, a neighbour mask and ``np.add.reduceat``).  While
+    |A|**slots <= 2**CODE_BITS a state is one int64 code of base-|A| digits;
+    past that it is a row of a digit array, sorted by ``lexsort``.  Counts
+    are Python ints in an object array.  One work unit is one (state,
+    symbol) extension, checked against ``budget`` before each step.
     """
-    grouped = _constraint_instances(sft, order)
-    # the last step whose instances contain a site; k grows, so later wins
-    last = {pos: k for k, instances in enumerate(grouped)
-            for positions, _ in instances for pos in positions}
-    symbols = range(sft.alphabet.size)
-    states = {(): 1}
+    order = [(*h[:-1], h[-1] + j)
+             for h, n in zip(runs.heads.tolist(), runs.lengths.tolist()) for j in range(n)]
+    steps, width = _frontier_steps(sft, order)
+    size = sft.alphabet.size
+    wide = size ** width > 1 << CODE_BITS
+    power = [size ** k for k in range(width)]
+    if wide:  # one byte per digit keeps lexsort's passes short
+        states = np.zeros((1, width), dtype=np.uint8 if size <= 256 else np.int64)
+    else:
+        states = np.zeros(1, dtype=np.int64)
+    counts = np.ones(1, dtype=object)
     live: list[int] = []
     work = 0
-    for k, instances in enumerate(grouped):
-        step = len(states) * len(symbols)
+    for tests, dead, slot in steps:
+        step = len(states) * size
         if budget is not None and work + step > budget:
             raise BudgetExceededError(
                 f"pattern counting exceeded {budget} work units on a window of size {len(order)}",
                 work=work)
         work += step
-        slot = {pos: i for i, pos in enumerate(live + [k])}
-        checks = [([slot[pos] for pos in positions], syms) for positions, syms in instances]
-        live = [pos for pos in slot if last.get(pos, -1) > k]
-        keep = [slot[pos] for pos in live]
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, count in states.items():
-            for s in symbols:
-                row = state + (s,)
-                if any(all(row[i] == v for i, v in zip(idx, syms)) for idx, syms in checks):
-                    continue
-                key = tuple(row[i] for i in keep)
-                nxt[key] = nxt.get(key, 0) + count
-        states = nxt
-    return sum(states.values())
+        read = {k for instances in tests.values() for instance in instances for k, _ in instance}
+        digits = {k: states[:, k] if wide else states // power[k] % size
+                  for k in read.union(dead)}
+        ok = np.ones((len(states), size), dtype=bool)
+        for s, instances in tests.items():
+            for instance in instances:
+                hit = np.ones(len(states), dtype=bool)
+                for k, v in instance:
+                    hit &= digits[k] == v
+                ok[:, s] &= ~hit
+        rows = np.flatnonzero(ok.ravel())
+        if not len(rows):
+            return 0
+        src, symbol = rows // size, rows % size
+        live = [k for k in live if k not in dead] + ([] if slot is None else [slot])
+        if wide:  # a cleared slot is no longer in ``live``, so no merge reads it
+            states = states[src]
+            if slot is not None:
+                states[:, slot] = symbol
+        else:
+            for k in dead:
+                states = states - digits[k] * power[k]
+            states = states[src]
+            if slot is not None:
+                states = states + symbol * power[slot]
+        if not dead and slot is not None:  # distinct states times distinct symbols
+            counts = counts[src]
+            continue
+        if wide:
+            by = np.lexsort(states[:, live].T) if live else np.arange(len(states))
+            states = states[by]
+            new = np.zeros(len(states) - 1, dtype=bool)
+            for k in live:
+                new |= states[1:, k] != states[:-1, k]
+        else:
+            by = np.argsort(states)
+            states = states[by]
+            new = states[1:] != states[:-1]
+        first = np.flatnonzero(np.concatenate(([True], new)))
+        counts = np.add.reduceat(counts[src[by]], first)
+        states = states[first]
+    return int(counts.sum())
+
+
+def _frontier_steps(sft: SFT, order: list[tuple[int, ...]]):
+    """Per site of ``order``, the frontier DP's step: the (slot, symbol)
+    tests of each instance the site completes, by the site's symbol; the
+    slots cleared after the step; and the site's own slot, or None when no
+    later instance reads it.  Also the number of slots used."""
+    grouped = _constraint_instances(sft, order)
+    # the last step whose instances contain a site; k grows, so later wins
+    last = {pos: k for k, instances in enumerate(grouped)
+            for positions, _ in instances for pos in positions}
+    slot_of: dict[int, int] = {}
+    free: list[int] = []
+    steps = []
+    width = 0
+    for k, instances in enumerate(grouped):
+        tests: dict[int, list[list[tuple[int, int]]]] = {}
+        for positions, syms in instances:
+            tests.setdefault(syms[positions.index(k)], []).append(
+                [(slot_of[p], v) for p, v in zip(positions, syms) if p != k])
+        dead = [slot_of.pop(p) for p in [p for p in slot_of if last[p] == k]]
+        free = sorted(free + dead)
+        slot = None
+        if last.get(k, -1) > k:
+            slot = free.pop(0) if free else width
+            width = max(width, slot + 1)
+            slot_of[k] = slot
+        steps.append((tests, dead, slot))
+    return steps, width
 
 
 def iter_admissible(sft: SFT, F, budget: int | None = 1_000_000) -> Iterator[PartialConfiguration]:
@@ -301,22 +411,24 @@ def topological_entropy_estimate(sft: SFT, seq, upto: int,
                                  budget: int | None = 20_000_000) -> list[RatePoint]:
     """Normalized log-counts log2(N(F_i))/|F_i| along a Folner sequence.
 
-    On budget exhaustion the raised error carries the completed prefix of
-    the series in ``partial`` and the index of the window it stopped on in
-    ``index``.
+    Each window is read as its runs (``seq.runs``), so a box family builds
+    no index tuple.  On budget exhaustion the raised error carries the
+    completed prefix of the series in ``partial`` and the index of the
+    window it stopped on in ``index``.
     """
     series = []
     for i in seq.indices(upto):
-        F = seq.subset(i)
+        F = seq.runs(i)
+        size = len(F)
         try:
             count = admissible_patterns(sft, F, budget=budget)
         except BudgetExceededError as err:
             err.partial, err.index = series, i
             raise
         if count == 0:
-            raise ValueError(f"no admissible pattern on window {i} of size {len(F)}")
+            raise ValueError(f"no admissible pattern on window {i} of size {size}")
         bits = log2(count)
-        series.append(RatePoint(i, len(F), bits, bits / len(F)))
+        series.append(RatePoint(i, size, bits, bits / size))
     return series
 
 
@@ -343,7 +455,8 @@ class CountingBoundReport:
 
 def q_count_bound(sft: SFT, T, plan, cover, seq, h: float | None = None,
                   budget: int | None = 20_000_000) -> CountingBoundReport:
-    """Per-tile counting bound over a quasi-tiling cover of the window T.
+    """Per-tile counting bound over a quasi-tiling cover of the window T;
+    each placed scale's tile is read as its runs (``seq.runs``).
 
     Raises ValueError for a cover reaching outside T: a tile there has no
     restriction to the window, so its count bounds nothing."""
@@ -358,12 +471,13 @@ def q_count_bound(sft: SFT, T, plan, cover, seq, h: float | None = None,
         centers = cover.scale_centers.get(j, ())
         if not centers:
             continue
-        tile = seq.subset(j)
+        tile = seq.runs(j)
+        size = len(tile)
         count = admissible_patterns(sft, tile, budget=budget)
         if count == 0:
-            raise ValueError(f"no admissible pattern on window {j} of size {len(tile)}")
+            raise ValueError(f"no admissible pattern on window {j} of size {size}")
         bits = log2(count)
-        per_scale.append((j, len(tile), len(centers), bits))
+        per_scale.append((j, size, len(centers), bits))
         total += bits * len(centers)
     residual = len(window) - len(cover.covered)
     residual_bits = residual * log2(asize)

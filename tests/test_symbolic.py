@@ -3,12 +3,13 @@ import random
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from amenlab.errors import BudgetExceededError
 from amenlab.folner import builtin_families
 from amenlab import groups, symbolic
-from amenlab.groups import INDEX_ARRAY_LIMIT, get_group
+from amenlab.groups import INDEX_ARRAY_LIMIT, Runs, get_group, runs_of
 from amenlab.symbolic import (
     Alphabet,
     PartialConfiguration,
@@ -55,6 +56,39 @@ def hard_square_count(w, h):
             nxt[m] = sum(c for r, c in counts.items() if not (r & m))
         counts = nxt
     return sum(counts.values())
+
+
+def dict_frontier_count(sft, order, budget):
+    """The frontier DP over a dict of symbol-tuple states, kept as the
+    reference for the array DP: (count, work) for the sites, given as
+    distinct coordinate tuples, assigned in ``order``.  It raises
+    BudgetExceededError where the array DP must, with the same work."""
+    grouped = symbolic._constraint_instances(sft, order)
+    last = {pos: k for k, instances in enumerate(grouped)
+            for positions, _ in instances for pos in positions}
+    symbols = range(sft.alphabet.size)
+    states = {(): 1}
+    live = []
+    work = 0
+    for k, instances in enumerate(grouped):
+        step = len(states) * len(symbols)
+        if budget is not None and work + step > budget:
+            raise BudgetExceededError("reference", work=work)
+        work += step
+        slot = {pos: i for i, pos in enumerate(live + [k])}
+        checks = [([slot[pos] for pos in positions], syms) for positions, syms in instances]
+        live = [pos for pos in slot if last.get(pos, -1) > k]
+        keep = [slot[pos] for pos in live]
+        nxt = {}
+        for state, count in states.items():
+            for s in symbols:
+                row = state + (s,)
+                if any(all(row[i] == v for i, v in zip(idx, syms)) for idx, syms in checks):
+                    continue
+                key = tuple(row[i] for i in keep)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return sum(states.values()), work
 
 
 def hard_squares_sft():
@@ -120,13 +154,11 @@ def test_golden_mean_counts_match_fibonacci():
 
 
 def test_transfer_matches_backtracking():
-    from amenlab.symbolic import _count_frontier
     sft = golden_mean_sft()
     for n in range(1, 13):
-        # force the generic route by passing a non-interval ordering is not
-        # possible (the window is an interval); call the internal DP route
-        order = [Z.decode(g) for g in sorted(interval(n))]
-        assert transfer_matrix_count(sft, n) == _count_frontier(sft, order, None)
+        # an interval always takes the walk; call the array DP directly
+        assert transfer_matrix_count(sft, n) == symbolic._count_frontier(
+            sft, runs_of(Z, interval(n)), None)
     # random nearest-neighbour rules: single-site bans and adjacent pairs,
     # listed with either site first and placed near 0 or far from it
     rng = random.Random(1995)
@@ -143,7 +175,7 @@ def test_transfer_matches_backtracking():
         for n in range(1, 9):
             brute = sum(1 for _ in iter_admissible(sft, interval(n), budget=None))
             assert transfer_matrix_count(sft, n) == brute, (case, n)
-            assert _count_frontier(sft, sorted(map(Z.decode, interval(n))), None) == brute
+            assert symbolic._count_frontier(sft, runs_of(Z, interval(n)), None) == brute
 
 
 @pytest.mark.parametrize("sft", [
@@ -189,6 +221,63 @@ def test_counts_read_the_prepared_patterns(monkeypatch):
     counts = [admissible_patterns(sft, F) for F in windows]
     assert counts == [hard_square_count(n, n) for n in range(1, 6)]
     assert calls == []
+
+
+def test_transfer_walk_gives_fibonacci_in_any_order():
+    sft = golden_mean_sft()
+    lengths = [1, 2, 3, 5, 8, 13, 40, 13, 12, 1, 1, 7, 7, 30, 2, 100, 100, 99]
+    assert [transfer_matrix_count(sft, n) for n in lengths] == [fib(n + 2) for n in lengths]
+    # the walk keeps the last length asked, and steps on from it
+    length, vector = sft.walk.state
+    assert length == 99 and sum(vector) == fib(101)
+
+
+def test_sfts_counted_in_turn_keep_their_own_walks():
+    golden = golden_mean_sft()
+    # three symbols, and b may not follow a: another transfer matrix
+    other = parse_sft("alphabet a b c\nZ:0=a Z:1=b\n")
+    assert golden.walk is not other.walk and golden.walk is not golden_mean_sft().walk
+
+    def three(n):  # words over {a, b, c} without "ab"
+        words = [1, 1, 1]  # ending in a, b, c
+        for _ in range(n - 1):
+            a, b, c = words
+            words = [a + b + c, b + c, a + b + c]
+        return sum(words)
+
+    for n in (5, 3, 9, 9, 1, 20):
+        assert transfer_matrix_count(golden, n) == fib(n + 2)
+        assert admissible_patterns(other, interval(n)) == three(n)
+        assert admissible_patterns(golden, builtin_families(Z)["boxes"].runs(n)) == fib(n + 2)
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "h3"])
+def test_counts_from_runs_equal_counts_from_the_index_set(name):
+    group = get_group(name)
+    d = group.dimension
+    sfts = [golden_mean_sft() if name == "z" else hard_squares_sft() if name == "z2" else
+            SFT(group, binary_alphabet(), (PartialConfiguration(
+                {0: "1", group.encode((1, 0, 0)): "1"}),))]
+    rng = random.Random(20261020)
+    alphabet = Alphabet(("a", "b", "c"))
+    for _ in range(3):
+        sfts.append(SFT(group, alphabet, tuple(
+            PartialConfiguration({group.encode(tuple(rng.randint(-1, 1) for _ in range(d))):
+                                  rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 3))})
+            for _ in range(rng.randint(1, 3)))))
+    seq = builtin_families(group)["boxes"]
+    for sft in sfts:
+        for i in range(1, 3 if d == 3 else 6):
+            assert admissible_patterns(sft, seq.runs(i)) == admissible_patterns(sft, seq.subset(i))
+        for _ in range(10):
+            F = [group.encode(tuple(rng.randint(-3, 3) for _ in range(d)))
+                 for _ in range(rng.randint(1, 12))]
+            assert admissible_patterns(sft, runs_of(group, F)) == admissible_patterns(sft, F)
+    # Runs must be disjoint: a site in two runs is refused, not counted twice
+    heads = np.zeros((2, d), dtype=np.int64)
+    heads[1, -1] = 1
+    with pytest.raises(ValueError, match="window runs overlap"):
+        admissible_patterns(sfts[0], Runs(heads, np.array([2, 2], dtype=np.int64)))
 
 
 def test_full_shift_and_banned_symbol():
@@ -237,8 +326,7 @@ def test_hard_squares_strip_differences_give_the_entropy():
     assert abs(f(9) - f(8) - 0.5878911617753406) < 1e-8
 
 
-def test_frontier_count_matches_enumeration_on_random_sfts():
-    from amenlab.symbolic import _count_frontier
+def _oracle_cases():
     rng = random.Random(20261018)
     groups = [get_group(name) for name in ("z", "z2", "h3")]
     for case in range(600):
@@ -257,11 +345,48 @@ def test_frontier_count_matches_enumeration_on_random_sfts():
         sft = SFT(group, alphabet, forbidden)
         # scattered sites, so the window is often not connected
         F = sorted({site(3 if d == 1 else 1) for _ in range(rng.randint(1, 8))})
+        shuffled = [group.decode(g) for g in F]
+        rng.shuffle(shuffled)
+        yield case, sft, F, shuffled
+
+
+def test_frontier_count_matches_enumeration_on_random_sfts():
+    for case, sft, F, shuffled in _oracle_cases():
         brute = sum(1 for _ in iter_admissible(sft, F, budget=None))
         assert admissible_patterns(sft, F, budget=None) == brute, case
-        order = [group.decode(g) for g in F]
-        rng.shuffle(order)
-        assert _count_frontier(sft, order, None) == brute, case
+        # the count does not depend on the assignment order
+        assert dict_frontier_count(sft, shuffled, None)[0] == brute, case
+
+
+def _sites(runs):
+    """The coordinate tuples of the sites of ``runs``, run after run."""
+    return [(*h[:-1], h[-1] + j)
+            for h, n in zip(runs.heads.tolist(), runs.lengths.tolist()) for j in range(n)]
+
+
+def _assert_same_count_and_work(sft, runs, label):
+    order = _sites(runs)
+    count, work = dict_frontier_count(sft, order, None)
+    assert symbolic._count_frontier(sft, runs, None) == count, label
+    assert symbolic._count_frontier(sft, runs, work) == count, label
+    # one unit less stops both DPs before the same step, after the same work
+    with pytest.raises(BudgetExceededError) as ref:
+        dict_frontier_count(sft, order, work - 1)
+    with pytest.raises(BudgetExceededError) as err:
+        symbolic._count_frontier(sft, runs, work - 1)
+    assert err.value.work == ref.value.work, label
+
+
+@pytest.mark.parametrize("code_bits", [symbolic.CODE_BITS, 0], ids=["int64 codes", "digit rows"])
+def test_array_dp_matches_the_dict_dp_on_counts_and_work(monkeypatch, code_bits):
+    # with no code bits every state with a live site is a row of the digit array
+    monkeypatch.setattr(symbolic, "CODE_BITS", code_bits)
+    sft = hard_squares_sft()
+    boxes = builtin_families(Z2)["boxes"]
+    for n in range(1, 7):
+        _assert_same_count_and_work(sft, boxes.runs(n), n)
+    for case, sft, F, _ in _oracle_cases():
+        _assert_same_count_and_work(sft, runs_of(sft.group, F), case)
 
 
 def test_windows_are_normalized_sets():
@@ -314,9 +439,9 @@ def test_frontier_order_is_coordinate_tuple_order(monkeypatch, group):
     x = group.encode((1,) + (0,) * (group.dimension - 1))
     sft = SFT(group, binary_alphabet(), (PartialConfiguration({0: "1", x: "1"}),))
     orders = []
-    frontier = symbolic._count_frontier
-    monkeypatch.setattr(symbolic, "_count_frontier",
-                        lambda sft, order, budget: orders.append(order) or frontier(sft, order, budget))
+    instances = symbolic._constraint_instances
+    monkeypatch.setattr(symbolic, "_constraint_instances",
+                        lambda sft, order: orders.append(order) or instances(sft, order))
     rng = random.Random(20261019)
     for _ in range(20):
         F = [group.encode(tuple(rng.randrange(-4, 5) for _ in range(group.dimension)))
