@@ -19,10 +19,11 @@ A count reads its window as runs along the last axis (``groups.Runs``): a
 box family gives them from its sides, and an index set is decoded once
 into them.  On the line, a window of one run under a nearest-neighbour SFT
 is counted by that SFT's transfer walk, a row vector of Python ints kept
-at the last length asked, so a series of growing intervals costs one
-|A| x |A| step per window.  Every other window is counted by one array
-frontier dynamic program, whose states are int64 codes of base-|A| digits
-(rows of a digit array past 2**62) and whose counts are Python ints.
+at the last length asked: a window one longer than the last costs one
+|A| x |A| product, a jump of k about 2 log2 k of them.  Every other window
+is counted by one array frontier dynamic program, whose states are codes of
+base-|A| digits (int64, or Python ints past 2**62) and whose counts are
+Python ints.
 """
 
 from __future__ import annotations
@@ -179,27 +180,38 @@ def _transfer(group: ComputableGroup, size: int, patterns) -> np.ndarray | None:
 
 class _TransferWalk:
     """The row vector first @ A**(length-1) of a transfer matrix, in Python
-    ints, kept with its length as ``state``, the last length asked: a length
-    at least that long steps on from it, a shorter one restarts from the
-    first row.  ``state`` is one attribute, so it is replaced in one store."""
+    ints, kept with its length as ``state``, the last length asked.  A length
+    at least that long moves on from it, a shorter one starts over from the
+    first row; a move of k is v @ A**k with k taken bit by bit, so a step of
+    one costs one |A| x |A| product and a jump of k about 2 log2 k of them.
+    ``state`` is one attribute, so it is replaced in one store."""
 
-    __slots__ = ("first", "into", "state")
+    __slots__ = ("first", "columns", "state")
 
     def __init__(self, transfer: np.ndarray):
         self.first = transfer[0].tolist()
-        A = transfer[1:].tolist()
-        # into[b]: the symbols that b may follow
-        self.into = [[a for a in range(len(A)) if A[a][b]] for b in range(len(A))]
+        self.columns = transfer[1:].T.tolist()
         self.state = (1, self.first)
 
     def count(self, length: int) -> int:
         n, v = self.state
         if length < n:
             n, v = 1, self.first
-        for _ in range(length - n):
-            v = [sum([v[a] for a in into]) for into in self.into]
+        k, power = length - n, self.columns  # A**(2**j), by columns
+        while k:
+            if k & 1:
+                v = _times(v, power)
+            k >>= 1
+            if k:
+                power = list(zip(*[_times(row, power) for row in zip(*power)]))
         self.state = (length, v)
         return sum(v)
+
+
+def _times(v, columns) -> list[int]:
+    """The row vector v @ M, in Python ints, for M given by its columns; a 1
+    entry adds its term without a product, so a 0/1 step only sums."""
+    return [sum([x if m == 1 else x * m for x, m in zip(v, column) if m]) for column in columns]
 
 
 def golden_mean_sft() -> SFT:
@@ -211,7 +223,7 @@ def golden_mean_sft() -> SFT:
 
 # -- pattern counting -------------------------------------------------------
 
-# the frontier DP keeps a state as one int64 code while |A|**slots <= 2**CODE_BITS
+# the frontier DP keeps its state codes in int64 while |A|**slots <= 2**CODE_BITS
 CODE_BITS = 62
 
 
@@ -238,7 +250,8 @@ def transfer_matrix_count(sft: SFT, length: int) -> int:
     """Exact admissible-word count on an interval of the given length for a
     one-dimensional nearest-neighbor subshift: the sum of the row vector
     first @ A**(length-1), walked over Python ints by the SFT's ``walk``.
-    Asking for lengths in rising order costs one |A| x |A| step each."""
+    Asking for lengths one longer than the last costs one |A| x |A| product
+    each; a jump of k costs O(log k) products."""
     if sft.walk is None:
         raise ValueError("subshift is not one-dimensional nearest-neighbor")
     if length < 1:
@@ -275,24 +288,20 @@ def _count_frontier(sft: SFT, runs: Runs, budget: int | None) -> int:
     instances read it.  Each step extends every state by every symbol,
     masks the rows that complete a forbidden occurrence by digit tests,
     clears the slots no later instance reads, and adds up the counts of
-    equal states (a sort, a neighbour mask and ``np.add.reduceat``).  While
-    |A|**slots <= 2**CODE_BITS a state is one int64 code of base-|A| digits;
-    past that it is a row of a digit array, sorted by ``lexsort``.  Counts
-    are Python ints in an object array.  One work unit is one (state,
-    symbol) extension, checked against ``budget`` before each step.
+    equal states (a sort, a neighbour mask and ``np.add.reduceat``).  A
+    state is one code of base-|A| digits: int64 while |A|**slots <=
+    2**CODE_BITS, else a Python int in an object array.  Counts are Python
+    ints in an object array.  One work unit is one (state, symbol)
+    extension, checked against ``budget`` before each step.
     """
     order = [(*h[:-1], h[-1] + j)
              for h, n in zip(runs.heads.tolist(), runs.lengths.tolist()) for j in range(n)]
     steps, width = _frontier_steps(sft, order)
     size = sft.alphabet.size
-    wide = size ** width > 1 << CODE_BITS
+    code = object if size ** width > 1 << CODE_BITS else np.int64
     power = [size ** k for k in range(width)]
-    if wide:  # one byte per digit keeps lexsort's passes short
-        states = np.zeros((1, width), dtype=np.uint8 if size <= 256 else np.int64)
-    else:
-        states = np.zeros(1, dtype=np.int64)
+    states = np.zeros(1, dtype=code)
     counts = np.ones(1, dtype=object)
-    live: list[int] = []
     work = 0
     for tests, dead, slot in steps:
         step = len(states) * size
@@ -302,8 +311,7 @@ def _count_frontier(sft: SFT, runs: Runs, budget: int | None) -> int:
                 work=work)
         work += step
         read = {k for instances in tests.values() for instance in instances for k, _ in instance}
-        digits = {k: states[:, k] if wide else states // power[k] % size
-                  for k in read.union(dead)}
+        digits = {k: states // power[k] % size for k in read.union(dead)}
         ok = np.ones((len(states), size), dtype=bool)
         for s, instances in tests.items():
             for instance in instances:
@@ -315,31 +323,17 @@ def _count_frontier(sft: SFT, runs: Runs, budget: int | None) -> int:
         if not len(rows):
             return 0
         src, symbol = rows // size, rows % size
-        live = [k for k in live if k not in dead] + ([] if slot is None else [slot])
-        if wide:  # a cleared slot is no longer in ``live``, so no merge reads it
-            states = states[src]
-            if slot is not None:
-                states[:, slot] = symbol
-        else:
-            for k in dead:
-                states = states - digits[k] * power[k]
-            states = states[src]
-            if slot is not None:
-                states = states + symbol * power[slot]
+        for k in dead:
+            states = states - digits[k] * power[k]
+        states = states[src]
+        if slot is not None:
+            states = states + symbol.astype(code) * power[slot]
         if not dead and slot is not None:  # distinct states times distinct symbols
             counts = counts[src]
             continue
-        if wide:
-            by = np.lexsort(states[:, live].T) if live else np.arange(len(states))
-            states = states[by]
-            new = np.zeros(len(states) - 1, dtype=bool)
-            for k in live:
-                new |= states[1:, k] != states[:-1, k]
-        else:
-            by = np.argsort(states)
-            states = states[by]
-            new = states[1:] != states[:-1]
-        first = np.flatnonzero(np.concatenate(([True], new)))
+        by = np.argsort(states)
+        states = states[by]
+        first = np.flatnonzero(np.concatenate(([True], states[1:] != states[:-1])))
         counts = np.add.reduceat(counts[src[by]], first)
         states = states[first]
     return int(counts.sum())

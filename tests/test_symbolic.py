@@ -354,7 +354,10 @@ def test_frontier_count_matches_enumeration_on_random_sfts():
     for case, sft, F, shuffled in _oracle_cases():
         brute = sum(1 for _ in iter_admissible(sft, F, budget=None))
         assert admissible_patterns(sft, F, budget=None) == brute, case
-        # the count does not depend on the assignment order
+        # the count does not depend on the assignment order: runs of one
+        # site each, their heads in shuffled order
+        sites = Runs(np.array(shuffled, dtype=np.int64), np.ones(len(shuffled), dtype=np.int64))
+        assert symbolic._count_frontier(sft, sites, None) == brute, case
         assert dict_frontier_count(sft, shuffled, None)[0] == brute, case
 
 
@@ -377,9 +380,9 @@ def _assert_same_count_and_work(sft, runs, label):
     assert err.value.work == ref.value.work, label
 
 
-@pytest.mark.parametrize("code_bits", [symbolic.CODE_BITS, 0], ids=["int64 codes", "digit rows"])
+@pytest.mark.parametrize("code_bits", [symbolic.CODE_BITS, 0], ids=["int64 codes", "object codes"])
 def test_array_dp_matches_the_dict_dp_on_counts_and_work(monkeypatch, code_bits):
-    # with no code bits every state with a live site is a row of the digit array
+    # with no code bits every window with a live site keeps Python-int codes
     monkeypatch.setattr(symbolic, "CODE_BITS", code_bits)
     sft = hard_squares_sft()
     boxes = builtin_families(Z2)["boxes"]
