@@ -27,7 +27,6 @@ from .groups import (
     Heisenberg,
     INDEX_ARRAY_LIMIT,
     Runs,
-    decode_subset,
     _check_range,
     normalize_subset,
     pack_coords,
@@ -36,7 +35,6 @@ from .groups import (
     runs_union,
     set_product,
     subset_from_mask,
-    translate_left,
 )
 from .setcodec import EncodingDomainError, encode_connected
 from .symbolic import binary_alphabet
@@ -145,29 +143,35 @@ def defect(group: ComputableGroup, F, g: int) -> Fraction:
     Fset = frozenset(F)
     if not Fset:
         raise ValueError("empty window")
-    shifted = translate_left(group, g, Fset)
+    shifted = set_product(group, (g,), Fset)
     return Fraction(len(shifted - Fset), len(Fset))
 
 
 def generator_defect_counts(group: ComputableGroup, F) -> tuple[int, ...]:
-    """|sF \\ F| for each s in the fixed generator order, in one pass.
-
-    F is decoded once; each site's ``steps`` are tested against the
-    coordinate set, so no translate is built per generator.
-    """
-    coords = decode_subset(group, F)
-    if not coords:
+    """|sF \\ F| for each s in the fixed generator order; F is Runs or an
+    index set, read as runs once.  As s*(h + k*e_d) = s*h + k*e_d (see
+    ``compose_array``), sF is F's runs with their heads moved by s, and
+    |sF \\ F| = |sF u F| - |F|.  The bounds of sF are the extremes of its
+    sites, so checking them raises CoordinateRangeError exactly where some
+    s*f leaves +/-2**40."""
+    if not len(F):
         raise ValueError("empty window")
-    # s*c is injective in c, so column s holds |F| distinct sites of sF
-    return tuple(len(coords) - len(coords.intersection(column))
-                 for column in zip(*map(group.steps, coords)))
+    runs = F if isinstance(F, Runs) else runs_of(group, F)
+    size, counts = len(runs), []
+    for s in np.array(group.generator_coords, dtype=np.int64):
+        shifted = Runs(group.compose_array(s, runs.heads), runs.lengths)
+        lo, hi = shifted.bounds()
+        _check_range((*lo, *hi))
+        counts.append(len(runs_union(shifted, runs)) - size)
+    return tuple(counts)
 
 
 def defect_report(seq: FolnerSequence, i: int) -> DefectReport:
-    F = frozenset(seq.subset(i))
-    counts = generator_defect_counts(seq.group, F)
-    pairs = tuple((g, Fraction(k, len(F))) for g, k in zip(seq.group.generators, counts))
-    return DefectReport(i, len(F), pairs, max(v for _, v in pairs))
+    """The defects of window i, read by ``seq.runs``: a box family builds none."""
+    F = seq.runs(i)
+    size, counts = len(F), generator_defect_counts(seq.group, F)
+    pairs = tuple((g, Fraction(k, size)) for g, k in zip(seq.group.generators, counts))
+    return DefectReport(i, size, pairs, max(v for _, v in pairs))
 
 
 def product_size(group: ComputableGroup, A, B) -> int:
@@ -176,17 +180,16 @@ def product_size(group: ComputableGroup, A, B) -> int:
     On both shipped laws a run of A (length la) times a run of B (length lb)
     is the run of length la + lb - 1 headed by the product of the heads (see
     ``compose_array``).  Run pairs are composed 2**18 at a time and merged at
-    once, so memory follows the union.  The coordinate check bounds both ends
-    of every run; where a product coordinate may leave +/-2**40 or a key pass
-    2**62 (near that cap, d >= 2), the generic set product answers, raising
-    CoordinateRangeError where A*B leaves the range.  Nothing wraps.
+    once, so memory follows the union.  Both laws are sums and products of
+    coordinates, so the law applied to the largest |coordinate| on each axis
+    of A and of B (``Runs.bounds``) bounds every coordinate of A*B; where that
+    may leave +/-2**40 or a key pass 2**62 (near that cap, d >= 2), the
+    generic set product answers, raising CoordinateRangeError where A*B
+    leaves the range.  Nothing wraps.
     """
     try:
         a, b = (X if isinstance(X, Runs) else runs_of(group, X) for X in (A, B))
-        # both shipped laws are sums and products of coordinates, so the law
-        # applied to the per-axis maxima of |a| and |b| bounds every |a*b|
-        # coordinate; compose raises CoordinateRangeError past 2**40
-        group.compose(_abs_max(a), _abs_max(b))
+        group.compose(*(tuple(max(-l, h) for l, h in zip(*X.bounds())) for X in (a, b)))
         d, step = group.dimension, max(1, (1 << 18) // len(b.heads))
         parts = [runs_union(Runs(
             group.compose_array(a.heads[k:k + step, None], b.heads[None]).reshape(-1, d),
@@ -196,12 +199,6 @@ def product_size(group: ComputableGroup, A, B) -> int:
     except (NotImplementedError, ValueError, OverflowError, CoordinateRangeError):
         union = None
     return len(set_product(group, A, B) if union is None else union)
-
-
-def _abs_max(runs: Runs) -> tuple[int, ...]:
-    lo, hi = runs.heads.min(axis=0), runs.heads.max(axis=0)
-    hi[-1] = (runs.heads[:, -1] + runs.lengths).max() - 1  # the far end of each run
-    return tuple(max(-int(l), int(h)) for l, h in zip(lo, hi))
 
 
 def temperedness_witnesses(seq: FolnerSequence, upto: int):
@@ -252,8 +249,7 @@ def _delta_bits(F: FiniteSubset) -> int:
 
 
 def _box_bits(group: ComputableGroup, F: FiniteSubset):
-    axes = list(zip(*map(group.decode, F)))
-    lows, highs = list(map(min, axes)), list(map(max, axes))
+    lows, highs = runs_of(group, F).bounds()
     if prod(hi - lo + 1 for lo, hi in zip(lows, highs)) != len(F):
         return None
     return sum(

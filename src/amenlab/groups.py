@@ -350,11 +350,6 @@ def translate_right(group: ComputableGroup, F: Iterable[int], c: int) -> frozens
     return set_product(group, F, (c,))
 
 
-def translate_left(group: ComputableGroup, g: int, F: Iterable[int]) -> frozenset:
-    """The set g*F = {g*f : f in F}."""
-    return set_product(group, (g,), F)
-
-
 def set_product(group: ComputableGroup, A: Iterable[int], B: Iterable[int]) -> frozenset:
     """The set A*B = {a*b : a in A, b in B}."""
     bs = [group.decode(b) for b in B]
@@ -394,6 +389,13 @@ class Runs:
         for h, n in zip(self.heads.tolist(), self.lengths.tolist()):
             yield from (pack_coords((*h[:-1], h[-1] + k)) for k in range(n))
 
+    def bounds(self) -> tuple[list[int], list[int]]:
+        """The least and the greatest coordinate on each axis over all sites;
+        on the last axis the top is head + length - 1."""
+        lo, hi = self.heads.min(axis=0), self.heads.max(axis=0)
+        hi[-1] = (self.heads[:, -1] + self.lengths).max() - 1
+        return lo.tolist(), hi.tolist()
+
 
 def runs_union(*parts: Runs, exact: bool = True) -> Optional[Runs]:
     """The union of runs, overlapping or not, as disjoint maximal runs in
@@ -402,9 +404,9 @@ def runs_union(*parts: Runs, exact: bool = True) -> Optional[Runs]:
     ints, or with ``exact=False`` the answer is None."""
     heads = np.concatenate([p.heads for p in parts])
     lengths = np.concatenate([p.lengths for p in parts])
-    lo = heads.min(axis=0).tolist()
-    spans = [h - l + 1 for l, h in zip(lo, heads.max(axis=0).tolist())]
-    spans[-1] = int((heads[:, -1] + lengths).max()) - lo[-1] + 1
+    lo, hi = Runs(heads, lengths).bounds()
+    spans = [h - l + 1 for l, h in zip(lo, hi)]
+    spans[-1] += 1  # the gap after each line
     wide = prod(spans) > 1 << 62
     if wide and not exact:
         return None

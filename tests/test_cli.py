@@ -468,6 +468,10 @@ FIXTURES = {
 PINNED = [
     ("folner defect --group z2 --upto 5", 0,
      "28063cb67de6d7779507c0a147a09da3dbb68d3dd7ec45b4e8cff563c32729e9"),
+    ("folner defect --group z3 --upto 6", 0,
+     "de813d5e8951a3c94a013a3d2cb2ebabf5ecebce47dd35df622de963ebc51b28"),
+    ("folner defect --group h3 --upto 4", 0,
+     "e520e3f280294d3ac074b01b3854aceb9f7c3fd1e90fc776b1ead02d421a6317"),
     ("folner tempered --group h3 --upto 3", 0,
      "6326bf87e8657f5e4af3256521bca2732e4d9e4e349d24876d324746edb26b35"),
     ("folner modest-search --group z --i 3", 0,

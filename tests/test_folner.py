@@ -175,16 +175,60 @@ def test_h3_max_defect_small_by_n16():
 
 
 @pytest.mark.parametrize("name", ["z", "z2", "z3", "h3"])
-def test_generator_defect_counts_match_defect_per_generator(name):
+def test_generator_defect_counts_match_defect_per_generator(name, monkeypatch):
     group = get_group(name)
     seq = builtin_families(group)["boxes"]
-    windows = [seq.subset(n) for n in range(1, 5 if name != "z" else 12)]
+    sides = range(1, 5 if name != "z" else 12)
+    windows = [seq.subset(n) for n in sides]
     windows += [random_connected_subset(group, size, seed)
                 for size in (1, 2, 7, 40, 150) for seed in range(4)]
-    for F in windows:
+    want = [[defect(group, F, s) for s in group.generators] for F in windows]
+    # each box once more as the family's runs; no input form takes a Cayley step
+    windows += [seq.runs(n) for n in sides]
+    want += want[:len(sides)]
+    steps = []
+    monkeypatch.setattr(group, "steps", lambda c: steps.append(c) or type(group).steps(group, c))
+    for F, defects in zip(windows, want):
         counts = generator_defect_counts(group, F)
-        assert [Fraction(k, len(F)) for k in counts] == [
-            defect(group, F, s) for s in group.generators]
+        assert [Fraction(k, len(F)) for k in counts] == defects
+    assert steps == []
+
+
+def _defect_counts_by_multiply(group, F):
+    """|sF \\ F| per generator from one multiply per site and generator, or
+    "range" where some s*f leaves the coordinate range."""
+    Fset = frozenset(F)
+    try:
+        return tuple(len({group.multiply(s, f) for f in Fset} - Fset) for s in group.generators)
+    except CoordinateRangeError:
+        return "range"
+
+
+@pytest.mark.parametrize("name", ["z", "z3", "h3"])
+def test_generator_defect_counts_raise_where_a_per_site_multiply_does(name):
+    """Single sites at every mix of 0, +/-3, +/-(2**40 - 1) and +/-2**40 per
+    axis, alone and with the identity, and five-site runs that end at +2**40
+    or start at -2**40: the counts, or CoordinateRangeError, as per site."""
+    group = get_group(name)
+    d = group.dimension
+    edges = (0, 3, -3, COORD_LIMIT - 1, 1 - COORD_LIMIT, COORD_LIMIT, -COORD_LIMIT)
+    windows = []
+    for c in product(edges, repeat=d):
+        windows += [(group.encode(c),), (group.identity, group.encode(c))]
+    for prefix in product(edges, repeat=d - 1):
+        for head in (COORD_LIMIT - 4, -COORD_LIMIT):
+            windows.append(tuple(group.encode((*prefix, head + k)) for k in range(5)))
+    outcomes = set()
+    for F in windows:
+        want = _defect_counts_by_multiply(group, F)
+        for form in (F, runs_of(group, F)):
+            try:
+                got = generator_defect_counts(group, form)
+            except CoordinateRangeError:
+                got = "range"
+            assert got == want, [group.decode(f) for f in F]
+        outcomes.add(want == "range")
+    assert outcomes == {True, False}
 
 
 def test_defect_rejects_empty():

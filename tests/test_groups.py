@@ -18,12 +18,16 @@ from amenlab.groups import (
     pack_coords_array,
     set_product,
     subset_from_mask,
-    translate_left,
     translate_right,
     unpack_coords,
     unpack_coords_array,
 )
-from amenlab.folner import builtin_families, product_size
+from amenlab.folner import (
+    builtin_families,
+    description_bits,
+    generator_defect_counts,
+    product_size,
+)
 from amenlab.rng import SplitMix64
 from amenlab.stochastic import parse_measure, sample
 from amenlab.symbolic import admissible_patterns, golden_mean_sft
@@ -151,7 +155,8 @@ def test_decode_array_contract(name):
 
 def test_windows_past_int64_coordinates_raise_on_every_route():
     # a golden interval of the line at 2**70, far past the documented
-    # +/-2**40: counting, Markov sampling and product sizes all refuse it
+    # +/-2**40: counting, Markov sampling, product sizes, defect counts and the
+    # description bound all refuse it
     z = get_group("z")
     F = tuple(pack_coords((2**70 + k,)) for k in range(5))
     with pytest.raises(CoordinateRangeError):
@@ -163,6 +168,10 @@ def test_windows_past_int64_coordinates_raise_on_every_route():
         sample(parse_measure("markov:[[0.5,0.5],[1,0]]"), F, 1)
     with pytest.raises(CoordinateRangeError):
         product_size(z, F, F)
+    # defect counts and the box descriptor read windows as runs
+    for route in (generator_defect_counts, description_bits):
+        with pytest.raises(CoordinateRangeError):
+            route(z, F)
 
 
 def test_index_at_the_array_limit_stays_exact():
@@ -285,7 +294,7 @@ def test_translate_left_heisenberg_twists():
     h = get_group("h3")
     x = h.encode((1, 0, 0))
     F = [h.encode((0, b, 0)) for b in range(3)]
-    got = sorted(h.decode(e) for e in translate_left(h, x, F))
+    got = sorted(h.decode(e) for e in set_product(h, (x,), F))
     # x*(0,b,0) = (1, b, b)
     assert got == [(1, 0, 0), (1, 1, 1), (1, 2, 2)]
 
@@ -441,7 +450,7 @@ def test_set_products_match_pairwise_multiply_on_h3_near_the_cap():
         want = _outcome(lambda: frozenset(h.multiply(a, b) for a in A for b in B))
         outcomes.add(want is CoordinateRangeError)
         assert _outcome(set_product, h, A, B) == want
-        assert _outcome(translate_left, h, A[0], B) == _outcome(
+        assert _outcome(set_product, h, (A[0],), B) == _outcome(
             lambda: frozenset(h.multiply(A[0], b) for b in B))
         assert _outcome(translate_right, h, A, B[0]) == _outcome(
             lambda: frozenset(h.multiply(a, B[0]) for a in A))
