@@ -104,7 +104,7 @@ def _cmd_folner_defect(args):
     seq = _family(group, args.family)
     rows = []
     for i in seq.indices(args.upto):
-        F = seq.subset(i)  # built once: defect_report(seq, i) would build it again
+        F = seq.runs(i)  # read once: no index tuple is built and nothing decoded
         d = Fraction(max(generator_defect_counts(group, F)), len(F))
         rows.append((i, len(F), d.numerator, d.denominator, description_bits(group, F)))
     _report(args, ["i", "size", "max_defect_num", "max_defect_den", "description_bits"], rows)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import prod
-from typing import Callable, Optional
+from typing import Callable, Union
 
 import numpy as np
 
@@ -25,18 +24,16 @@ from .groups import (
     CoordinateRangeError,
     FiniteSubset,
     Heisenberg,
-    INDEX_ARRAY_LIMIT,
     Runs,
     _check_range,
-    normalize_subset,
     pack_coords,
-    pack_coords_array,
     runs_of,
     runs_union,
     set_product,
+    sorted_indices,
     subset_from_mask,
 )
-from .setcodec import EncodingDomainError, encode_connected
+from .setcodec import EncodingDomainError, encode_coords
 from .symbolic import binary_alphabet
 
 
@@ -55,27 +52,28 @@ def inverse_runs(group: ComputableGroup, runs: Runs) -> Runs:
 @dataclass(frozen=True)
 class FolnerSequence:
     """A window family i -> F_i with nonempty members of nondecreasing size.
-    ``member_runs``, if given, builds window i as Runs without its index
-    tuple (the box families read them off their sides)."""
+    ``member(i)`` gives window i as Runs (the box families read them off
+    their sides) or as an index set; ``subset`` and ``runs`` read either."""
 
     group: ComputableGroup
     name: str
     start: int
-    member: Callable[[int], FiniteSubset]
-    member_runs: Optional[Callable[[int], Runs]] = None
+    member: Callable[[int], Union[Runs, FiniteSubset]]
 
-    def subset(self, i: int) -> FiniteSubset:
+    def _member(self, i: int):
         if i < self.start:
             raise ValueError(f"{self.name} starts at index {self.start}")
         F = self.member(i)
-        if not F:
+        if not len(F):
             raise ValueError(f"{self.name} produced an empty member at {i}")
         return F
 
+    def subset(self, i: int) -> FiniteSubset:
+        F = self._member(i)
+        return F.indices() if isinstance(F, Runs) else F
+
     def runs(self, i: int) -> Runs:
-        if self.member_runs is None or i < self.start:  # subset(i) validates i
-            return runs_of(self.group, self.subset(i))
-        return self.member_runs(i)
+        return runs_of(self.group, self._member(i))
 
     def indices(self, upto: int) -> range:
         if upto < self.start:
@@ -93,29 +91,11 @@ class DefectReport:
     max_defect: Fraction
 
 
-def _box_sides(group: ComputableGroup, n: int) -> tuple[tuple[int, ...], int]:
-    """The sides of the box of side n and the index of its far corner."""
-    sides = (n, n, n * n) if isinstance(group, Heisenberg) else (n,) * group.dimension
-    # zigzag and Cantor pairing grow in each nonnegative coordinate, so the
-    # far corner holds the largest index; encode range-checks it first
-    return sides, group.encode(tuple(s - 1 for s in sides))
-
-
-def _box(group: ComputableGroup, n: int) -> FiniteSubset:
-    """The box of side n, built anew on each call; nothing is cached."""
-    sides, far = _box_sides(group, n)
-    if far >= INDEX_ARRAY_LIMIT:
-        return normalize_subset(group.encode(c) for c in product(*map(range, sides)))
-    axes = np.meshgrid(*(np.arange(s, dtype=np.int64) for s in sides),
-                       indexing="ij", sparse=True)
-    index = pack_coords_array(axes).ravel()
-    index.sort()
-    return tuple(index.tolist())
-
-
 def _box_runs(group: ComputableGroup, n: int) -> Runs:
-    """The box of side n from its sides alone: n^(d-1) runs of length m."""
-    (*prefix, m), _ = _box_sides(group, n)
+    """The box of side n from its sides alone: n^(d-1) runs of length m.  The
+    far corner is range-checked before anything is allocated."""
+    *prefix, m = (n, n, n * n) if isinstance(group, Heisenberg) else (n,) * group.dimension
+    _check_range((*(s - 1 for s in prefix), m - 1))
     heads = np.indices((*prefix, 1), dtype=np.int64).reshape(len(prefix) + 1, -1).T
     return Runs(heads, np.full(len(heads), m, dtype=np.int64))
 
@@ -125,13 +105,12 @@ def builtin_families(group: ComputableGroup) -> dict[str, FolnerSequence]:
 
     Boxes are [0,n)^d; the Heisenberg box is [0,n) x [0,n) x [0,n^2), which
     keeps the vertical extent in step with the commutator growth.  Both
-    give their runs from the sides (``FolnerSequence.runs``).
+    give their windows as runs from the sides, built anew on each request
+    and never cached; an index tuple is read off the runs (``Runs.indices``).
     """
     return {
-        "boxes": FolnerSequence(group, "boxes", 1, lambda i: _box(group, i),
-                                lambda i: _box_runs(group, i)),
-        "dyadic": FolnerSequence(group, "dyadic", 0, lambda i: _box(group, 1 << i),
-                                 lambda i: _box_runs(group, 1 << i)),
+        "boxes": FolnerSequence(group, "boxes", 1, lambda i: _box_runs(group, i)),
+        "dyadic": FolnerSequence(group, "dyadic", 0, lambda i: _box_runs(group, 1 << i)),
     }
 
 
@@ -156,7 +135,7 @@ def generator_defect_counts(group: ComputableGroup, F) -> tuple[int, ...]:
     s*f leaves +/-2**40."""
     if not len(F):
         raise ValueError("empty window")
-    runs = F if isinstance(F, Runs) else runs_of(group, F)
+    runs = runs_of(group, F)
     size, counts = len(runs), []
     for s in np.array(group.generator_coords, dtype=np.int64):
         shifted = Runs(group.compose_array(s, runs.heads), runs.lengths)
@@ -183,22 +162,19 @@ def product_size(group: ComputableGroup, A, B) -> int:
     once, so memory follows the union.  Both laws are sums and products of
     coordinates, so the law applied to the largest |coordinate| on each axis
     of A and of B (``Runs.bounds``) bounds every coordinate of A*B; where that
-    may leave +/-2**40 or a key pass 2**62 (near that cap, d >= 2), the
-    generic set product answers, raising CoordinateRangeError where A*B
-    leaves the range.  Nothing wraps.
+    may leave +/-2**40, or an operand is empty, the generic set product
+    answers, raising CoordinateRangeError where A*B leaves the range.  Nothing wraps.
     """
     try:
-        a, b = (X if isinstance(X, Runs) else runs_of(group, X) for X in (A, B))
+        a, b = runs_of(group, A), runs_of(group, B)
         group.compose(*(tuple(max(-l, h) for l, h in zip(*X.bounds())) for X in (a, b)))
-        d, step = group.dimension, max(1, (1 << 18) // len(b.heads))
-        parts = [runs_union(Runs(
-            group.compose_array(a.heads[k:k + step, None], b.heads[None]).reshape(-1, d),
-            (a.lengths[k:k + step, None] + b.lengths - 1).ravel()), exact=False)
-            for k in range(0, len(a.heads), step)]
-        union = None if None in parts else runs_union(*parts, exact=False)
-    except (NotImplementedError, ValueError, OverflowError, CoordinateRangeError):
-        union = None
-    return len(set_product(group, A, B) if union is None else union)
+    except (ValueError, CoordinateRangeError):
+        return len(set_product(group, A, B))
+    d, step = group.dimension, max(1, (1 << 18) // len(b.heads))
+    return len(runs_union(*(runs_union(Runs(
+        group.compose_array(a.heads[k:k + step, None], b.heads[None]).reshape(-1, d),
+        (a.lengths[k:k + step, None] + b.lengths - 1).ravel()))
+        for k in range(0, len(a.heads), step))))
 
 
 def temperedness_witnesses(seq: FolnerSequence, upto: int):
@@ -248,37 +224,38 @@ def _delta_bits(F: FiniteSubset) -> int:
     return selfdelim_length(len(F)) + sum(selfdelim_length(g - p) for p, g in zip((0, *F), F))
 
 
-def _box_bits(group: ComputableGroup, F: FiniteSubset):
-    lows, highs = runs_of(group, F).bounds()
-    if prod(hi - lo + 1 for lo, hi in zip(lows, highs)) != len(F):
+def _box_bits(runs: Runs):
+    lows, highs = runs.bounds()
+    if prod(hi - lo + 1 for lo, hi in zip(lows, highs)) != len(runs):
         return None
-    return sum(
-        selfdelim_length(pack_coords((lo,))) + selfdelim_length(hi - lo + 1)
-        for lo, hi in zip(lows, highs)
-    )
+    return sum(selfdelim_length(pack_coords((lo,))) + selfdelim_length(hi - lo + 1)
+               for lo, hi in zip(lows, highs))
 
 
 def description_bits(group: ComputableGroup, F) -> int:
-    """Upper bound on the description length of F in bits.
+    """Upper bound in bits on the description length of F (Runs or an index set).
 
     Minimum over the decodable encoders that apply: the connected-set codec
     string, that string recompressed with the frequency coder (boundary
     zeros are rare in almost-invariant sets, so this lands near
     |F|*H(o(1))), a coordinate-box descriptor, and a sorted-index delta
-    code as the catch-all.
+    code as the catch-all.  All of them read F's runs (``runs_of``: one
+    array decode of an index set) and the coordinate rows of their sites.
     """
-    F = normalize_subset(F)
-    candidates = [_delta_bits(F)]
-    if F:
-        box = _box_bits(group, F)
-        if box is not None:
-            candidates.append(box)
-        try:
-            stream = encode_connected(group, F)
-        except EncodingDomainError:
-            pass
-        else:
-            candidates += [len(stream), freq_length(binary_alphabet(), stream)]
+    if not len(F):
+        return _delta_bits(())
+    runs = runs_of(group, F)
+    sites = runs.sites()
+    candidates = [_delta_bits(sorted_indices(sites))]
+    box = _box_bits(runs)
+    if box is not None:
+        candidates.append(box)
+    try:
+        stream = encode_coords(group, frozenset(map(tuple, sites.tolist())))
+    except EncodingDomainError:
+        pass
+    else:
+        candidates += [len(stream), freq_length(binary_alphabet(), stream)]
     return min(candidates)
 
 

@@ -20,9 +20,9 @@ The enumeration, computed only by :func:`pack_coords` and its inverse
 Coordinates are reliable up to +/- 2**40; arithmetic leaving that range
 raises :class:`CoordinateRangeError` instead of returning an element of a
 different group than the caller asked for.  The scalar decode is memoised
-(4096 entries, about 1 MB for rank-3 coordinates near 2**40); a window
-becomes coordinates only through :meth:`ComputableGroup.decode_array`,
-which bypasses the memo.
+(4096 entries, about 1 MB for rank-3 coordinates near 2**40); windows
+bypass it: an index set through :meth:`ComputableGroup.decode_array`, and
+:class:`Runs` through ``Runs.sites``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt, prod
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -68,6 +68,17 @@ def pack_coords_array(coords: Sequence[np.ndarray]) -> np.ndarray:
         s = acc + np.where(c > 0, 2 * c - 1, -2 * c)
         acc = s * (s + 1) // 2 + acc
     return acc
+
+
+def sorted_indices(rows: np.ndarray) -> FiniteSubset:
+    """The sorted indices of n >= 1 distinct (n, d) int64 coordinate rows, packed in int64
+    while the largest index is below INDEX_ARRAY_LIMIT, else on Python ints: nothing wraps."""
+    # an index grows with each zigzagged coordinate; pack the larger on each axis
+    far = pack_coords([hi if 2 * hi - 1 > -2 * lo else lo
+                       for lo, hi in zip(rows.min(axis=0).tolist(), rows.max(axis=0).tolist())])
+    index = pack_coords_array(list(rows.T if far < INDEX_ARRAY_LIMIT else rows.T.astype(object)))
+    index.sort()
+    return tuple(index.tolist())
 
 
 @lru_cache(maxsize=1 << 12)
@@ -377,7 +388,7 @@ def boundary_coords(group: ComputableGroup, coords: frozenset) -> set:
 class Runs:
     """A window as disjoint runs: run k is heads[k] + j*e_d for j < lengths[k],
     e_d the last axis, heads an (r, d) int64 array; every site lies within
-    +/-2**40.  ``len`` counts the sites and iteration yields their indices."""
+    +/-2**40.  ``len`` counts the sites; ``sites`` and iteration list them."""
 
     heads: np.ndarray
     lengths: np.ndarray
@@ -386,8 +397,20 @@ class Runs:
         return sum(self.lengths.tolist())
 
     def __iter__(self):
-        for h, n in zip(self.heads.tolist(), self.lengths.tolist()):
-            yield from (pack_coords((*h[:-1], h[-1] + k)) for k in range(n))
+        return map(pack_coords, self.sites().tolist())
+
+    def sites(self) -> np.ndarray:
+        """The (n, d) int64 coordinate rows of the sites, in run order."""
+        # column-major, so each coordinate is one contiguous column
+        cols = np.repeat(self.heads.T, self.lengths, axis=1)
+        # a site's place in its run: its position less that of its run's first
+        # site, added in place so that no second full column is alive at once
+        cols[-1] += np.arange(cols.shape[1])
+        cols[-1] -= np.repeat(np.cumsum(self.lengths) - self.lengths, self.lengths)
+        return cols.T
+
+    def indices(self) -> FiniteSubset:
+        return sorted_indices(self.sites())
 
     def bounds(self) -> tuple[list[int], list[int]]:
         """The least and the greatest coordinate on each axis over all sites;
@@ -397,19 +420,17 @@ class Runs:
         return lo.tolist(), hi.tolist()
 
 
-def runs_union(*parts: Runs, exact: bool = True) -> Optional[Runs]:
+def runs_union(*parts: Runs) -> Runs:
     """The union of runs, overlapping or not, as disjoint maximal runs in
     coordinate order, by one argsort of mixed-radix keys that leave a gap
-    after each line.  Keys are int64 below 2**62; past that they are Python
-    ints, or with ``exact=False`` the answer is None."""
+    after each line.  Keys are int64 below 2**62 and Python ints past it, so
+    the union is exact at any spread within +/-2**40."""
     heads = np.concatenate([p.heads for p in parts])
     lengths = np.concatenate([p.lengths for p in parts])
     lo, hi = Runs(heads, lengths).bounds()
     spans = [h - l + 1 for l, h in zip(lo, hi)]
     spans[-1] += 1  # the gap after each line
     wide = prod(spans) > 1 << 62
-    if wide and not exact:
-        return None
     key = np.zeros(len(heads), dtype=object if wide else np.int64)
     for k, span in enumerate(spans):
         key *= span
@@ -423,8 +444,10 @@ def runs_union(*parts: Runs, exact: bool = True) -> Optional[Runs]:
 
 
 def runs_of(group: ComputableGroup, F) -> Runs:
-    """The nonempty index set F as Runs, decoded once; a site past
-    +/-2**40 raises CoordinateRangeError."""
+    """F itself when it is Runs, else the nonempty index set F as Runs,
+    decoded once; a site past +/-2**40 raises CoordinateRangeError."""
+    if isinstance(F, Runs):
+        return F
     c = group.decode_array(F)
     if not len(c):
         raise ValueError("window must be nonempty")

@@ -110,12 +110,10 @@ def _padded(seq: FolnerSequence, j: int) -> Runs:
     return runs_union(seq.runs(j), runs_of(seq.group, (seq.group.identity,)))
 
 
-def _invariance_defect(seq: FolnerSequence, K_index: int, F_index: int,
-                       K: Optional[Runs] = None) -> Fraction:
-    """|F_K * F_F \\ F_F| / |F_F|, exact, from the runs of both windows; K is
-    ``_padded(seq, K_index)``, built here unless the caller passes it."""
-    K = _padded(seq, K_index) if K is None else K
-    # (K u {1})F = KF u F, so |KF \ F| = |(K u {1})F| - |F|
+def _invariance_defect(seq: FolnerSequence, K: Runs, F_index: int) -> Fraction:
+    """|F_j F \\ F| / |F|, exact, for F the window F_index and K the runs
+    ``_padded(seq, j)``, which the planner builds once per scale."""
+    # KF = (F_j u {1})F = F_j F u F, so |F_j F \ F| = |KF| - |F|
     F = seq.runs(F_index)
     return Fraction(product_size(seq.group, K, F) - len(F), len(F))
 
@@ -146,7 +144,7 @@ def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan
     def threshold_for(j: int) -> int:
         # largest failing index; everything above it up to the horizon passes
         for i in range(horizon, j, -1):
-            if _invariance_defect(seq, j, i, padded(j)) > tol:
+            if _invariance_defect(seq, padded(j), i) > tol:
                 return i
         return j
 
@@ -154,7 +152,7 @@ def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan
     while len(scales) < goal:
         nxt = None
         for j in range(scales[-1] + 1, horizon + 1):
-            if _invariance_defect(seq, scales[-1], j, padded(scales[-1])) <= tol:
+            if _invariance_defect(seq, padded(scales[-1]), j) <= tol:
                 nxt = j
                 break
         if nxt is None:

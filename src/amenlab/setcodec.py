@@ -45,20 +45,22 @@ class DecodeError(ValueError):
 
 
 def encode_connected(group: ComputableGroup, T) -> str:
-    """Code word of a finite connected identity-containing set, as a 0/1 string.
+    """0/1 code word of a finite connected identity-containing set (``encode_coords``);
+    the memoised scalar decode reads its members, faster than an array decode on small sets."""
+    # a negative index is no element: it stays an int, which no walk reaches,
+    # so the set counts as disconnected
+    return encode_coords(group, frozenset(
+        unpack_coords(g, group.dimension) if g >= 0 else g for g in frozenset(T)))
 
-    Raises :class:`EncodingDomainError` for sets outside the domain; a
-    disconnected set is detected when the walk emits fewer than |T| ones,
-    before any code word is returned.
-    """
-    tset = frozenset(T)
-    if not tset:
+
+def encode_coords(group: ComputableGroup, coords) -> str:
+    """Code word of the set of coordinate tuples ``coords``.  Raises
+    :class:`EncodingDomainError` for sets outside the domain; a disconnected
+    set is detected when the walk emits fewer than |coords| ones."""
+    if not coords:
         raise EncodingDomainError("cannot encode the empty set")
-    if group.identity not in tset:
+    if (0,) * group.dimension not in coords:
         raise EncodingDomainError("set does not contain the identity")
-    # a negative index is no element: the walk never reaches it, so the set
-    # counts as disconnected below
-    coords = frozenset(unpack_coords(g, group.dimension) for g in tset if g >= 0)
     bits: list[str] = []
 
     def inside(c: tuple) -> bool:
@@ -66,7 +68,7 @@ def encode_connected(group: ComputableGroup, T) -> str:
         bits.append("1" if member else "0")
         return member
 
-    if len(walk(group, inside)) != len(tset):
+    if len(walk(group, inside)) != len(coords):
         raise EncodingDomainError("set is not connected in the Cayley graph")
     return "".join(bits)
 

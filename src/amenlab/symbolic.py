@@ -269,7 +269,7 @@ def admissible_patterns(sft: SFT, F, budget: int | None = 20_000_000) -> int:
     frontier dynamic program of :func:`_count_frontier`.  A count that would
     take more than ``budget`` work units raises :class:`BudgetExceededError`.
     """
-    runs = F if isinstance(F, Runs) else runs_of(sft.group, F)
+    runs = runs_of(sft.group, F)
     size = len(runs)
     if not size:
         raise ValueError("window must be nonempty")
@@ -294,8 +294,7 @@ def _count_frontier(sft: SFT, runs: Runs, budget: int | None) -> int:
     ints in an object array.  One work unit is one (state, symbol)
     extension, checked against ``budget`` before each step.
     """
-    order = [(*h[:-1], h[-1] + j)
-             for h, n in zip(runs.heads.tolist(), runs.lengths.tolist()) for j in range(n)]
+    order = list(map(tuple, runs.sites().tolist()))
     steps, width = _frontier_steps(sft, order)
     size = sft.alphabet.size
     code = object if size ** width > 1 << CODE_BITS else np.int64

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from amenlab import folner
+from amenlab import folner, groups, setcodec
 from amenlab.cli import main
 from amenlab.folner import builtin_families, temperedness_constant
 from amenlab.groups import get_group
@@ -79,14 +79,10 @@ def test_folner_tempered_refuses_a_single_index(tmp_path, capsys, family, upto):
     (["folner", "tempered", "--group", "z", "--family", "dyadic", "--upto", "12"], 12, 13),
 ])
 def test_folner_reports_build_each_window_once(tmp_path, monkeypatch, argv, rows, built):
-    # a window counts as built as an index tuple (_box) or as runs (_box_runs)
+    # a box window is built only as runs, from its sides (_box_runs)
     calls = []
-    for name in ("_box", "_box_runs"):
-        def counting(group, n, build=getattr(folner, name)):
-            calls.append(n)
-            return build(group, n)
-
-        monkeypatch.setattr(folner, name, counting)
+    build = folner._box_runs
+    monkeypatch.setattr(folner, "_box_runs", lambda group, n: calls.append(n) or build(group, n))
     out = tmp_path / "report.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert len(data_rows(out)[1]) == rows
@@ -235,11 +231,12 @@ def test_tile_dyadic_window_past_the_coordinate_range_exits_2(tmp_path, capsys):
 
 
 def test_tile_h3_boxes_plans_to_the_default_horizon_from_runs(tmp_path, monkeypatch):
-    # the planner reads windows up to index 64 (4096 runs each) without
-    # building them; the only windows built are the one covered and the tiles
+    # the planner reads windows up to index 64 (4096 runs each) as runs; the
+    # only index tuples built are the window covered and the tiles
     calls = []
-    box = folner._box
-    monkeypatch.setattr(folner, "_box", lambda group, n: calls.append(n) or box(group, n))
+    subset = folner.FolnerSequence.subset
+    monkeypatch.setattr(folner.FolnerSequence, "subset",
+                        lambda seq, i: calls.append(i) or subset(seq, i))
     out = tmp_path / "tile.csv"
     start = time.perf_counter()
     assert main(["tile", "--group", "h3", "--family", "boxes", "--eps", "1/4",
@@ -510,6 +507,25 @@ def _pinned_run(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("command,code,digest", PINNED, ids=[c for c, _, _ in PINNED])
 def test_payload_pinned(tmp_path, monkeypatch, capsys, command, code, digest):
     assert _pinned_run(tmp_path, monkeypatch, command.split()) == (code, digest)
+
+
+def test_folner_defect_on_boxes_builds_and_decodes_nothing(tmp_path, monkeypatch):
+    # each row reads seq.runs(i) once and hands those runs to the defect counts
+    # and the description bound: no index tuple is built and no index decoded
+    calls = []
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or fn(*a))
+
+    spy(folner.FolnerSequence, "subset")
+    spy(groups.ComputableGroup, "decode_array")
+    for module in (groups, setcodec):
+        spy(module, "unpack_coords")
+    for command, code, digest in PINNED:
+        if command.startswith("folner defect"):
+            assert _pinned_run(tmp_path, monkeypatch, command.split()) == (code, digest)
+    assert calls == []
 
 
 @pytest.mark.parametrize("command,code,digest", PINNED, ids=[c for c, _, _ in PINNED])

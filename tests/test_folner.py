@@ -98,16 +98,43 @@ def test_builtin_members_match_the_scalar_build(name):
         assert fams["dyadic"].subset(i) == _scalar_box(group, sides(1 << i))
 
 
-@pytest.mark.parametrize("name,n,array_path", [("z7", 2, True), ("z6", 3, False)])
-def test_box_past_2_62_is_built_on_the_scalar_path(monkeypatch, name, n, array_path):
-    # far-corner indices: (1,)*7 has 56 bits, (2,)*6 has 63
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "z4", "z5", "z6", "z7", "h3"])
+def test_runs_sites_and_indices_match_the_scalar_pack(monkeypatch, name):
+    # boxes, their runs' order of sites, and windows whose largest index
+    # passes 2**62: the z6 box of side 3 (far corner of 63 bits) packs on
+    # Python ints, the z7 box of side 2 (56 bits) in one int64 array
     group = get_group(name)
+    d = group.dimension
     calls = []
-    array = folner.pack_coords_array
-    monkeypatch.setattr(folner, "pack_coords_array", lambda axes: calls.append(1) or array(axes))
-    assert folner._box(group, n) == _scalar_box(group, (n,) * group.dimension)
-    assert (group.encode((n - 1,) * group.dimension) > 1 << 62) is not array_path
-    assert bool(calls) is array_path
+    array = groups.pack_coords_array
+    monkeypatch.setattr(groups, "pack_coords_array",
+                        lambda cols: calls.append(cols[0].dtype) or array(cols))
+    rng = SplitMix64(derive(71))
+    windows = [folner._box_runs(group, n) for n in (1, 2, 3)]
+    for trial in range(6):
+        corner = [rng.randrange(41) - 20 for _ in range(d)]
+        sides = [1 + rng.randrange(4) for _ in range(d)]
+        size = 1 + rng.randrange(30)
+        windows.append(runs_of(group, _box(group, corner, sides)))
+        windows.append(runs_of(group, random_connected_subset(group, size, trial)))
+    wide, packed_as = [], []
+    for runs in windows:
+        rows = runs.sites()
+        assert rows.dtype == np.int64 and rows.shape == (len(runs), d)
+        want = [(*h[:-1], h[-1] + k)
+                for h, n in zip(runs.heads.tolist(), runs.lengths.tolist()) for k in range(n)]
+        assert [tuple(r) for r in rows.tolist()] == want
+        packed = [groups.pack_coords(c) for c in want]
+        assert list(runs) == packed
+        calls.clear()
+        assert runs.indices() == normalize_subset(packed)
+        (dtype,) = calls
+        wide.append(max(packed) >= INDEX_ARRAY_LIMIT)
+        packed_as.append(dtype)
+        assert dtype == object or not wide[-1]
+    # a box holds its far corner, so its largest index picks the dtype exactly
+    assert wide[:3] == [False, False, name in ("z6", "z7")]
+    assert packed_as[:3] == [object if w else np.int64 for w in wide[:3]]
 
 
 def test_box_past_the_coordinate_range_raises_before_building():
@@ -301,7 +328,7 @@ def test_tempered_and_plan_on_box_families_build_no_window(monkeypatch):
     """Both read box windows as runs from their sides: no index tuple is
     built and no site is inverted one at a time."""
     calls = []
-    monkeypatch.setattr(folner, "_box", lambda group, n: calls.append(("box", n)))
+    monkeypatch.setattr(Runs, "indices", lambda runs: calls.append(("indices", len(runs))))
     for group in (Z, Z2, H3):
         monkeypatch.setattr(group, "inverse", lambda g: calls.append(("inverse", g)))
     assert temperedness_constant(builtin_families(Z)["dyadic"], 12) == Fraction(6143, 4096)
@@ -460,7 +487,8 @@ def test_product_size_on_runs_of_every_shape(generic_calls):
 
 def test_product_size_wide_keys_fall_back(generic_calls):
     """Box-shaped B near the coordinate cap: every coordinate stays within
-    +/-2**40, but the products spread over more than 2**62 keys."""
+    +/-2**40, but the products spread over more than 2**62 keys, which the
+    run merge keeps as Python ints; no generic set product is needed."""
     c = COORD_LIMIT - (1 << 32)
     cases = [
         (Z2, [(0, 0), (4 - (1 << 32), 1 << 32)], (c, 0), (4, 3)),
@@ -471,17 +499,24 @@ def test_product_size_wide_keys_fall_back(generic_calls):
     for group, A, corner, sides in cases:
         A = [group.encode(a) for a in A]
         B = _box(group, corner, sides)
-        assert product_size(group, A, B) == len(set_product(group, A, B)) == 2 * len(B)
-    assert len(generic_calls) == len(cases)
+        want = len(set_product(group, A, B))
+        assert want == 2 * len(B)
+        for mixed in [(A, B)] + _operand_mixes(group, A, B):
+            assert product_size(group, *mixed) == want
+    assert generic_calls == []
 
 
 def test_product_size_wide_keys_fall_back_on_runs_operands(generic_calls):
-    # the same near-cap boxes as above, with B given as Runs: the generic
-    # product expands the runs to their sites and answers exactly
+    # the same near-cap box as above, with B given as Runs: the Python-int
+    # keys answer exactly, and only a product that leaves +/-2**40 falls back
     c = COORD_LIMIT - (1 << 32)
     A = [Z2.encode(a) for a in [(0, 0), (4 - (1 << 32), 1 << 32)]]
     B = _box(Z2, (c, 0), (4, 3))
     assert product_size(Z2, A, runs_of(Z2, B)) == len(set_product(Z2, A, B)) == 24
+    assert generic_calls == []
+    far = [Z2.encode((1 << 32, 0))]
+    with pytest.raises(CoordinateRangeError):
+        product_size(Z2, far, runs_of(Z2, B))
     assert len(generic_calls) == 1
 
 
@@ -567,7 +602,6 @@ def test_runs_union_is_exact_past_int64_keys(name):
     _assert_disjoint_maximal(union, sites)
     assert len(union.lengths) == 5
     assert union.heads.dtype == union.lengths.dtype == np.int64
-    assert runs_union(runs_of(group, sites), exact=False) is None
 
 
 def test_runs_of_refuses_sites_past_the_coordinate_range():
@@ -734,6 +768,27 @@ def test_description_bits_box_ratio_small():
     assert description_bits(Z2, F) / len(F) < 0.05
     F32 = builtin_families(Z2)["boxes"].subset(32)
     assert description_bits(Z2, F32) / 1024 < 0.05
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "h3"])
+def test_description_bits_of_runs_equal_those_of_the_index_set(name):
+    # boxes, dyadic windows, random connected sets, a box off the identity
+    # and a box with a hole, which the box descriptor must not cover
+    group = get_group(name)
+    d = group.dimension
+    fams = builtin_families(group)
+    windows = [fams["boxes"].runs(n) for n in (1, 2, 3, 5)]
+    windows += [fams["dyadic"].runs(i) for i in range(3)]
+    windows += [runs_of(group, random_connected_subset(group, size, seed))
+                for size in (1, 7, 40) for seed in range(3)]
+    windows.append(runs_of(group, _box(group, (-2,) * d, (3,) * d)))
+    holed = [g for g in fams["boxes"].subset(3) if group.decode(g) != (1,) * d]
+    windows.append(runs_of(group, holed))
+    for runs in windows:
+        F = runs.indices()
+        assert description_bits(group, runs) == description_bits(group, F)
+        assert description_bits(group, runs) == description_bits(group, list(F)[::-1] + list(F))
+    assert folner._box_bits(runs_of(group, holed)) is None
 
 
 def test_description_bits_empty_set():

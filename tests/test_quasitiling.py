@@ -91,7 +91,7 @@ def test_invariance_defect_of_windows_without_the_identity(group):
         for i in range(1, 7):
             F = frozenset(shifted.subset(i))
             want = Fraction(len(set_product(group, K, F) - F), len(F))
-            assert _invariance_defect(shifted, j, i) == want, (j, i)
+            assert _invariance_defect(shifted, _padded(shifted, j), i) == want, (j, i)
 
 
 @pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
@@ -104,7 +104,7 @@ def test_invariance_defect_of_box_windows_matches_the_set_product(group):
             for i in seq.indices(top):
                 F = frozenset(seq.subset(i))
                 want = Fraction(len(set_product(group, seq.subset(j), F) - F), len(F))
-                assert _invariance_defect(seq, j, i) == want, (family, j, i)
+                assert _invariance_defect(seq, _padded(seq, j), i) == want, (family, j, i)
 
 
 # -- planning -----------------------------------------------------------------
@@ -149,7 +149,7 @@ def reference_plan(seq, eps, horizon):
 
     def threshold_for(j):
         for i in range(horizon, j, -1):
-            if _invariance_defect(seq, j, i) > tol:
+            if _invariance_defect(seq, _padded(seq, j), i) > tol:
                 return i
         return j
 
@@ -157,7 +157,7 @@ def reference_plan(seq, eps, horizon):
     while len(scales) < goal:
         nxt = None
         for j in range(scales[-1] + 1, horizon + 1):
-            if _invariance_defect(seq, scales[-1], j) <= tol:
+            if _invariance_defect(seq, _padded(seq, scales[-1]), j) <= tol:
                 nxt = j
                 break
         if nxt is None:
