@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import sub
 from typing import Callable, Union
 
 import numpy as np
@@ -221,7 +222,9 @@ def modest_search(group: ComputableGroup, i: int, cap: int = 1_000_000) -> Finit
 
 
 def _delta_bits(F: FiniteSubset) -> int:
-    return selfdelim_length(len(F)) + sum(selfdelim_length(g - p) for p, g in zip((0, *F), F))
+    # the count's frame, then one frame of 2 * bit_length + 2 bits per index gap
+    return (selfdelim_length(len(F)) + 2 * len(F)
+            + 2 * sum(map(int.bit_length, map(sub, F, (0, *F)))))
 
 
 def _box_bits(runs: Runs):

@@ -2,14 +2,21 @@
 
 import math
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
 from amenlab import quasitiling
+from amenlab.cli import main
 from amenlab.folner import FolnerSequence, builtin_families, product_size
-from amenlab.groups import get_group, normalize_subset, set_product, translate_right
+from amenlab.groups import (
+    CoordinateRangeError,
+    get_group,
+    normalize_subset,
+    set_product,
+    translate_right,
+)
 from amenlab.quasitiling import (
     AssertionCheck,
     Cover,
@@ -22,6 +29,7 @@ from amenlab.quasitiling import (
     scale_count,
     verify_cover,
 )
+from amenlab.setcodec import random_connected_subset
 from amenlab.symbolic import golden_mean_sft, parse_sft, q_count_bound, SFT, binary_alphabet
 
 Z = get_group("z")
@@ -317,6 +325,174 @@ def test_oversized_tile_reports_failure_without_abort():
     assert cov.scale_centers[10] == ()
     assert not cov.report.residue_small.holds
     assert cov.report.tiles_inside.holds
+
+
+def reference_cover(T, tiling, seq):
+    """The per-candidate greedy loop: one ``translate_right`` per candidate at
+    every scale, tested against the (1 - eps/2)|tile| demand as a Fraction."""
+    group = seq.group
+    Tset = frozenset(T)
+    candidates = sorted(Tset)
+    covered = set()
+    scale_centers = {}
+    for j in reversed(tiling.scales):
+        tile = seq.subset(j)
+        need = (1 - tiling.eps / 2) * len(tile)
+        centers = []
+        for c in candidates:
+            cells = translate_right(group, tile, c)
+            if not cells <= Tset:
+                continue
+            fresh = sum(1 for x in cells if x not in covered)
+            if fresh >= need:
+                centers.append(c)
+                covered.update(cells)
+        scale_centers[j] = tuple(centers)
+    cov = Cover(tiling, scale_centers, frozenset(covered))
+    return replace(cov, report=verify_cover(T, tiling, cov, seq))
+
+
+def assert_cover_is_the_reference(monkeypatch, T, tiling, seq, translated=0):
+    """cover equals reference_cover on the centers, the covered set and every
+    report field; ``translated`` scales take the per-candidate route, so
+    cover makes one translate_right per candidate there and one per center
+    (in verify_cover) in all."""
+    calls = []
+    real = quasitiling.translate_right
+    monkeypatch.setattr(quasitiling, "translate_right",
+                        lambda *a: calls.append(a[2]) or real(*a))
+    got = cover(T, tiling, seq)
+    made = len(calls)
+    monkeypatch.setattr(quasitiling, "translate_right", real)
+    assert got == reference_cover(T, tiling, seq)
+    centers = sum(map(len, got.scale_centers.values()))
+    assert made == centers + translated * len(frozenset(T))
+    return got
+
+
+COVER_EPS = (HALF, QUARTER, Fraction(1, 8), Fraction(3, 4))
+# (group, family, horizon, windows covered)
+COVER_FAMILIES = [
+    ("z", "boxes", 30, (1, 7, 31, 60)),
+    ("z2", "boxes", 24, (1, 5, 17, 25)),
+    ("z3", "boxes", 10, (2, 7, 11)),
+    ("h3", "boxes", 6, (2, 5, 7)),
+    ("z", "dyadic", 6, (0, 3, 7, 9)),
+]
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 7], ids=["chunk 2^18", "chunk 7"])
+@pytest.mark.parametrize("gid,family,horizon,windows", COVER_FAMILIES,
+                         ids=[f"{g}-{f}" for g, f, _, _ in COVER_FAMILIES])
+def test_cover_matches_the_reference_on_windows(monkeypatch, gid, family, horizon,
+                                               windows, chunk):
+    # a chunk of 7 cells splits every scale's candidates across many chunks
+    monkeypatch.setattr(quasitiling, "CHUNK_CELLS", chunk)
+    seq = builtin_families(get_group(gid))[family]
+    plans = {plan(seq, eps, horizon) for eps in COVER_EPS}
+    # overlapping tiles: (1 - eps/2)|tile| below |tile|, and at an integer
+    top = seq.start + 2
+    plans |= {TilingPlan(eps, tuple(seq.indices(top)), 0) for eps in (HALF, Fraction(2, 3))}
+    for tiling in sorted(plans, key=repr):
+        for i in windows:
+            assert_cover_is_the_reference(monkeypatch, seq.subset(i), tiling, seq)
+
+
+@pytest.mark.parametrize("gid", ["z", "z2", "z3", "h3"])
+def test_cover_matches_the_reference_on_irregular_windows(monkeypatch, gid):
+    group = get_group(gid)
+    seq = builtin_families(group)["boxes"]
+    g = group.generators[0]
+    windows = []
+    for size, seed in ((1, 1), (40, 2), (150, 3), (300, 4)):
+        T = random_connected_subset(group, size, seed)
+        windows += [T, translate_right(group, T, g)]
+    box = seq.subset(40 if group is Z else 4)
+    windows += [box[::3] + box[1::3],  # holed: every third site gone
+                translate_right(group, box, group.generators[-1]),
+                translate_right(group, translate_right(group, box, g), g)]
+    assert any(group.identity not in frozenset(T) for T in windows)
+    for eps in (HALF, QUARTER):
+        for scales in ((1, 2), (1, 3), (2,), (1, 2, 3)):
+            tiling = TilingPlan(eps, scales, 0)
+            for T in windows:
+                assert_cover_is_the_reference(monkeypatch, T, tiling, seq)
+
+
+@pytest.mark.parametrize("gid", ["z", "z2", "h3"])
+def test_cover_with_a_tile_larger_than_the_window_matches_the_reference(monkeypatch, gid):
+    seq = builtin_families(get_group(gid))["boxes"]
+    for T in (seq.subset(1), seq.subset(2), random_connected_subset(seq.group, 2, 9)):
+        for scales in ((3,), (1, 6)):
+            cov = assert_cover_is_the_reference(monkeypatch, T, TilingPlan(QUARTER, scales, 0), seq)
+            assert cov.scale_centers[scales[-1]] == ()
+
+
+def test_cover_near_the_coordinate_range_takes_the_translate_route(monkeypatch):
+    # a site at -(2**40 - 1) fails the per-axis pre-check of the 3-site tile
+    # although every product stays in range; the 1-site tile passes it
+    seq = z_boxes()
+    far = [Z.encode((-(1 << 40) + 1 + k,)) for k in range(5)]
+    T = seq.subset(20) + tuple(far)
+    for eps in (HALF, QUARTER):
+        cov = assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 3), 0), seq,
+                                            translated=1)
+        assert set(far) & set(cov.scale_centers[3])
+        assert cov.covered == frozenset(T)
+    # a product at 2**40 + 1 raises on both routes, with the same message
+    T = seq.subset(20) + (Z.encode(((1 << 40) - 1,)),)
+    tiling = TilingPlan(HALF, (1, 3), 0)
+    with pytest.raises(CoordinateRangeError) as want:
+        reference_cover(T, tiling, seq)
+    with pytest.raises(CoordinateRangeError) as got:
+        cover(T, tiling, seq)
+    assert str(got.value) == str(want.value) == (
+        "coordinate 1099511627777 outside supported range +/-2**40")
+    # a negative index is no element: ValueError on both
+    for run in (reference_cover, cover):
+        with pytest.raises(ValueError, match="element indices are naturals"):
+            run((-1, 0, 1), tiling, seq)
+
+
+def test_cover_of_a_window_with_indices_past_2_62_takes_the_translate_route(monkeypatch):
+    # z7: the box of side 2 packs below 2**62, but (0,...,0,2) does not, and
+    # the far-corner index of the tile of side 2 times that box passes 2**62
+    z7 = get_group("z7")
+    seq = builtin_families(z7)["boxes"]
+    box = seq.subset(2)
+    assert max(box) < 1 << 62
+    line = tuple(z7.encode((0,) * 6 + (k,)) for k in (2, 3))
+    assert min(line) >= 1 << 62
+    for T in (box + line, box):
+        for eps in (HALF, QUARTER):
+            assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 2), 0), seq,
+                                          translated=2)
+
+
+def test_cover_range_check_on_h3_applies_the_law(monkeypatch):
+    # T's largest |coordinate| per axis is (1, 2**15 - 1, 3) and packs below
+    # 2**62; with the side-2 tile's (1, 1, 3) the law gives (2, 2**15, 2**15 + 5),
+    # whose far corner packs past 2**62 (the sum (2, 2**15, 6) would not)
+    seq = builtin_families(H3)["boxes"]
+    T = seq.subset(2) + tuple(H3.encode((0, (1 << 15) - 1, z)) for z in (0, 1))
+    for eps in (HALF, QUARTER):
+        assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 2), 0), seq,
+                                      translated=1)
+
+
+def test_tile_cli_translates_once_per_center(tmp_path, monkeypatch):
+    # the greedy pass composes in numpy; only verify_cover translates, once
+    # per center (reference_cover makes 3,600 calls: 2 scales x 1,600 + 400)
+    calls = []
+    real = quasitiling.translate_right
+    monkeypatch.setattr(quasitiling, "translate_right",
+                        lambda *a: calls.append(a[2]) or real(*a))
+    out = tmp_path / "tile.csv"
+    assert main(["tile", "--group", "z2", "--family", "boxes", "--eps", "1/4",
+                 "--i", "40", "--out", str(out)]) == 0
+    centers = [ln for ln in out.read_text().splitlines() if ln.startswith("center,")]
+    assert len(calls) == len(centers) == 400
+    assert sorted(calls) == sorted(set(calls))
 
 
 # -- counting bound ------------------------------------------------------------
