@@ -22,11 +22,11 @@ from .complexity import freq_length, selfdelim_length
 from .errors import BudgetExceededError
 from .groups import (
     ComputableGroup,
-    CoordinateRangeError,
     FiniteSubset,
     Heisenberg,
     Runs,
     _check_range,
+    compose_rows,
     pack_coords,
     runs_of,
     runs_union,
@@ -130,18 +130,15 @@ def defect(group: ComputableGroup, F, g: int) -> Fraction:
 def generator_defect_counts(group: ComputableGroup, F) -> tuple[int, ...]:
     """|sF \\ F| for each s in the fixed generator order; F is Runs or an
     index set, read as runs once.  As s*(h + k*e_d) = s*h + k*e_d (see
-    ``compose_array``), sF is F's runs with their heads moved by s, and
-    |sF \\ F| = |sF u F| - |F|.  The bounds of sF are the extremes of its
-    sites, so checking them raises CoordinateRangeError exactly where some
-    s*f leaves +/-2**40."""
+    ``compose_array``), sF is F's runs with their heads moved by s
+    (``compose_rows``, which raises CoordinateRangeError where some s*f
+    leaves +/-2**40), and |sF \\ F| = |sF u F| - |F|."""
     if not len(F):
         raise ValueError("empty window")
     runs = runs_of(group, F)
     size, counts = len(runs), []
     for s in np.array(group.generator_coords, dtype=np.int64):
-        shifted = Runs(group.compose_array(s, runs.heads), runs.lengths)
-        lo, hi = shifted.bounds()
-        _check_range((*lo, *hi))
+        shifted = Runs(compose_rows(group, s, runs.heads, runs.lengths - 1), runs.lengths)
         counts.append(len(runs_union(shifted, runs)) - size)
     return tuple(counts)
 
@@ -155,27 +152,27 @@ def defect_report(seq: FolnerSequence, i: int) -> DefectReport:
 
 
 def product_size(group: ComputableGroup, A, B) -> int:
-    """|A*B|, exact, in O(runs(A) x runs(B)) time; A and B are index sets or Runs.
+    """|A*B|, exact, in O(runs(A) x runs(B)) time; A and B are index sets or
+    Runs, and an empty operand gives 0.
 
     On both shipped laws a run of A (length la) times a run of B (length lb)
     is the run of length la + lb - 1 headed by the product of the heads (see
-    ``compose_array``).  Run pairs are composed 2**18 at a time and merged at
-    once, so memory follows the union.  Both laws are sums and products of
-    coordinates, so the law applied to the largest |coordinate| on each axis
-    of A and of B (``Runs.bounds``) bounds every coordinate of A*B; where that
-    may leave +/-2**40, or an operand is empty, the generic set product
-    answers, raising CoordinateRangeError where A*B leaves the range.  Nothing wraps.
+    ``compose_array``).  Run pairs are composed by ``compose_rows`` 2**18 at a
+    time and each chunk is merged into one running union, so memory follows
+    the union; an operand site or a product past +/-2**40 raises
+    CoordinateRangeError.  Nothing wraps.
     """
-    try:
-        a, b = runs_of(group, A), runs_of(group, B)
-        group.compose(*(tuple(max(-l, h) for l, h in zip(*X.bounds())) for X in (a, b)))
-    except (ValueError, CoordinateRangeError):
-        return len(set_product(group, A, B))
+    if not (len(A) and len(B)):
+        return 0
+    a, b = runs_of(group, A), runs_of(group, B)
     d, step = group.dimension, max(1, (1 << 18) // len(b.heads))
-    return len(runs_union(*(runs_union(Runs(
-        group.compose_array(a.heads[k:k + step, None], b.heads[None]).reshape(-1, d),
-        (a.lengths[k:k + step, None] + b.lengths - 1).ravel()))
-        for k in range(0, len(a.heads), step))))
+    union = None
+    for k in range(0, len(a.heads), step):
+        lengths = a.lengths[k:k + step, None] + b.lengths - 1
+        heads = compose_rows(group, a.heads[k:k + step, None], b.heads[None], lengths - 1)
+        chunk = Runs(heads.reshape(-1, d), lengths.ravel())
+        union = runs_union(chunk) if union is None else runs_union(union, chunk)
+    return len(union)
 
 
 def temperedness_witnesses(seq: FolnerSequence, upto: int):

@@ -19,10 +19,13 @@ The enumeration, computed only by :func:`pack_coords` and its inverse
 
 Coordinates are reliable up to +/- 2**40; arithmetic leaving that range
 raises :class:`CoordinateRangeError` instead of returning an element of a
-different group than the caller asked for.  The scalar decode is memoised
-(4096 entries, about 1 MB for rank-3 coordinates near 2**40); windows
-bypass it: an index set through :meth:`ComputableGroup.decode_array`, and
-:class:`Runs` through ``Runs.sites``.
+different group than the caller asked for.  Arrays of coordinate rows are
+composed by :func:`compose_rows` and packed by :func:`pack_rows`, the one
+place that picks int64 where nothing can wrap and Python ints otherwise.
+The scalar decode is memoised (4096 entries, about 1 MB for rank-3
+coordinates near 2**40); windows bypass it: an index set through
+:meth:`ComputableGroup.decode_array`, and :class:`Runs` through
+``Runs.sites``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ def pack_coords(coords: Sequence[int]) -> int:
 def pack_coords_array(coords: Sequence[np.ndarray]) -> np.ndarray:
     """pack_coords over int64 arrays, ``coords[k]`` holding coordinate k and
     all of them broadcasting together.  The caller keeps every index below
-    INDEX_ARRAY_LIMIT, which keeps each partial fold and product inside int64."""
+    INDEX_ARRAY_LIMIT, which keeps each partial fold and product inside int64,
+    or passes object arrays of Python ints (``pack_rows``)."""
     c = coords[-1]
     acc = np.where(c > 0, 2 * c - 1, -2 * c)
     for c in reversed(coords[:-1]):
@@ -70,15 +74,51 @@ def pack_coords_array(coords: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def sorted_indices(rows: np.ndarray) -> FiniteSubset:
-    """The sorted indices of n >= 1 distinct (n, d) int64 coordinate rows, packed in int64
-    while the largest index is below INDEX_ARRAY_LIMIT, else on Python ints: nothing wraps."""
+def _extremes(rows: np.ndarray) -> zip:
+    """(least, greatest) coordinate on each axis of nonempty int64 rows (last axis)."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    return zip(flat.min(axis=0).tolist(), flat.max(axis=0).tolist())
+
+
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """pack_coords over the last axis of nonempty int64 coordinate rows: int64
+    indices while the signed far corner packs below INDEX_ARRAY_LIMIT, else
+    Python ints in an object array.  Nothing wraps."""
     # an index grows with each zigzagged coordinate; pack the larger on each axis
-    far = pack_coords([hi if 2 * hi - 1 > -2 * lo else lo
-                       for lo, hi in zip(rows.min(axis=0).tolist(), rows.max(axis=0).tolist())])
-    index = pack_coords_array(list(rows.T if far < INDEX_ARRAY_LIMIT else rows.T.astype(object)))
+    far = pack_coords([hi if 2 * hi - 1 > -2 * lo else lo for lo, hi in _extremes(rows)])
+    cols = np.moveaxis(rows, -1, 0)
+    return pack_coords_array(list(cols if far < INDEX_ARRAY_LIMIT else cols.astype(object)))
+
+
+def sorted_indices(rows: np.ndarray) -> FiniteSubset:
+    """The sorted indices of n >= 1 distinct (n, d) int64 coordinate rows."""
+    index = pack_rows(rows)
     index.sort()
     return tuple(index.tolist())
+
+
+def compose_rows(group: ComputableGroup, a: np.ndarray, b: np.ndarray, reach=0) -> np.ndarray:
+    """a*b over nonempty int64 coordinate arrays (last axis), broadcasting, as
+    int64 rows.  ``reach`` (an int, or an array broadcasting with the leading
+    axes of the products) makes each product the head of a run whose last site
+    is head + reach on the last axis; that site is range-checked too.
+
+    Both laws are sums and products of coordinates, so the law applied to the
+    largest |coordinate| on each axis of a and of b bounds every product.
+    Inside +/-2**40 the products are composed in int64; otherwise on Python
+    ints with every entry checked, raising CoordinateRangeError as ``compose``
+    does.  Nothing wraps.
+    """
+    far = [tuple(max(-lo, hi) for lo, hi in _extremes(x)) for x in (a, b)]
+    try:
+        *_, top = group.compose(*far)
+        _check_range((top + int(np.max(reach)),))
+    except CoordinateRangeError:  # the bound leaves the range: compose on Python ints
+        out = group.compose_array(a.astype(object), b.astype(object))
+        _check_range(out.ravel().tolist())
+        _check_range((out[..., -1] + reach).ravel().tolist())
+        return out.astype(np.int64)
+    return group.compose_array(a, b)
 
 
 @lru_cache(maxsize=1 << 12)

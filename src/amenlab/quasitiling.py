@@ -17,14 +17,13 @@ hold with room to spare even when fewer scales than the classical k fit.
 The greedy pass reads, for each candidate center c in T, the positions in
 sorted T of the cells of the translate tile*c; it does no group arithmetic.
 Those rows are built per scale, ``CHUNK_CELLS`` cells at a time, by
-composing the decoded tile with T's decoded rows (``compose_array``),
-packing the products (``pack_coords_array``) and locating each in T's
-sorted index array (``np.searchsorted``).  That route is taken when T's
-indices lie in [0, 2**62) and the law applied to the largest |coordinate|
-of tile and T on each axis stays inside +/-2**40 with an index below 2**62,
-so nothing can wrap; otherwise each row comes from ``translate_right``,
-which raises where a product leaves the range.  ``verify_cover`` recomputes
-the report from the centers alone, through ``translate_right``.
+composing the tile's sites with T's decoded rows (``groups.compose_rows``),
+packing the products (``groups.pack_rows``) and locating each in T's
+sorted indices, packed the same way (``np.searchsorted``).  The two helpers
+work in int64 where nothing can wrap and on Python ints otherwise, so every
+window takes this one route and a product past +/-2**40 raises
+CoordinateRangeError.  ``verify_cover`` recomputes the report from the
+centers alone, through one ``translate_right`` per center.
 """
 
 from __future__ import annotations
@@ -39,15 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .folner import FolnerSequence, Runs, product_size, runs_of, runs_union
-from .groups import (
-    INDEX_ARRAY_LIMIT,
-    ComputableGroup,
-    CoordinateRangeError,
-    pack_coords,
-    pack_coords_array,
-    translate_right,
-    unpack_coords_array,
-)
+from .groups import ComputableGroup, compose_rows, pack_rows, translate_right
 
 DEFAULT_HORIZON = 64
 CHUNK_CELLS = 1 << 18  # cells composed, packed and located at once by ``cover``
@@ -191,54 +182,20 @@ def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan
     return TilingPlan(eps, tuple(scales), threshold)
 
 
-def _far(rows: np.ndarray) -> tuple:
-    """The largest |coordinate| on each axis of nonempty (n, d) rows."""
-    lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
-    return tuple(max(-l, h) for l, h in zip(lo, hi))
-
-
-def _located_rows(group: ComputableGroup, tile_rows: np.ndarray, index: np.ndarray,
-                  rows: np.ndarray):
+def _cell_rows(group: ComputableGroup, tile_rows: np.ndarray, index: np.ndarray,
+               rows: np.ndarray):
     """Yield (k, positions in ``index`` of the cells of tile*index[k]) for each k,
-    in increasing order, whose translate lies inside the sorted int64 array
-    ``index`` (coordinate ``rows``).  The caller has checked that every product
-    stays inside +/-2**40 with an index below 2**62."""
+    in increasing order, whose translate lies inside the sorted indices
+    ``index`` (coordinate ``rows``).  Cells are composed by ``compose_rows``
+    and packed by ``pack_rows``, so a product past +/-2**40 raises
+    CoordinateRangeError and no index wraps."""
     n = len(index)
     step = max(1, CHUNK_CELLS // len(tile_rows))
     for k in range(0, n, step):
-        cells = group.compose_array(tile_rows[None], rows[k:k + step, None])
-        cells = pack_coords_array(np.moveaxis(cells, -1, 0))
+        cells = pack_rows(compose_rows(group, tile_rows[None], rows[k:k + step, None]))
         pos = np.minimum(np.searchsorted(index, cells), n - 1)
         inside = (index[pos] == cells).all(axis=1)
         yield from zip((np.flatnonzero(inside) + k).tolist(), pos[inside].tolist())
-
-
-def _translated_rows(group: ComputableGroup, tile, candidates: list):
-    """The rows of ``_located_rows`` from one ``translate_right`` per candidate,
-    which raises where a product leaves the coordinate range."""
-    where = {c: k for k, c in enumerate(candidates)}
-    for k, c in enumerate(candidates):
-        cells = translate_right(group, tile, c)
-        if cells <= where.keys():
-            yield k, [where[x] for x in cells]
-
-
-def _cell_rows(group: ComputableGroup, tile, candidates: list, index, rows):
-    """The greedy pass's rows at one scale: ``_located_rows`` when ``index``
-    (T's sorted int64 indices, or None) is given and the law applied to the
-    largest |coordinate| of the tile and of T bounds every product inside
-    +/-2**40 and below the index 2**62, else ``_translated_rows``."""
-    if index is not None:
-        try:
-            tile_rows = group.decode_array(tile)
-            far = group.compose(_far(tile_rows), _far(rows))
-        except (ValueError, CoordinateRangeError):
-            pass
-        else:
-            # an index grows with each coordinate's zigzag, which peaks at -far
-            if pack_coords([-x for x in far]) < INDEX_ARRAY_LIMIT:
-                return _located_rows(group, tile_rows, index, rows)
-    return _translated_rows(group, tile, candidates)
 
 
 def cover(T, tiling: TilingPlan, seq: FolnerSequence) -> Cover:
@@ -247,28 +204,25 @@ def cover(T, tiling: TilingPlan, seq: FolnerSequence) -> Cover:
     Candidate centers are scanned in increasing element order; a center is
     accepted iff its tile lies inside T and at least a (1-eps/2) fraction
     of it is still uncovered.  The pass reads each candidate's cells as
-    positions in sorted T against one covered flag per position; T is
-    decoded once, each tile once per scale, and the cells are located in
-    numpy, or by ``translate_right`` per candidate where a product might
-    leave the int64 range (see the module docstring), which raises
-    CoordinateRangeError or ValueError where that does.  The report of the
-    four assertions is attached (covers of sets outside the plan's certified
+    positions in sorted T against one covered flag per position (see the
+    module docstring); T is decoded once and each tile is read from its
+    runs once per scale.  A negative index in T raises ValueError, a
+    product past +/-2**40 CoordinateRangeError.  The report of the four
+    assertions is attached (covers of sets outside the plan's certified
     range may fail assertion 2; they are reported, not rejected).
     """
     group = seq.group
     candidates = sorted(frozenset(T))
-    index = rows = None
-    if candidates and 0 <= candidates[0] and candidates[-1] < INDEX_ARRAY_LIMIT:
-        index = np.array(candidates, dtype=np.int64)
-        rows = unpack_coords_array(index, group.dimension)
+    rows = group.decode_array(candidates)
+    index = pack_rows(rows) if candidates else rows[:, 0]  # an empty T has no extremes
     flags = bytearray(len(candidates))  # flags[k]: candidates[k] is covered
     scale_centers: dict = {}
     for j in reversed(tiling.scales):
-        tile = seq.subset(j)
+        tile = seq.runs(j)
         # fresh counts cells, so fresh >= (1 - eps/2)|tile| iff fresh >= need
         need = math.ceil((1 - tiling.eps / 2) * len(tile))
         centers = []
-        for k, row in _cell_rows(group, tile, candidates, index, rows):
+        for k, row in _cell_rows(group, tile.sites(), index, rows):
             if len(row) - sum(map(flags.__getitem__, row)) >= need:
                 centers.append(candidates[k])
                 for p in row:

@@ -403,6 +403,10 @@ def test_product_size_oracle_up_to_the_coordinate_cap():
 
 def test_product_size_pinned_cases():
     assert product_size(Z, (), (0,)) == 0 == len(set_product(Z, (), (0,)))
+    # an operand site past 2**40 is refused as runs_of refuses it, even where
+    # the product would be back in range
+    with pytest.raises(CoordinateRangeError):
+        product_size(Z, [groups.pack_coords((2**40 + 1,))], [Z.encode((-1,))])
     z4, z5 = get_group("z4"), get_group("z5")
     assert product_size(z4, {0}, {0, z4.encode((2, 0, 0, 0))}) == 2
     assert product_size(z5, {0}, {0, z5.encode((1, 0, 0, 0, 0))}) == 2
@@ -506,18 +510,21 @@ def test_product_size_wide_keys_fall_back(generic_calls):
     assert generic_calls == []
 
 
-def test_product_size_wide_keys_fall_back_on_runs_operands(generic_calls):
+def test_product_size_on_wide_runs_operands_takes_the_one_route(generic_calls):
     # the same near-cap box as above, with B given as Runs: the Python-int
-    # keys answer exactly, and only a product that leaves +/-2**40 falls back
+    # keys answer exactly, and a product that leaves +/-2**40 raises from
+    # compose_rows; no generic set product is made on either call
     c = COORD_LIMIT - (1 << 32)
     A = [Z2.encode(a) for a in [(0, 0), (4 - (1 << 32), 1 << 32)]]
     B = _box(Z2, (c, 0), (4, 3))
     assert product_size(Z2, A, runs_of(Z2, B)) == len(set_product(Z2, A, B)) == 24
-    assert generic_calls == []
     far = [Z2.encode((1 << 32, 0))]
-    with pytest.raises(CoordinateRangeError):
+    with pytest.raises(CoordinateRangeError) as got:
         product_size(Z2, far, runs_of(Z2, B))
-    assert len(generic_calls) == 1
+    with pytest.raises(CoordinateRangeError) as want:
+        set_product(Z2, far, B)
+    assert str(got.value) == str(want.value)
+    assert generic_calls == []
 
 
 # -- runs ------------------------------------------------------------------

@@ -11,12 +11,15 @@ from amenlab.groups import (
     CoordinateRangeError,
     Heisenberg,
     Zd,
+    compose_rows,
     get_group,
     is_connected_with_identity,
     normalize_subset,
     pack_coords,
     pack_coords_array,
+    pack_rows,
     set_product,
+    sorted_indices,
     subset_from_mask,
     translate_right,
     unpack_coords,
@@ -101,6 +104,76 @@ def test_pack_coords_array_matches_scalar_below_2_62():
                 tuples.append(c)
         coords = np.array(tuples, dtype=np.int64).T
         assert pack_coords_array(coords).tolist() == [pack_coords(c) for c in tuples]
+
+
+def _scalar_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except CoordinateRangeError as e:
+        return str(e)
+
+
+def _rows_or_message(fn, *args):
+    try:
+        out = fn(*args)
+    except CoordinateRangeError as e:
+        return str(e)
+    return out.dtype, out.tolist()
+
+
+@pytest.mark.parametrize("name", ["z2", "z7", "h3"])
+def test_compose_rows_and_pack_rows_match_the_scalar_law(name):
+    """compose_rows gives the scalar compose of every pair, in int64, or raises
+    with the message of the first range error, also on a run's last site;
+    pack_rows equals pack_coords, in int64 below 2**62 and as Python ints at
+    and past it."""
+    group = get_group(name)
+    d = group.dimension
+    rng = SplitMix64(20261020 + d)
+    near = COORD_LIMIT - 3
+
+    def rows(n, spread, at=None):
+        out = [[rng.randrange(2 * spread + 1) - spread for _ in range(d)] for _ in range(n)]
+        if at is not None:  # one axis pushed against the cap, either side
+            for r in out:
+                r[at] = (near if rng.randrange(2) else -near) + rng.randrange(3)
+        return out
+
+    cases = [(rows(5, 6), rows(4, 6)), (rows(3, 1 << 19), rows(3, 1 << 19))]
+    cases += [(rows(4, 2, at=k), rows(3, 2)) for k in range(d)]
+    cases += [(rows(3, 2), rows(4, 2, at=k)) for k in range(d)]
+    if name == "h3":  # the law's product term alone leaves the range
+        cases += [([[1 << 20, 0, 0], [-(1 << 20), 0, 0]], [[0, 1 << 20, 0], [0, -(1 << 20), 5]])]
+    outcomes = set()
+    for a, b in cases:
+        # the scalar law pair by pair in row-major order, on runs of 1 + tail sites
+        def scalar(tail):
+            out = [[list(group.compose(tuple(x), (*y[:-1], y[-1] + tail))) for y in b] for x in a]
+            return np.int64, out
+
+        A, B = np.array(a, dtype=np.int64)[:, None], np.array(b, dtype=np.int64)[None]
+        want = _scalar_or_message(scalar, 0)
+        assert _rows_or_message(compose_rows, group, A, B) == want
+        if not isinstance(want, str):
+            last = _scalar_or_message(scalar, 2)
+            reach = np.full((len(a), len(b)), 2)
+            assert _rows_or_message(compose_rows, group, A, B, reach) == (
+                last if isinstance(last, str) else want)
+            outcomes.add(isinstance(last, str))
+        outcomes.add(isinstance(want, str))
+    assert outcomes == {True, False}
+    # indices either side of 2**62, and coordinates near +/-2**40
+    L = INDEX_ARRAY_LIMIT
+    below = [list(unpack_coords(g, d)) for g in (0, 1, L - 2, L - 1)]
+    above = [list(unpack_coords(g, d)) for g in (L, L + 1, 3 * L)] + rows(3, 2, at=d - 1)
+    for r in below + above:
+        got = pack_rows(np.array([r], dtype=np.int64))
+        assert got.tolist() == [pack_coords(r)]
+        assert got.dtype == (np.int64 if r in below else object)
+    for part in (below, above, below + above):
+        got = pack_rows(np.array(part, dtype=np.int64)[None])
+        assert got.shape == (1, len(part)) and got[0].tolist() == [pack_coords(r) for r in part]
+        assert sorted_indices(np.array(part, dtype=np.int64)) == tuple(sorted(map(pack_coords, part)))
 
 
 def test_unpack_coords_array_pinned():

@@ -5,6 +5,7 @@ import random
 from dataclasses import fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from amenlab import quasitiling
@@ -352,11 +353,10 @@ def reference_cover(T, tiling, seq):
     return replace(cov, report=verify_cover(T, tiling, cov, seq))
 
 
-def assert_cover_is_the_reference(monkeypatch, T, tiling, seq, translated=0):
+def assert_cover_is_the_reference(monkeypatch, T, tiling, seq):
     """cover equals reference_cover on the centers, the covered set and every
-    report field; ``translated`` scales take the per-candidate route, so
-    cover makes one translate_right per candidate there and one per center
-    (in verify_cover) in all."""
+    report field, and makes one translate_right per center (in verify_cover):
+    the greedy pass makes none."""
     calls = []
     real = quasitiling.translate_right
     monkeypatch.setattr(quasitiling, "translate_right",
@@ -365,8 +365,7 @@ def assert_cover_is_the_reference(monkeypatch, T, tiling, seq, translated=0):
     made = len(calls)
     monkeypatch.setattr(quasitiling, "translate_right", real)
     assert got == reference_cover(T, tiling, seq)
-    centers = sum(map(len, got.scale_centers.values()))
-    assert made == centers + translated * len(frozenset(T))
+    assert made == sum(map(len, got.scale_centers.values()))
     return got
 
 
@@ -412,6 +411,7 @@ def test_cover_matches_the_reference_on_irregular_windows(monkeypatch, gid):
                 translate_right(group, box, group.generators[-1]),
                 translate_right(group, translate_right(group, box, g), g)]
     assert any(group.identity not in frozenset(T) for T in windows)
+    windows.append(())
     for eps in (HALF, QUARTER):
         for scales in ((1, 2), (1, 3), (2,), (1, 2, 3)):
             tiling = TilingPlan(eps, scales, 0)
@@ -428,56 +428,68 @@ def test_cover_with_a_tile_larger_than_the_window_matches_the_reference(monkeypa
             assert cov.scale_centers[scales[-1]] == ()
 
 
-def test_cover_near_the_coordinate_range_takes_the_translate_route(monkeypatch):
-    # a site at -(2**40 - 1) fails the per-axis pre-check of the 3-site tile
-    # although every product stays in range; the 1-site tile passes it
+def test_cover_near_the_coordinate_range_takes_the_one_route(monkeypatch):
+    # a site at -(2**40 - 1) puts the law's bound for the 3-site tile past
+    # 2**40 although every product stays in range: compose_rows checks each
+    # product on Python ints, and the greedy pass still translates nothing
     seq = z_boxes()
     far = [Z.encode((-(1 << 40) + 1 + k,)) for k in range(5)]
     T = seq.subset(20) + tuple(far)
     for eps in (HALF, QUARTER):
-        cov = assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 3), 0), seq,
-                                            translated=1)
+        cov = assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 3), 0), seq)
         assert set(far) & set(cov.scale_centers[3])
         assert cov.covered == frozenset(T)
-    # a product at 2**40 + 1 raises on both routes, with the same message
+    # a product at 2**40 + 1 raises in cover as in the reference, with the
+    # same message, before any translate_right
     T = seq.subset(20) + (Z.encode(((1 << 40) - 1,)),)
     tiling = TilingPlan(HALF, (1, 3), 0)
     with pytest.raises(CoordinateRangeError) as want:
         reference_cover(T, tiling, seq)
+    calls = []
+    real = quasitiling.translate_right
+    monkeypatch.setattr(quasitiling, "translate_right", lambda *a: calls.append(a) or real(*a))
     with pytest.raises(CoordinateRangeError) as got:
         cover(T, tiling, seq)
+    assert calls == []
     assert str(got.value) == str(want.value) == (
         "coordinate 1099511627777 outside supported range +/-2**40")
     # a negative index is no element: ValueError on both
     for run in (reference_cover, cover):
         with pytest.raises(ValueError, match="element indices are naturals"):
             run((-1, 0, 1), tiling, seq)
+    assert calls == []
 
 
-def test_cover_of_a_window_with_indices_past_2_62_takes_the_translate_route(monkeypatch):
-    # z7: the box of side 2 packs below 2**62, but (0,...,0,2) does not, and
-    # the far-corner index of the tile of side 2 times that box passes 2**62
+def test_cover_of_a_window_with_indices_past_2_62_takes_the_one_route(monkeypatch):
+    # z7: the box of side 2 packs below 2**62, but (0,...,0,2) does not; pack_rows
+    # packs T, then the cells of the side-2 tile, then those of the singleton
+    # tile, each in int64 only where the far corner packs below 2**62
     z7 = get_group("z7")
     seq = builtin_families(z7)["boxes"]
     box = seq.subset(2)
     assert max(box) < 1 << 62
     line = tuple(z7.encode((0,) * 6 + (k,)) for k in (2, 3))
     assert min(line) >= 1 << 62
-    for T in (box + line, box):
+    dtypes = []
+    real = quasitiling.pack_rows
+    monkeypatch.setattr(quasitiling, "pack_rows",
+                        lambda rows: dtypes.append(real(rows).dtype) or real(rows))
+    wide, narrow = np.dtype(object), np.dtype(np.int64)
+    for T, packed in ((box + line, [wide] * 3), (box, [narrow, wide, narrow])):
         for eps in (HALF, QUARTER):
-            assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 2), 0), seq,
-                                          translated=2)
+            dtypes.clear()
+            assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 2), 0), seq)
+            assert dtypes == packed
 
 
-def test_cover_range_check_on_h3_applies_the_law(monkeypatch):
+def test_cover_on_h3_past_the_index_limit_takes_the_one_route(monkeypatch):
     # T's largest |coordinate| per axis is (1, 2**15 - 1, 3) and packs below
     # 2**62; with the side-2 tile's (1, 1, 3) the law gives (2, 2**15, 2**15 + 5),
     # whose far corner packs past 2**62 (the sum (2, 2**15, 6) would not)
     seq = builtin_families(H3)["boxes"]
     T = seq.subset(2) + tuple(H3.encode((0, (1 << 15) - 1, z)) for z in (0, 1))
     for eps in (HALF, QUARTER):
-        assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 2), 0), seq,
-                                      translated=1)
+        assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 2), 0), seq)
 
 
 def test_tile_cli_translates_once_per_center(tmp_path, monkeypatch):
