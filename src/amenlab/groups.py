@@ -21,7 +21,9 @@ Coordinates are reliable up to +/- 2**40; arithmetic leaving that range
 raises :class:`CoordinateRangeError` instead of returning an element of a
 different group than the caller asked for.  Arrays of coordinate rows are
 composed by :func:`compose_rows` and packed by :func:`pack_rows`, the one
-place that picks int64 where nothing can wrap and Python ints otherwise.
+place that picks int64 where nothing can wrap and Python ints otherwise;
+:func:`translate_right` packs a set's right translates by many centers at
+once through both.  The scalar :func:`set_product` serves small sets.
 The scalar decode is memoised (4096 entries, about 1 MB for rank-3
 coordinates near 2**40); windows bypass it: an index set through
 :meth:`ComputableGroup.decode_array`, and :class:`Runs` through
@@ -119,6 +121,13 @@ def compose_rows(group: ComputableGroup, a: np.ndarray, b: np.ndarray, reach=0) 
         _check_range((out[..., -1] + reach).ravel().tolist())
         return out.astype(np.int64)
     return group.compose_array(a, b)
+
+
+def translate_right(group: ComputableGroup, sites: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Row k of the (m, n) result packs F*c = {f*c : f in F} for F the (n, d)
+    coordinate rows ``sites`` and c the row ``centers[k]``, both nonempty;
+    exact, in int64 or on Python ints as ``compose_rows`` and ``pack_rows`` choose."""
+    return pack_rows(compose_rows(group, sites[None], centers[:, None]))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -394,11 +403,6 @@ def subset_from_mask(mask: int) -> FiniteSubset:
     if mask < 0:
         raise ValueError("mask must be a natural")
     return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
-
-
-def translate_right(group: ComputableGroup, F: Iterable[int], c: int) -> frozenset:
-    """The set F*c = {f*c : f in F}."""
-    return set_product(group, F, (c,))
 
 
 def set_product(group: ComputableGroup, A: Iterable[int], B: Iterable[int]) -> frozenset:

@@ -17,13 +17,13 @@ hold with room to spare even when fewer scales than the classical k fit.
 The greedy pass reads, for each candidate center c in T, the positions in
 sorted T of the cells of the translate tile*c; it does no group arithmetic.
 Those rows are built per scale, ``CHUNK_CELLS`` cells at a time, by
-composing the tile's sites with T's decoded rows (``groups.compose_rows``),
-packing the products (``groups.pack_rows``) and locating each in T's
-sorted indices, packed the same way (``np.searchsorted``).  The two helpers
-work in int64 where nothing can wrap and on Python ints otherwise, so every
-window takes this one route and a product past +/-2**40 raises
-CoordinateRangeError.  ``verify_cover`` recomputes the report from the
-centers alone, through one ``translate_right`` per center.
+``groups.translate_right`` of the tile's sites by T's decoded rows, and
+located in T's sorted indices, packed the same way (``np.searchsorted``).
+The translate works in int64 where nothing can wrap and on Python ints
+otherwise, so every window takes this one route and a product past
++/-2**40 raises CoordinateRangeError.  ``verify_cover`` recomputes the
+report from T, the tiles' runs and the centers alone, through the same
+translate and one sort of all the cells.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from typing import Optional
 import numpy as np
 
 from .folner import FolnerSequence, Runs, product_size, runs_of, runs_union
-from .groups import ComputableGroup, compose_rows, pack_rows, translate_right
+from .groups import ComputableGroup, pack_rows, translate_right
 
 DEFAULT_HORIZON = 64
-CHUNK_CELLS = 1 << 18  # cells composed, packed and located at once by ``cover``
+CHUNK_CELLS = 1 << 18  # cells translated at once by ``cover`` and ``verify_cover``
 
 
 class PlanningError(ValueError):
@@ -186,13 +186,12 @@ def _cell_rows(group: ComputableGroup, tile_rows: np.ndarray, index: np.ndarray,
                rows: np.ndarray):
     """Yield (k, positions in ``index`` of the cells of tile*index[k]) for each k,
     in increasing order, whose translate lies inside the sorted indices
-    ``index`` (coordinate ``rows``).  Cells are composed by ``compose_rows``
-    and packed by ``pack_rows``, so a product past +/-2**40 raises
-    CoordinateRangeError and no index wraps."""
+    ``index`` (coordinate ``rows``).  Cells are packed by ``translate_right``,
+    so a product past +/-2**40 raises CoordinateRangeError and no index wraps."""
     n = len(index)
     step = max(1, CHUNK_CELLS // len(tile_rows))
     for k in range(0, n, step):
-        cells = pack_rows(compose_rows(group, tile_rows[None], rows[k:k + step, None]))
+        cells = translate_right(group, tile_rows, rows[k:k + step])
         pos = np.minimum(np.searchsorted(index, cells), n - 1)
         inside = (index[pos] == cells).all(axis=1)
         yield from zip((np.flatnonzero(inside) + k).tolist(), pos[inside].tolist())
@@ -233,25 +232,37 @@ def cover(T, tiling: TilingPlan, seq: FolnerSequence) -> Cover:
 
 
 def verify_cover(T, tiling: TilingPlan, cov: Cover, seq: FolnerSequence) -> CoverReport:
-    """Recompute the four assertions from the centers alone, exactly."""
+    """Recompute the four assertions from T, each tile's runs and the centers
+    alone, exactly.  Each scale's centers are translated ``CHUNK_CELLS``
+    cells at a time; all cells, sorted once, are located in T's sorted
+    indices (decoded and packed here) and counted with their repeats for
+    the mass and the cells outside T, and without them for the union.  A
+    negative index raises ValueError, a cell past +/-2**40
+    CoordinateRangeError."""
     group = seq.group
-    Tset = frozenset(T)
+    rows = group.decode_array(frozenset(T))
+    index = np.sort(pack_rows(rows)) if len(rows) else rows[:, 0]  # an empty T has no extremes
     eps = tiling.eps
-    union: set = set()
-    mass = 0
-    outside = 0
+    parts = [index[:0]]  # a cover without centers still concatenates
     for j, centers in cov.scale_centers.items():
-        tile = seq.subset(j)
-        for c in centers:
-            cells = translate_right(group, tile, c)
-            outside += len(cells - Tset)
-            union.update(cells)
-            mass += len(tile)
-    size = len(Tset)
+        if not centers:
+            continue
+        tile = seq.runs(j).sites()
+        at = group.decode_array(centers)
+        step = max(1, CHUNK_CELLS // len(tile))
+        parts += [translate_right(group, tile, at[k:k + step]).ravel()
+                  for k in range(0, len(at), step)]
+    cells = np.sort(np.concatenate(parts))
+    inside = np.searchsorted(index, cells, "right") > np.searchsorted(index, cells)
+    first = np.ones(len(cells), dtype=bool)  # the first of each run of equal cells
+    first[1:] = cells[1:] != cells[:-1]
+    # Python ints, so that the report holds no numpy scalar
+    found, union, hit = (int(np.count_nonzero(m)) for m in (inside, first, first & inside))
+    size, mass = len(index), len(cells)
     # in CoverReport's field order
     return CoverReport(
-        AssertionCheck(Fraction(outside), Fraction(0)),
-        AssertionCheck(Fraction(size - len(union & Tset)), eps * size),
-        AssertionCheck(Fraction(mass), (1 + eps) * len(union)),
+        AssertionCheck(Fraction(mass - found), Fraction(0)),
+        AssertionCheck(Fraction(size - hit), eps * size),
+        AssertionCheck(Fraction(mass), (1 + eps) * union),
         AssertionCheck(Fraction(mass), (1 + eps) * size),
     )

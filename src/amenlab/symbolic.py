@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import log2
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .groups import ComputableGroup, Runs, Zd, get_group, normalize_subset, runs_of
+from .groups import ComputableGroup, Runs, Zd, get_group, runs_of
 from .series import RatePoint
 
 
@@ -365,39 +365,6 @@ def _frontier_steps(sft: SFT, order: list[tuple[int, ...]]):
             slot_of[k] = slot
         steps.append((tests, dead, slot))
     return steps, width
-
-
-def iter_admissible(sft: SFT, F, budget: int | None = 1_000_000) -> Iterator[PartialConfiguration]:
-    """Yield the locally admissible patterns on F in lexicographic order of
-    the window word (increasing element-index order of sites)."""
-    order = normalize_subset(F)
-    if not order:
-        raise ValueError("window must be nonempty")
-    grouped = _constraint_instances(sft, list(map(sft.group.decode, order)))
-    syms = sft.alphabet.symbols
-    n = len(order)
-    trial = [0]  # symbol index tried at each assigned depth
-    nodes = 0
-    while trial:
-        depth = len(trial) - 1
-        if trial[depth] == len(syms):
-            trial.pop()
-            if trial:
-                trial[-1] += 1
-            continue
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(
-                f"pattern enumeration exceeded {budget} nodes on a window of size {n}",
-                work=nodes - 1)
-        if any(all(trial[pos] == sym for pos, sym in zip(positions, psyms))
-               for positions, psyms in grouped[depth]):
-            trial[depth] += 1
-        elif depth == n - 1:
-            yield PartialConfiguration.from_word(order, "".join(syms[k] for k in trial))
-            trial[depth] += 1
-        else:
-            trial.append(0)
 
 
 def topological_entropy_estimate(sft: SFT, seq, upto: int,

@@ -1,0 +1,40 @@
+"""Slow, plainly correct references that the tests hold the package to."""
+
+from amenlab.errors import BudgetExceededError
+from amenlab.groups import normalize_subset
+from amenlab.symbolic import PartialConfiguration, _constraint_instances
+
+
+def iter_admissible(sft, F, budget=1_000_000):
+    """Yield the locally admissible patterns on F in lexicographic order of
+    the window word (increasing element-index order of sites), by
+    backtracking over the sites; more than ``budget`` visited nodes raises
+    BudgetExceededError."""
+    order = normalize_subset(F)
+    if not order:
+        raise ValueError("window must be nonempty")
+    grouped = _constraint_instances(sft, list(map(sft.group.decode, order)))
+    syms = sft.alphabet.symbols
+    n = len(order)
+    trial = [0]  # symbol index tried at each assigned depth
+    nodes = 0
+    while trial:
+        depth = len(trial) - 1
+        if trial[depth] == len(syms):
+            trial.pop()
+            if trial:
+                trial[-1] += 1
+            continue
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(
+                f"pattern enumeration exceeded {budget} nodes on a window of size {n}",
+                work=nodes - 1)
+        if any(all(trial[pos] == sym for pos, sym in zip(positions, psyms))
+               for positions, psyms in grouped[depth]):
+            trial[depth] += 1
+        elif depth == n - 1:
+            yield PartialConfiguration.from_word(order, "".join(syms[k] for k in trial))
+            trial[depth] += 1
+        else:
+            trial.append(0)

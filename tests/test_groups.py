@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import product
 from math import isqrt
 
@@ -357,10 +358,33 @@ def test_normalize_subset():
 
 def test_translate_right_on_z():
     z = get_group("z")
-    F = [z.encode((k,)) for k in range(4)]          # [0,4)
-    c = z.encode((2,))
-    got = sorted(z.decode(e)[0] for e in translate_right(z, F, c))
-    assert got == [2, 3, 4, 5]
+    F = z.decode_array([z.encode((k,)) for k in range(4)])          # [0,4)
+    got = translate_right(z, F, z.decode_array([z.encode((2,)), z.encode((-3,))]))
+    assert got.shape == (2, 4) and got.dtype == np.int64
+    assert [[z.decode(e)[0] for e in row] for row in got.tolist()] == [
+        [2, 3, 4, 5], [-3, -2, -1, 0]]
+
+
+@pytest.mark.parametrize("name", ["z2", "z7", "h3"])
+def test_translate_right_rows_are_the_scalar_translates(name):
+    # row k of translate_right is set_product(F, (c_k,)), site for site, with
+    # the sites and centers in any order; on z7 these translates pack past 2**62
+    group = get_group(name)
+    d = group.dimension
+    rng = random.Random(26 + d)
+    box = [group.encode(c) for c in product(range(3), repeat=d)]
+    dtypes = set()
+    for _ in range(20):
+        F = rng.sample(box, rng.randint(1, min(40, len(box))))
+        centers = [group.encode(tuple(rng.randint(-4, 4) for _ in range(d)))
+                   for _ in range(rng.randint(1, 4))]
+        got = translate_right(group, group.decode_array(F), group.decode_array(centers))
+        assert got.shape == (len(centers), len(F))
+        assert got.tolist() == [[group.multiply(f, c) for f in F] for c in centers]
+        assert [frozenset(row) for row in got.tolist()] == [
+            set_product(group, F, (c,)) for c in centers]
+        dtypes.add(got.dtype)
+    assert dtypes == {np.dtype(object if name == "z7" else np.int64)}
 
 
 def test_translate_left_heisenberg_twists():
@@ -525,6 +549,8 @@ def test_set_products_match_pairwise_multiply_on_h3_near_the_cap():
         assert _outcome(set_product, h, A, B) == want
         assert _outcome(set_product, h, (A[0],), B) == _outcome(
             lambda: frozenset(h.multiply(A[0], b) for b in B))
-        assert _outcome(translate_right, h, A, B[0]) == _outcome(
-            lambda: frozenset(h.multiply(a, B[0]) for a in A))
+        want = _outcome(lambda: frozenset(h.multiply(a, B[0]) for a in A))
+        assert _outcome(set_product, h, A, (B[0],)) == want
+        assert _outcome(lambda: frozenset(translate_right(
+            h, h.decode_array(A), h.decode_array(B[:1]))[0].tolist())) == want
     assert outcomes == {True, False}

@@ -1,7 +1,9 @@
 """Tile planning, greedy covers, and the counting bound they feed."""
 
+import csv
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -15,12 +17,13 @@ from amenlab.groups import (
     CoordinateRangeError,
     get_group,
     normalize_subset,
+    pack_rows,
     set_product,
-    translate_right,
 )
 from amenlab.quasitiling import (
     AssertionCheck,
     Cover,
+    CoverReport,
     PlanningError,
     TilingPlan,
     _invariance_defect,
@@ -93,7 +96,7 @@ def test_invariance_defect_of_windows_without_the_identity(group):
     boxes = builtin_families(group)["boxes"]
     g = group.generators[0]
     shifted = FolnerSequence(group, "shifted", 1,
-                             lambda i: normalize_subset(translate_right(group, boxes.subset(i), g)))
+                             lambda i: normalize_subset(set_product(group, boxes.subset(i), (g,))))
     for j in range(1, 4):
         K = shifted.subset(j)
         assert group.identity not in K
@@ -328,8 +331,33 @@ def test_oversized_tile_reports_failure_without_abort():
     assert cov.report.tiles_inside.holds
 
 
+def reference_verify(T, tiling, cov, seq):
+    """The per-center verifier: one scalar translate (``set_product``) per
+    center, and a Python set of every covered index."""
+    group = seq.group
+    Tset = frozenset(T)
+    eps = tiling.eps
+    union = set()
+    mass = 0
+    outside = 0
+    for j, centers in cov.scale_centers.items():
+        tile = seq.subset(j)
+        for c in centers:
+            cells = set_product(group, tile, (c,))
+            outside += len(cells - Tset)
+            union.update(cells)
+            mass += len(tile)
+    size = len(Tset)
+    return CoverReport(
+        AssertionCheck(Fraction(outside), Fraction(0)),
+        AssertionCheck(Fraction(size - len(union & Tset)), eps * size),
+        AssertionCheck(Fraction(mass), (1 + eps) * len(union)),
+        AssertionCheck(Fraction(mass), (1 + eps) * size),
+    )
+
+
 def reference_cover(T, tiling, seq):
-    """The per-candidate greedy loop: one ``translate_right`` per candidate at
+    """The per-candidate greedy loop: one scalar translate per candidate at
     every scale, tested against the (1 - eps/2)|tile| demand as a Fraction."""
     group = seq.group
     Tset = frozenset(T)
@@ -341,7 +369,7 @@ def reference_cover(T, tiling, seq):
         need = (1 - tiling.eps / 2) * len(tile)
         centers = []
         for c in candidates:
-            cells = translate_right(group, tile, c)
+            cells = set_product(group, tile, (c,))
             if not cells <= Tset:
                 continue
             fresh = sum(1 for x in cells if x not in covered)
@@ -350,22 +378,66 @@ def reference_cover(T, tiling, seq):
                 covered.update(cells)
         scale_centers[j] = tuple(centers)
     cov = Cover(tiling, scale_centers, frozenset(covered))
-    return replace(cov, report=verify_cover(T, tiling, cov, seq))
+    return replace(cov, report=reference_verify(T, tiling, cov, seq))
+
+
+@contextmanager
+def translates(monkeypatch):
+    """Record each ``quasitiling.translate_right`` call made inside the block
+    as (phase, the indices of its center rows, the dtype of its cells), the
+    phase being "verify" inside ``verify_cover`` and "cover" elsewhere."""
+    calls = []
+    phase = ["cover"]
+    translate, verify = quasitiling.translate_right, quasitiling.verify_cover
+
+    def spy_translate(group, sites, centers):
+        call = [phase[-1], pack_rows(centers).tolist(), None]  # the rows, also if it raises
+        calls.append(call)
+        cells = translate(group, sites, centers)
+        call[2] = cells.dtype
+        return cells
+
+    def spy_verify(*args):
+        phase.append("verify")
+        try:
+            return verify(*args)
+        finally:
+            phase.pop()
+
+    monkeypatch.setattr(quasitiling, "translate_right", spy_translate)
+    monkeypatch.setattr(quasitiling, "verify_cover", spy_verify)
+    try:
+        yield calls
+    finally:
+        monkeypatch.setattr(quasitiling, "translate_right", translate)
+        monkeypatch.setattr(quasitiling, "verify_cover", verify)
+
+
+def rows_of(calls, phase):
+    """The center rows translated in ``phase``, call after call."""
+    return [c for p, rows, _ in calls if p == phase for c in rows]
+
+
+def assert_plain_report(report):
+    """Every lhs and rhs is a Fraction of Python ints, so ``holds`` is a bool."""
+    for f in fields(report):
+        check = getattr(report, f.name)
+        assert type(check.holds) is bool, f.name
+        assert {type(x) for c in (check.lhs, check.rhs)
+                for x in (c.numerator, c.denominator)} == {int}, f.name
 
 
 def assert_cover_is_the_reference(monkeypatch, T, tiling, seq):
     """cover equals reference_cover on the centers, the covered set and every
-    report field, and makes one translate_right per center (in verify_cover):
-    the greedy pass makes none."""
-    calls = []
-    real = quasitiling.translate_right
-    monkeypatch.setattr(quasitiling, "translate_right",
-                        lambda *a: calls.append(a[2]) or real(*a))
-    got = cover(T, tiling, seq)
-    made = len(calls)
-    monkeypatch.setattr(quasitiling, "translate_right", real)
+    report field (so verify_cover's report equals reference_verify's).  The
+    greedy pass translates every candidate row once per scale, and
+    verify_cover every center row once, scale by scale."""
+    with translates(monkeypatch) as calls:
+        got = cover(T, tiling, seq)
     assert got == reference_cover(T, tiling, seq)
-    assert made == sum(map(len, got.scale_centers.values()))
+    assert_plain_report(got.report)
+    assert rows_of(calls, "cover") == sorted(frozenset(T)) * len(tiling.scales)
+    assert rows_of(calls, "verify") == [c for cs in got.scale_centers.values() for c in cs]
     return got
 
 
@@ -405,11 +477,11 @@ def test_cover_matches_the_reference_on_irregular_windows(monkeypatch, gid):
     windows = []
     for size, seed in ((1, 1), (40, 2), (150, 3), (300, 4)):
         T = random_connected_subset(group, size, seed)
-        windows += [T, translate_right(group, T, g)]
+        windows += [T, set_product(group, T, (g,))]
     box = seq.subset(40 if group is Z else 4)
     windows += [box[::3] + box[1::3],  # holed: every third site gone
-                translate_right(group, box, group.generators[-1]),
-                translate_right(group, translate_right(group, box, g), g)]
+                set_product(group, box, (group.generators[-1],)),
+                set_product(group, set_product(group, box, (g,)), (g,))]
     assert any(group.identity not in frozenset(T) for T in windows)
     windows.append(())
     for eps in (HALF, QUARTER):
@@ -431,7 +503,7 @@ def test_cover_with_a_tile_larger_than_the_window_matches_the_reference(monkeypa
 def test_cover_near_the_coordinate_range_takes_the_one_route(monkeypatch):
     # a site at -(2**40 - 1) puts the law's bound for the 3-site tile past
     # 2**40 although every product stays in range: compose_rows checks each
-    # product on Python ints, and the greedy pass still translates nothing
+    # product on Python ints, and every row is still translated once per scale
     seq = z_boxes()
     far = [Z.encode((-(1 << 40) + 1 + k,)) for k in range(5)]
     T = seq.subset(20) + tuple(far)
@@ -440,30 +512,30 @@ def test_cover_near_the_coordinate_range_takes_the_one_route(monkeypatch):
         assert set(far) & set(cov.scale_centers[3])
         assert cov.covered == frozenset(T)
     # a product at 2**40 + 1 raises in cover as in the reference, with the
-    # same message, before any translate_right
+    # same message, in the first translate: the top scale's 21 candidate rows,
+    # and verify_cover never runs
     T = seq.subset(20) + (Z.encode(((1 << 40) - 1,)),)
     tiling = TilingPlan(HALF, (1, 3), 0)
     with pytest.raises(CoordinateRangeError) as want:
         reference_cover(T, tiling, seq)
-    calls = []
-    real = quasitiling.translate_right
-    monkeypatch.setattr(quasitiling, "translate_right", lambda *a: calls.append(a) or real(*a))
-    with pytest.raises(CoordinateRangeError) as got:
+    with translates(monkeypatch) as calls, pytest.raises(CoordinateRangeError) as got:
         cover(T, tiling, seq)
-    assert calls == []
+    assert [(phase, rows) for phase, rows, _ in calls] == [("cover", sorted(T))]
     assert str(got.value) == str(want.value) == (
         "coordinate 1099511627777 outside supported range +/-2**40")
-    # a negative index is no element: ValueError on both
+    # a negative index is no element: ValueError on both, before any translate
     for run in (reference_cover, cover):
-        with pytest.raises(ValueError, match="element indices are naturals"):
+        with translates(monkeypatch) as calls, pytest.raises(
+                ValueError, match="element indices are naturals"):
             run((-1, 0, 1), tiling, seq)
-    assert calls == []
+        assert calls == []
 
 
 def test_cover_of_a_window_with_indices_past_2_62_takes_the_one_route(monkeypatch):
-    # z7: the box of side 2 packs below 2**62, but (0,...,0,2) does not; pack_rows
-    # packs T, then the cells of the side-2 tile, then those of the singleton
-    # tile, each in int64 only where the far corner packs below 2**62
+    # z7: the box of side 2 packs below 2**62, but (0,...,0,2) does not; cover
+    # and verify_cover each pack T, and the greedy pass translates the side-2
+    # tile, then the singleton tile, each in int64 only where the far corner
+    # packs below 2**62
     z7 = get_group("z7")
     seq = builtin_families(z7)["boxes"]
     box = seq.subset(2)
@@ -475,11 +547,14 @@ def test_cover_of_a_window_with_indices_past_2_62_takes_the_one_route(monkeypatc
     monkeypatch.setattr(quasitiling, "pack_rows",
                         lambda rows: dtypes.append(real(rows).dtype) or real(rows))
     wide, narrow = np.dtype(object), np.dtype(np.int64)
-    for T, packed in ((box + line, [wide] * 3), (box, [narrow, wide, narrow])):
+    for T, packed, translated in ((box + line, [wide] * 2, [wide] * 2),
+                                  (box, [narrow] * 2, [wide, narrow])):
         for eps in (HALF, QUARTER):
             dtypes.clear()
-            assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 2), 0), seq)
+            with translates(monkeypatch) as calls:
+                assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 2), 0), seq)
             assert dtypes == packed
+            assert [dtype for phase, _, dtype in calls if phase == "cover"] == translated
 
 
 def test_cover_on_h3_past_the_index_limit_takes_the_one_route(monkeypatch):
@@ -493,18 +568,98 @@ def test_cover_on_h3_past_the_index_limit_takes_the_one_route(monkeypatch):
 
 
 def test_tile_cli_translates_once_per_center(tmp_path, monkeypatch):
-    # the greedy pass composes in numpy; only verify_cover translates, once
-    # per center (reference_cover makes 3,600 calls: 2 scales x 1,600 + 400)
-    calls = []
-    real = quasitiling.translate_right
-    monkeypatch.setattr(quasitiling, "translate_right",
-                        lambda *a: calls.append(a[2]) or real(*a))
+    # the greedy pass translates each of the 1,600 candidate rows once per
+    # scale (2 scales), and verify_cover each of the 400 centers once
     out = tmp_path / "tile.csv"
-    assert main(["tile", "--group", "z2", "--family", "boxes", "--eps", "1/4",
-                 "--i", "40", "--out", str(out)]) == 0
-    centers = [ln for ln in out.read_text().splitlines() if ln.startswith("center,")]
-    assert len(calls) == len(centers) == 400
-    assert sorted(calls) == sorted(set(calls))
+    with translates(monkeypatch) as calls:
+        assert main(["tile", "--group", "z2", "--family", "boxes", "--eps", "1/4",
+                     "--i", "40", "--out", str(out)]) == 0
+    T = builtin_families(Z2)["boxes"].subset(40)
+    assert rows_of(calls, "cover") == sorted(T) * 2
+    centers = [row[2] for row in csv.reader(out.read_text().splitlines())
+               if row[:1] == ["center"]]
+    verified = rows_of(calls, "verify")
+    assert len(verified) == len(set(verified)) == len(centers) == 400
+    assert sorted(map(Z2.format_element, verified)) == sorted(centers)
+
+
+def assert_verify_is_the_reference(T, tiling, cov, seq):
+    """verify_cover equals reference_verify field for field; the names of
+    the assertions that fail."""
+    got = verify_cover(T, tiling, cov, seq)
+    assert got == reference_verify(T, tiling, cov, seq)
+    assert_plain_report(got)
+    return {f.name for f in fields(got) if not getattr(got, f.name).holds}
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 7], ids=["chunk 2^18", "chunk 7"])
+def test_verify_cover_matches_the_reference_on_hand_built_covers(monkeypatch, chunk):
+    # T = [0, 100) tiled exactly by ten 10-tiles; eps = 1/100 leaves no room
+    monkeypatch.setattr(quasitiling, "CHUNK_CELLS", chunk)
+    seq = z_boxes()
+    tiling = TilingPlan(Fraction(1, 100), (1, 10), 0)
+    T = seq.subset(100)
+    tiles = tuple(Z.encode((10 * k,)) for k in range(10))
+    off = Z.encode((100,))  # its tile [100, 110) lies outside T
+    cases = [
+        (T, {10: tiles, 1: ()}, set(), None),
+        # a center moved out of T leaves [90, 100) uncovered
+        (T, {10: tiles[:-1] + (off,), 1: ()}, {"tiles_inside", "residue_small"}, (10, 100)),
+        (T, {10: tiles[:-1], 1: ()}, {"residue_small"}, (0, 90)),  # a dropped center
+        # a duplicated center counts twice in the mass, and outside T twice outside
+        (T, {10: tiles + tiles[:1], 1: ()}, {"mass_vs_covered", "mass_vs_total"}, (0, 110)),
+        (T, {10: tiles + (off, off), 1: ()},
+         {"tiles_inside", "mass_vs_covered", "mass_vs_total"}, (20, 120)),
+        # singleton tiles on top of the 10-tiles
+        (T, {10: tiles, 1: tiles}, {"mass_vs_covered", "mass_vs_total"}, (0, 110)),
+        # an empty T, with and without centers, and empty scales
+        ((), {10: tiles, 1: ()}, {"tiles_inside", "mass_vs_total"}, (100, 100)),
+        ((), {10: (), 1: ()}, set(), (0, 0)),
+        (T, {10: (), 1: ()}, {"residue_small"}, (0, 0)),
+    ]
+    for k, (window, centers, failing, counts) in enumerate(cases):
+        cov = Cover(tiling, centers, frozenset())
+        assert assert_verify_is_the_reference(window, tiling, cov, seq) == failing, k
+        if counts is not None:
+            rep = verify_cover(window, tiling, cov, seq)
+            assert (rep.tiles_inside.lhs, rep.mass_vs_total.lhs) == counts, k
+
+
+def test_verify_cover_past_2_62_matches_the_reference():
+    # z7: T mixes a box packed below 2**62 with a line packed past it; the
+    # covers duplicate a wide center and reach past T on the wide line
+    z7 = get_group("z7")
+    seq = builtin_families(z7)["boxes"]
+    line = tuple(z7.encode((0,) * 6 + (k,)) for k in (2, 3))
+    T = seq.subset(2) + line
+    far = z7.encode((0,) * 6 + (5,))
+    assert min(line + (far,)) >= 1 << 62
+    tiling = TilingPlan(Fraction(1, 100), (1, 2), 0)
+    got = cover(T, tiling, seq)
+    assert assert_verify_is_the_reference(T, tiling, got, seq) == set()
+    for centers, failing, outside in (
+            # mass 128 + 4 against 1.01 x 130 sites
+            ({2: (0,), 1: line + line}, {"mass_vs_covered", "mass_vs_total"}, 0),
+            # 126 + 128 + 2 cells outside T, 2 of its 130 sites covered
+            ({2: (line[0], far), 1: (far, far)},
+             {"tiles_inside", "residue_small", "mass_vs_total"}, 256)):
+        cov = Cover(tiling, centers, frozenset())
+        assert assert_verify_is_the_reference(T, tiling, cov, seq) == failing
+        assert verify_cover(T, tiling, cov, seq).tiles_inside.lhs == outside
+
+
+def test_verify_cover_past_the_coordinate_range_raises_as_the_reference():
+    # the 10-tile at 2**40 - 1 reaches 2**40 + 8; the first cell past the
+    # range is 2**40 + 1 on both sides
+    seq = z_boxes()
+    tiling = TilingPlan(HALF, (10,), 0)
+    cov = Cover(tiling, {10: (0, Z.encode(((1 << 40) - 1,)))}, frozenset())
+    with pytest.raises(CoordinateRangeError) as want:
+        reference_verify(seq.subset(20), tiling, cov, seq)
+    with pytest.raises(CoordinateRangeError) as got:
+        verify_cover(seq.subset(20), tiling, cov, seq)
+    assert str(got.value) == str(want.value) == (
+        "coordinate 1099511627777 outside supported range +/-2**40")
 
 
 # -- counting bound ------------------------------------------------------------
@@ -560,6 +715,6 @@ def test_q_bound_rejects_a_cover_reaching_outside_the_window():
     full = SFT(Z, binary_alphabet(), ())
     tiling = TilingPlan(QUARTER, (4,), 0)
     c = Z.encode((4,))
-    cov = Cover(tiling, {4: (c,)}, translate_right(Z, seq.subset(4), c))
+    cov = Cover(tiling, {4: (c,)}, set_product(Z, seq.subset(4), (c,)))
     with pytest.raises(ValueError, match="cover reaches 2 sites outside the window of size 6"):
         q_count_bound(full, seq.subset(6), tiling, cov, seq)

@@ -18,12 +18,12 @@ from amenlab.symbolic import (
     binary_alphabet,
     cont,
     golden_mean_sft,
-    iter_admissible,
     load_sft,
     parse_sft,
     topological_entropy_estimate,
     transfer_matrix_count,
 )
+from reference import iter_admissible
 
 Z = get_group("z")
 Z2 = get_group("z2")
@@ -472,6 +472,15 @@ def test_iter_admissible_matches_count():
     assert len(words) == len(pats)
     assert "11000" not in words
     assert "10101" in words
+
+
+def test_iter_admissible_budget():
+    # the golden mean on 5 sites visits more than 3 nodes; the error reports
+    # the nodes visited within the budget
+    with pytest.raises(BudgetExceededError) as info:
+        list(iter_admissible(golden_mean_sft(), interval(5), budget=3))
+    assert info.value.work == 3
+    assert len(list(iter_admissible(golden_mean_sft(), interval(5), budget=None))) == fib(7)
 
 
 def test_budget_error():
