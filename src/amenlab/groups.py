@@ -450,7 +450,8 @@ class Runs:
         # a site's place in its run: its position less that of its run's first
         # site, added in place so that no second full column is alive at once
         cols[-1] += np.arange(cols.shape[1])
-        cols[-1] -= np.repeat(np.cumsum(self.lengths) - self.lengths, self.lengths)
+        if len(self.lengths) > 1:  # one run, as every window of the line, needs no offsets
+            cols[-1] -= np.repeat(np.cumsum(self.lengths) - self.lengths, self.lengths)
         return cols.T
 
     def indices(self) -> FiniteSubset:

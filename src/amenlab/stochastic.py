@@ -5,6 +5,8 @@ Sampling is a pure function of (measure, window, seed).  Bernoulli values
 are derived per site index, so nested windows agree where they overlap;
 the Markov sampler runs one chain from the stationary distribution at the
 window's smallest coordinate, so windows with a common left end agree.
+``sample`` draws on an index set; ``sample_word`` gives the content word of
+the same draw on a window of runs, from one int64 array of its indices.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import FiniteSubset, get_group
+from .groups import FiniteSubset, Runs, get_group, pack_rows, runs_union
 from .rng import site_uniforms
 from .symbolic import Alphabet, PartialConfiguration, cont
 
@@ -137,8 +139,7 @@ def sample(measure, F: FiniteSubset, seed: int) -> PartialConfiguration:
     Each site takes the first symbol whose float CDF exceeds its uniform, else
     the last: a Bernoulli site reads the CDF of p, a Markov site the CDF of
     the row of the state before it along the line (of pi at the first site)."""
-    if not isinstance(measure, (BernoulliMeasure, MarkovMeasure)):
-        raise TypeError(f"cannot sample {type(measure).__name__}")
+    _check_sampler(measure)
     sites = F if isinstance(F, tuple) else tuple(F)
     n = len(sites)
     try:
@@ -149,16 +150,54 @@ def sample(measure, F: FiniteSubset, seed: int) -> PartialConfiguration:
     else:
         increasing = bool(np.all(exact[1:] > exact[:-1]))
         u = site_uniforms(seed, exact)
-    sym = measure.alphabet.symbols
-    last = len(sym) - 1
     if isinstance(measure, BernoulliMeasure):
-        states = np.minimum(np.searchsorted(_cdf(measure.p), u, side="right"), last)
+        states = _bernoulli(measure, u)
     else:
-        states = _chain(measure, sites, u)
-    word = np.array(sym, dtype="<U1")[states].tobytes().decode("utf-32-le")
+        if not sites:
+            raise ValueError("empty window")
+        coord = get_group("z").decode_array(sites)[:, 0]
+        order = np.argsort(coord, kind="stable")
+        if int(coord[order[-1]]) - int(coord[order[0]]) + 1 != n:
+            raise ValueError("Markov sampling needs an interval of the line")
+        states = np.empty(n, dtype=np.intp)
+        states[order] = _chain(measure, u[order])
+    word = _word(measure, states)
     if increasing:
         return PartialConfiguration.from_word(sites, word)
     return PartialConfiguration(zip(sites, word))
+
+
+def sample_word(measure, runs: Runs, seed: int) -> str:
+    """``cont(sample(measure, F, seed))`` for F the sites of ``runs``, from one
+    array of their indices (``pack_rows``): int64, or Python ints past 2**62,
+    which are reduced mod 2**64 as ``sample`` reduces them.  A Bernoulli word
+    sorts that array; a Markov chain runs over the coordinates of one run of
+    the line, and its states are then put in index order.  ``runs`` is nonempty."""
+    _check_sampler(measure)
+    if not len(runs):
+        raise ValueError("empty window")
+    if isinstance(measure, BernoulliMeasure):
+        index = pack_rows(runs.sites())
+        index.sort()
+        return _word(measure, _bernoulli(measure, _index_uniforms(seed, index)))
+    line = runs_union(runs)
+    if line.heads.shape[1] != 1 or len(line.lengths) != 1:
+        raise ValueError("Markov sampling needs an interval of the line")
+    index = pack_rows(line.sites())
+    states = _chain(measure, _index_uniforms(seed, index))
+    return _word(measure, states[np.argsort(index, kind="stable")])
+
+
+def _check_sampler(measure) -> None:
+    if not isinstance(measure, (BernoulliMeasure, MarkovMeasure)):
+        raise TypeError(f"cannot sample {type(measure).__name__}")
+
+
+def _index_uniforms(seed: int, index: np.ndarray) -> np.ndarray:
+    """site_uniforms of the natural indices of a ``pack_rows`` array."""
+    if index.dtype == object:  # past 2**62, and maybe past 2**64
+        index = np.fromiter((g % (1 << 64) for g in index.tolist()), np.uint64, len(index))
+    return site_uniforms(seed, index.view(np.uint64))
 
 
 def _cdf(p) -> np.ndarray:
@@ -166,25 +205,24 @@ def _cdf(p) -> np.ndarray:
     return np.array(list(accumulate(map(float, p))))
 
 
-def _chain(measure: MarkovMeasure, sites, u: np.ndarray) -> np.ndarray:
-    """Markov states of the sites of an interval of the line, aligned with
-    ``sites``; the chain runs in coordinate order from the smallest one."""
-    if not sites:
-        raise ValueError("empty window")
-    coord = get_group("z").decode_array(sites)[:, 0]
-    order = np.argsort(coord, kind="stable")
-    if int(coord[order[-1]]) - int(coord[order[0]]) + 1 != len(sites):
-        raise ValueError("Markov sampling needs an interval of the line")
+def _bernoulli(measure: BernoulliMeasure, u: np.ndarray) -> np.ndarray:
+    return np.minimum(np.searchsorted(_cdf(measure.p), u, side="right"), measure.alphabet.size - 1)
+
+
+def _chain(measure: MarkovMeasure, u: np.ndarray) -> np.ndarray:
+    """The Markov states of the sites of an interval of the line whose
+    uniforms ``u`` are in coordinate order; the chain starts from pi."""
     last = measure.alphabet.size - 1
-    u = u[order]
-    # nxt[s][k]: the state at the k-th site in line order when state s precedes it
+    # nxt[s][k]: the state at the k-th site when state s precedes it
     nxt = [np.minimum(np.searchsorted(_cdf(r), u, side="right"), last).tolist()
            for r in measure.rows]
     state = min(bisect_right(_cdf(measure.stationary), u[0]), last)
     chain = [state] + [state := step[state] for step in islice(zip(*nxt), 1, None)]
-    states = np.empty(len(sites), dtype=np.intp)
-    states[order] = chain
-    return states
+    return np.fromiter(chain, np.intp, len(chain))
+
+
+def _word(measure, states: np.ndarray) -> str:
+    return np.array(measure.alphabet.symbols, dtype="<U1")[states].tobytes().decode("utf-32-le")
 
 
 def empirical_frequencies(alphabet: Alphabet, t: PartialConfiguration) -> ProbabilityVector:
@@ -213,6 +251,10 @@ class MeasureSource:
     def window(self, F: FiniteSubset) -> PartialConfiguration:
         return sample(self.measure, F, self.seed)
 
+    def word(self, runs: Runs) -> str:
+        """The content word of the window on the sites of ``runs``."""
+        return sample_word(self.measure, runs, self.seed)
+
 
 class ConstantSource:
     """The fixed point of the full shift taking one value everywhere."""
@@ -226,6 +268,9 @@ class ConstantSource:
     def window(self, F: FiniteSubset) -> PartialConfiguration:
         support = tuple(sorted(set(F)))
         return PartialConfiguration.from_word(support, self.symbol * len(support))
+
+    def word(self, runs: Runs) -> str:
+        return self.symbol * len(runs)
 
 
 def _entries(text: str) -> tuple[Fraction, ...]:

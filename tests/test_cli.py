@@ -275,14 +275,18 @@ def test_brudno_all_estimators(tmp_path):
 
 
 def test_brudno_samples_each_window_once(tmp_path, monkeypatch):
+    # each window is read once as runs and sampled once; no index tuple is built
     calls = []
-    window = MeasureSource.window
+    word = MeasureSource.word
 
-    def counting(self, F):
-        calls.append(len(F))
-        return window(self, F)
+    def counting(self, runs):
+        calls.append(len(runs))
+        return word(self, runs)
 
-    monkeypatch.setattr(MeasureSource, "window", counting)
+    monkeypatch.setattr(MeasureSource, "word", counting)
+    for name in ("window", "subset"):
+        owner = MeasureSource if name == "window" else folner.FolnerSequence
+        monkeypatch.setattr(owner, name, lambda *a, name=name: calls.append(name))
     out = tmp_path / "rates.csv"
     assert main(["brudno", "run", "--group", "z2", "--family", "boxes",
                  "--measure", "bernoulli:0.3,0.7", "--estimator", "all",
@@ -492,6 +496,17 @@ PINNED = [
     ("brudno run --group z --family dyadic --measure markov:[[0.5,0.5],[1,0]] "
      "--estimator lz78 --upto 5 --seed 2", 0,
      "36c1aafa876cdc3af41539e12278613d8dae0e5121045d9db61b3998c298919d"),
+    # rates on 2**20 sites of z, 1024**2 sites of z2 and 2**18 Markov sites:
+    # every freq block is full, and the class sizes are large
+    ("brudno run --group z --family dyadic --measure bernoulli:0.9,0.1 --estimator all "
+     "--upto 20 --seed 1", 0,
+     "a17452f9f8ed0ff9544454ee7ef8740f4dbc8cdd17f241a8975bffaf6d349ab1"),
+    ("brudno run --group z2 --family dyadic --measure bernoulli:0.9,0.1 --estimator all "
+     "--upto 10 --seed 1", 0,
+     "950651efda1158252e3b10080e5d2c860cfa3cb0c7fa737884d6b0b451b37abd"),
+    ("brudno run --group z --family dyadic --measure markov:[[0.5,0.5],[1,0]] "
+     "--estimator all --upto 18 --seed 1", 0,
+     "16708f306f95ece6ce77985d4cec746421c329ad1a8b8dcd837c06754fa099a0"),
     ("repair-demo --length 200 --flips 5 --seed 3", 0,
      "2acdc047b2db50de5337eca2ff1797cc2df4ec092717eb739f7f3564c3cc5d97"),
 ]
@@ -547,7 +562,8 @@ def test_preset_alone_gives_the_pinned_payload(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("group", ["z2", "h3"])
 def test_brudno_markov_needs_group_z(tmp_path, monkeypatch, capsys, group):
     calls = []
-    monkeypatch.setattr(MeasureSource, "window", lambda self, F: calls.append(F))
+    for name in ("window", "word"):
+        monkeypatch.setattr(MeasureSource, name, lambda self, F: calls.append(F))
     out = tmp_path / "rates.csv"
     assert main(["brudno", "run", "--group", group, "--family", "boxes",
                  "--measure", "markov:[[0.9,0.1],[0.5,0.5]]", "--estimator", "freq",

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from amenlab import complexity
 from amenlab.complexity import (
     ESTIMATORS,
+    FREQ_BLOCK,
     CoderDecodeError,
     _multinomial,
     _rank_in_class,
@@ -28,6 +32,7 @@ from amenlab.complexity import (
     hamming,
     lz78_decode,
     lz78_encode,
+    lz78_length,
     rate_series,
     repair_decode,
     repair_encode,
@@ -237,6 +242,82 @@ def test_freq_rejects_rank_wider_than_the_stream():
         freq_decode(AB, head + "1" * 40)
     with pytest.raises(CoderDecodeError, match="truncated type-class rank"):
         repair_decode(AB, "a" * 60000, head + "1" * 40)
+
+
+# -- type-class sizes -------------------------------------------------------------
+
+
+def comb_product(counts):
+    size, rem = 1, 0
+    for c in counts:
+        rem += c
+        size *= comb(rem, c)
+    return size
+
+
+def random_counts(rng, n, asize):
+    # asize - 1 cuts of [0, n]; two cuts that meet leave a zero count
+    cuts = sorted(rng.randrange(n + 1) for _ in range(asize - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+def test_class_sizes_equal_the_binomial_product_on_both_routes():
+    rng = SplitMix64(derive(27))
+    bits = complexity._PRIME_ROUTE_BITS
+    # a balanced binary class of n sites bounds its size by n bits, so
+    # n = bits sits on the crossover
+    for n in (0, 1, 2, 3, 7, 64, 1000, bits - 1, bits, bits + 1, FREQ_BLOCK):
+        cases = [[n], [0, n], [n, 0, 0]]
+        for asize in range(1, 6):
+            cases += [random_counts(rng, n, asize) for _ in range(8 if n <= bits + 1 else 2)]
+        for counts in cases:
+            want = comb_product(counts)
+            assert complexity._prime_power_multinomial(n, counts) == want, counts
+            assert _multinomial(counts) == want, counts
+
+
+def test_class_sizes_take_the_prime_route_past_the_crossover_only(monkeypatch):
+    calls = []
+    route = complexity._prime_power_multinomial
+    monkeypatch.setattr(complexity, "_prime_power_multinomial",
+                        lambda n, counts: calls.append(n) or route(n, counts))
+    half = complexity._PRIME_ROUTE_BITS // 2
+    # a codec stream of a side-32 box in z2 (579 bits), the bound's two sides,
+    # and a Markov block of 2**16 symbols (60,181 bits)
+    for counts, prime in (([1024, 128], False), ([half - 1, half - 1], False),
+                          ([half, half], True), ([0, half, 0, half], True),
+                          ([43691, 21845], True)):
+        calls.clear()
+        assert _multinomial(counts) == comb_product(counts)
+        assert calls == ([sum(counts)] if prime else []), counts
+
+
+def test_prime_table_is_sized_from_n_and_built_on_first_use():
+    for bits in range(9):
+        want = [p for p in range(2, 1 << bits) if all(p % q for q in range(2, p))]
+        assert complexity._primes_below(bits).tolist() == want
+    script = ("import amenlab.cli\n"
+              "from amenlab.complexity import _primes_below, _multinomial\n"
+              "print(_primes_below.cache_info().currsize)\n"
+              "_multinomial([5000, 5000])\n"
+              "print(_primes_below.cache_info().currsize, len(_primes_below(14)))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["0", "1", "1900"]  # the primes below 2**14 only
+
+
+def test_class_sizes_do_not_read_the_block_limit(monkeypatch):
+    # the table is keyed by the bit length of n, so sizes drawn while a test
+    # patches FREQ_BLOCK leave nothing that later sizes read
+    big = [43691, 21845]
+    with monkeypatch.context() as patched:
+        patched.setattr(complexity, "FREQ_BLOCK", 8)
+        assert complexity._prime_power_multinomial(8, [4, 4]) == 70
+        assert _multinomial(big) == comb_product(big)
+        assert freq_length(AB, "ab" * 8) == len(freq_encode(AB, "ab" * 8))
+    assert _multinomial(big) == comb_product(big)
+    assert complexity._prime_power_multinomial(8, [4, 4]) == 70
 
 
 # -- type-class rank against the per-symbol reference --------------------------
@@ -460,6 +541,31 @@ def test_freq_length_is_the_stream_length(asize, blocks, offset, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("amenlab.complexity.FREQ_BLOCK", 8)
         assert freq_length(alphabet, w) == len(freq_encode(alphabet, w))
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.data())
+def test_lz78_length_is_the_stream_length(asize, data):
+    alphabet = Alphabet(tuple("abcd"[:asize]))
+    w = data.draw(st.text(alphabet="".join(alphabet.symbols), min_size=1, max_size=300))
+    assert lz78_length(alphabet, w) == len(lz78_encode(alphabet, w))
+
+
+def test_lz78_length_matches_the_stream_on_long_and_wide_words():
+    rng = SplitMix64(derive(78))
+    w = "".join("b" if rng.next64() >> 60 == 0 else "a" for _ in range(1 << 16))
+    wide = Alphabet(tuple(chr(0x100 + k) for k in range(300)))
+    for alphabet, word in ((AB, w), (AB, "a" * 5000), (wide, random_word(wide, 3000, 5))):
+        assert lz78_length(alphabet, word) == len(lz78_encode(alphabet, word))
+
+
+def test_lz78_length_raises_like_the_encoder():
+    for w in ("", "axb", "ab" * 10 + "?"):
+        with pytest.raises(ValueError) as enc:
+            lz78_encode(AB, w)
+        with pytest.raises(ValueError) as length:
+            lz78_length(AB, w)
+        assert str(length.value) == str(enc.value)
 
 
 @PROPERTY
@@ -854,6 +960,7 @@ def test_rate_series_constant_window():
 
 def test_rate_series_rejects_unknown_names():
     assert ESTIMATORS["freq"] is freq_length
+    assert ESTIMATORS["lz78"] is lz78_length
     seq = builtin_families(get_group("z"))["boxes"]
     with pytest.raises(ValueError):
         rate_series(ConstantSource(AB, "a"), seq, ["zip"], 3)

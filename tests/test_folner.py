@@ -657,6 +657,19 @@ def test_runs_value_counts_and_lists_its_sites():
     assert list(runs) == [Z2.encode(c) for c in [(0, 5), (0, 6), (0, 7), (-2, -1)]]
 
 
+@pytest.mark.parametrize("name", ["z", "z3", "h3"])
+def test_one_run_lists_the_sites_of_its_pieces(name):
+    # one run is listed without per-run offsets; its pieces, as several runs, with them
+    group = get_group(name)
+    head = [-3, 7, -2 ** 40][-group.dimension:]
+    one = Runs(np.array([head], dtype=np.int64), np.array([50], dtype=np.int64))
+    pieces = Runs(np.array([head, [*head[:-1], head[-1] + 20]], dtype=np.int64),
+                  np.array([20, 30], dtype=np.int64))
+    want = [(*head[:-1], head[-1] + k) for k in range(50)]
+    assert [tuple(r) for r in one.sites().tolist()] == want
+    assert one.sites().tolist() == pieces.sites().tolist()
+
+
 def test_dyadic_temperedness_closed_form_to_16():
     seq = builtin_families(Z)["dyadic"]
     closed = [(i, 2**i, Fraction(3, 2) - Fraction(1, 2**i)) for i in range(1, 17)]

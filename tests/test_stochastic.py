@@ -4,9 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from amenlab.groups import get_group, pack_coords
+from amenlab.folner import builtin_families
+from amenlab.groups import Runs, get_group, pack_coords, runs_of
+from amenlab.setcodec import random_connected_subset
 from amenlab.rng import site_uniform
 from amenlab.stochastic import (
     BernoulliMeasure,
@@ -18,6 +21,7 @@ from amenlab.stochastic import (
     ks_entropy,
     parse_measure,
     sample,
+    sample_word,
     shannon_entropy,
 )
 from amenlab.symbolic import Alphabet, cont
@@ -133,6 +137,63 @@ def test_negative_indices_sample_like_the_per_site_loop():
 def test_sample_rejects_an_object_that_is_no_measure():
     with pytest.raises(TypeError, match="cannot sample object"):
         sample(object(), interval(4), 1)
+    with pytest.raises(TypeError, match="cannot sample object"):
+        sample_word(object(), runs_of(get_group("z"), interval(4)), 1)
+
+
+def _runs_windows():
+    """Windows as runs: boxes (one run on z, many elsewhere), connected sets,
+    and the far windows, whose indices pass 2**64 on z2 and h3."""
+    for name in ("z", "z2", "z3", "h3"):
+        group = get_group(name)
+        fams = builtin_families(group)
+        for i in (1, 2, 3):
+            yield name, fams["dyadic"].runs(i)
+        yield name, fams["boxes"].runs(5)
+        for seed in range(3):
+            yield name, runs_of(group, random_connected_subset(group, 40, seed))
+    for name, F in _far_windows():
+        if name != "z past 2**64":  # its coordinates lie outside +/-2**40
+            yield name, runs_of(get_group(name.split()[0]), F)
+
+
+@pytest.mark.parametrize("spec", ["bernoulli:0.9,0.1", "bernoulli:0.2,0,0.3,0.5"])
+def test_sample_word_is_the_content_of_the_sampled_window(spec):
+    m = parse_measure(spec)
+    wide = 0
+    for name, runs in _runs_windows():
+        F = runs.indices()
+        wide += F[-1] >= 1 << 64
+        for seed in (1, 424242):
+            assert sample_word(m, runs, seed) == cont(sample(m, F, seed)), name
+    assert wide == 2
+
+
+@pytest.mark.parametrize("spec", [
+    "markov:[[0.5,0.5],[1,0]]", "markov:[[0,1,0],[0,0,1],[0.25,0.25,0.5]]",
+])
+def test_markov_sample_word_runs_the_chain_along_the_line(spec):
+    m = parse_measure(spec)
+    z = get_group("z")
+    L = 1 << 40
+    for head, n in ((0, 1), (0, 1000), (-7, 300), (-300, 20), (L - 599, 600), (-L, 600)):
+        F = tuple(sorted(z.encode((head + k,)) for k in range(n)))
+        one = Runs(np.array([[head]]), np.array([n]))
+        # the same interval as two touching runs, listed out of order
+        cut = n // 3
+        two = Runs(np.array([[head + cut], [head]]), np.array([n - cut, cut]))
+        for seed in (1, 7):
+            want = cont(sample(m, F, seed))
+            assert sample_word(m, one, seed) == want, (head, n)
+            if cut:
+                assert sample_word(m, two, seed) == want, (head, n)
+    gap = Runs(np.array([[0], [5]]), np.array([3, 2]))
+    plane = builtin_families(get_group("z2"))["boxes"].runs(2)
+    for runs in (gap, plane):
+        with pytest.raises(ValueError, match="interval of the line"):
+            sample_word(m, runs, 1)
+    with pytest.raises(ValueError, match="empty window"):
+        sample_word(m, Runs(np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=np.int64)), 1)
 
 
 def test_shannon_entropy_values():
@@ -282,6 +343,9 @@ def test_sources_expose_windows():
     assert src.window(F) == sample(src.measure, F, 11)
     const = ConstantSource(AB, "b")
     assert cont(const.window(F)) == "b" * 32
+    runs = runs_of(get_group("z"), F)
+    assert src.word(runs) == cont(src.window(F))
+    assert const.word(runs) == "b" * 32
 
 
 @pytest.mark.parametrize("spec", [
