@@ -23,17 +23,20 @@ below about 8 kbit, and past that a balanced product of prime powers p**e,
 each e by Legendre's formula, from a sieve sized by n and built on first
 use.  CPython's ``comb`` grows quadratically with its result, so a class
 of 2**16 balanced symbols takes 2-3 ms this way rather than 60-80 ms.
-The rank advances in exact steps of 64 symbols, each multiplying the class
-size by ~1 kbit integers and dividing it by another, so a block of n
-symbols still costs time quadratic in n, with a small constant.  Unranking guesses each step from
-the top bits of rank and class size, and checks the guess exactly.
+The rank advances in exact steps of 64 symbols.  A step scales the class
+size by two ratios t/q and p/q, with q of at most 1 kbit; both products are
+exact, so the lcm of the reduced denominators (~600 bits) divides the size,
+and a step costs one division by it and two products.  A block of n symbols
+still costs time quadratic in n, with a small constant.  Unranking guesses
+each step from the top bits of rank and class size, and checks the guess
+exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, log2
+from math import comb, gcd, isqrt, log2, prod
 from operator import mul, ne
 from typing import Callable
 
@@ -150,24 +153,31 @@ def _prime_power_multinomial(n: int, counts) -> int:
 def _step_ratio(chunk, index_of, counts: list[int], rem: int) -> tuple[int, int, int]:
     """Walk chunk, updating counts.  With S the class size before it, the
     chunk's rank terms sum to S*t/q and S*p/q is the size after it, both exact."""
-    t, p, q = 0, 1, 1
-    for ch in chunk:
+    t, p = 0, 1
+    for r, ch in zip(range(rem, 0, -1), chunk):
         ci = index_of[ch]
-        t = t * rem + p * sum(counts[:ci])
+        t = t * r + p * sum(counts[:ci]) if ci else t * r
         p *= counts[ci]
-        q *= rem
         counts[ci] -= 1
-        rem -= 1
-    return t, p, q
+    return t, p, prod(range(rem - len(chunk) + 1, rem + 1))
+
+
+def _step(size: int, t: int, p: int, q: int) -> tuple[int, int]:
+    """(size*t//q, size*p//q), both exact, by one division: in lowest terms
+    t/q and p/q have denominators q/g2 and q/g1 (g1 = gcd(p, q), g2 = gcd(t, q)),
+    which divide size, and so does their lcm q // gcd(g1, g2), ~600 bits at 64."""
+    g1, g2 = gcd(p, q), gcd(t, q)
+    lcm = q // gcd(g1, g2)
+    e = size // lcm
+    return e * (lcm // (q // g2) * (t // g2)), e * (lcm // (q // g1) * (p // g1))
 
 
 def _rank_in_class(block: str, index_of: dict, counts: list[int], size: int) -> int:
     counts = list(counts)
     rank = 0
     for i in range(0, len(block), _STEP):
-        t, p, q = _step_ratio(block[i:i + _STEP], index_of, counts, len(block) - i)
-        rank += size * t // q
-        size = size * p // q
+        low, size = _step(size, *_step_ratio(block[i:i + _STEP], index_of, counts, len(block) - i))
+        rank += low
     return rank
 
 
@@ -211,8 +221,7 @@ def _unrank_in_class(rank: int, size: int, counts: list[int], symbols) -> str:
         if shift:
             # prefix intervals partition [0, size), so a guess whose
             # interval holds rank is right; on a miss, redo the step exactly
-            t, p, q = _step_ratio(letters, index_of, list(counts), rem)
-            low, s = size * t // q, size * p // q
+            low, s = _step(size, *_step_ratio(letters, index_of, list(counts), rem))
             r = rank - low
             if not 0 <= r < s:
                 guess = counts
@@ -436,18 +445,54 @@ def lz78_decode(alphabet: Alphabet, bits: str) -> str:
 
 # -- difference (repair) coder -----------------------------------------------
 
+def _radix_powers(base: int, n: int) -> list[int]:
+    """base**(2**j) for each level j of converting n base-``base`` digits."""
+    powers = [base]
+    while 1 << len(powers) < n:
+        powers.append(powers[-1] * powers[-1])
+    return powers
+
+
+def _join_digits(digits: list[int], base: int) -> int:
+    """The integer with these base-``base`` digits, most significant first:
+    neighbours join pairwise, level j scaling by base**(2**j), so groups of
+    2**j digits align from the right and a level costs one Karatsuba product
+    per pair (Knuth, TAOCP vol. 2, 4.4)."""
+    vals = digits or [0]
+    for scale in _radix_powers(base, len(vals)):
+        if len(vals) & 1:
+            vals = [0, *vals]
+        vals = [hi * scale + lo for hi, lo in zip(vals[::2], vals[1::2])]
+    return vals[0]
+
+
+def _split_digits(val: int, n: int, base: int) -> list[int]:
+    """The n base-``base`` digits of val < base**n, most significant first:
+    the inverse of :func:`_join_digits`, one ``divmod`` per group and level
+    down to groups of 2**m digits that fit int64, peeled in numpy."""
+    powers = _radix_powers(base, n)
+    m = sum(s < 1 << 63 for s in powers) - 1
+    vals = [val]
+    for scale in reversed(powers[m:]):
+        vals = [part for v in vals for part in divmod(v, scale)]
+    groups = np.array(vals, dtype=np.int64)
+    digits = np.empty((len(vals), 1 << m), dtype=np.int64)
+    for k in range(1 << m, 0, -1):
+        groups, digits[:, k - 1] = np.divmod(groups, base)
+    return digits.ravel()[digits.size - n:].tolist()
+
+
 def repair_encode(alphabet: Alphabet, base: str, target: str) -> str:
     """Code for ``target`` given ``base``: frequency-coded difference bitmap
-    plus the substitute letters packed as one base-|A| integer, built one
-    digit per flip on about flips*log2|A| bits, so in O(flips**2)."""
+    plus the substitute letters packed as one base-|A| integer, joined by
+    divide and conquer in subquadratic time."""
     if len(base) != len(target):
         raise ValueError("base and target must have equal length")
     if not base:
         raise ValueError("empty words are not coded")
     index_of = {s: i for i, s in enumerate(alphabet.symbols)}
     bitmap = []
-    subs_val = 0
-    flips = 0
+    subs = []
     for a, b in zip(base, target):
         if b not in index_of:
             raise ValueError(f"symbol {b!r} not in alphabet")
@@ -455,23 +500,23 @@ def repair_encode(alphabet: Alphabet, base: str, target: str) -> str:
             bitmap.append("0")
         else:
             bitmap.append("1")
-            subs_val = subs_val * alphabet.size + index_of[b]
-            flips += 1
+            subs.append(index_of[b])
     head = freq_encode(binary_alphabet(), "".join(bitmap))
-    width = (alphabet.size ** flips - 1).bit_length()
-    return head + (format(subs_val, f"0{width}b") if width else "")
+    width = (alphabet.size ** len(subs) - 1).bit_length()
+    return head + (format(_join_digits(subs, alphabet.size), f"0{width}b") if width else "")
 
 
 def repair_decode(alphabet: Alphabet, base: str, bits: str) -> str:
     """Inverse of :func:`repair_encode` for this base.  Slices each input bit
     at most once, refuses a bitmap whose length differs from ``base`` before
-    |A|**flips is computed, and peels one base-|A| digit per flip off about
-    flips*log2|A| bits, so unpacking the substitutes is O(flips**2)."""
+    |A|**flips is computed, and a substitution block of |A|**flips or more
+    before any digit is split off it."""
     bitmap, pos = freq_read(binary_alphabet(), bits, 0)
     if len(bitmap) != len(base):
         raise CoderDecodeError("difference bitmap length mismatch")
     flips = bitmap.count("1")
-    width = (alphabet.size ** flips - 1).bit_length()
+    limit = alphabet.size ** flips
+    width = (limit - 1).bit_length()
     val = 0
     if width:
         chunk = bits[pos:pos + width]
@@ -481,13 +526,9 @@ def repair_decode(alphabet: Alphabet, base: str, bits: str) -> str:
         pos += width
     if pos != len(bits):
         raise CoderDecodeError(f"{len(bits) - pos} unread bits after stream end")
-    digits = []
-    for _ in range(flips):
-        val, r = divmod(val, alphabet.size)
-        digits.append(alphabet.symbols[r])
-    if val:
+    if val >= limit:
         raise CoderDecodeError("substitution block out of range")
-    digits.reverse()
+    digits = [alphabet.symbols[r] for r in _split_digits(val, flips, alphabet.size)]
     out = []
     k = 0
     for ch, flag in zip(base, bitmap):

@@ -68,18 +68,29 @@ def pack_coords_array(coords: Sequence[np.ndarray]) -> np.ndarray:
     all of them broadcasting together.  The caller keeps every index below
     INDEX_ARRAY_LIMIT, which keeps each partial fold and product inside int64,
     or passes object arrays of Python ints (``pack_rows``)."""
-    c = coords[-1]
-    acc = np.where(c > 0, 2 * c - 1, -2 * c)
+    acc = _zigzag(coords[-1])
     for c in reversed(coords[:-1]):
-        s = acc + np.where(c > 0, 2 * c - 1, -2 * c)
+        s = acc + _zigzag(c)
         acc = s * (s + 1) // 2 + acc
     return acc
 
 
-def _extremes(rows: np.ndarray) -> zip:
-    """(least, greatest) coordinate on each axis of nonempty int64 rows (last axis)."""
+def _zigzag(c: np.ndarray) -> np.ndarray:
+    """2c - 1 where c > 0, else -2c (the zigzag of ``pack_coords``), in one new
+    array.  np.abs or a bool operand would touch numpy loops that no other
+    step does, and mapping their code raises a small job's peak RSS."""
+    z = c * -2
+    return np.subtract(-1, z, out=z, where=c > 0)
+
+
+def _extremes(rows: np.ndarray) -> list[tuple[int, int]]:
+    """(least, greatest) coordinate on each axis of nonempty int64 rows (last
+    axis).  A reduction across C-contiguous rows runs one inner loop per row,
+    so from 128 rows on (the measured crossover) each column is reduced alone."""
     flat = rows.reshape(-1, rows.shape[-1])
-    return zip(flat.min(axis=0).tolist(), flat.max(axis=0).tolist())
+    if len(flat) < 128:
+        return list(zip(flat.min(axis=0).tolist(), flat.max(axis=0).tolist()))
+    return [(int(col.min()), int(col.max())) for col in flat.T]
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:

@@ -80,8 +80,13 @@ def site_uniforms(seed: int, sites: np.ndarray) -> np.ndarray:
     index leaves [0, 2**64)), which is all that derive reads of it; uint64
     arithmetic wraps mod 2**64 like the masks of mix64.
     """
-    z = np.uint64(seed & _MASK) ^ (sites * np.uint64(GAMMA))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    # in place, so that one shifted temporary is the only other array alive
+    z = sites * np.uint64(GAMMA)
+    z ^= np.uint64(seed & _MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    z >>= np.uint64(11)
+    return z.astype(np.float64) * 2.0 ** -53

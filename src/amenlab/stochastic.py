@@ -177,9 +177,9 @@ def sample_word(measure, runs: Runs, seed: int) -> str:
     if not len(runs):
         raise ValueError("empty window")
     if isinstance(measure, BernoulliMeasure):
-        index = pack_rows(runs.sites())
-        index.sort()
-        return _word(measure, _bernoulli(measure, _index_uniforms(seed, index)))
+        # no name holds the sorted indices, so they are freed before the states are drawn
+        u = _index_uniforms(seed, np.sort(pack_rows(runs.sites())))
+        return _word(measure, _bernoulli(measure, u))
     line = runs_union(runs)
     if line.heads.shape[1] != 1 or len(line.lengths) != 1:
         raise ValueError("Markov sampling needs an interval of the line")

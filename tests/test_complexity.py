@@ -18,11 +18,15 @@ from hypothesis import strategies as st
 
 from amenlab import complexity
 from amenlab.complexity import (
+    _STEP,
     ESTIMATORS,
     FREQ_BLOCK,
     CoderDecodeError,
     _multinomial,
+    _join_digits,
     _rank_in_class,
+    _split_digits,
+    _step,
     _step_ratio,
     _unrank_in_class,
     freq_decode,
@@ -460,6 +464,37 @@ def test_wrong_prefix_fails_the_check():
         assert not low <= rank < low + nsize
 
 
+def check_step(chunk, counts, symbols):
+    """_step on the step over chunk from the class of counts, against the two
+    exact divisions of ``prefix_interval``."""
+    index_of = {s: i for i, s in enumerate(symbols)}
+    size = _multinomial(counts)
+    t, p, q = _step_ratio(chunk, index_of, list(counts), sum(counts))
+    assert size * t % q == 0 and size * p % q == 0
+    assert _step(size, t, p, q) == prefix_interval(chunk, index_of, counts, size)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=4).filter(sum), st.data())
+def test_step_equals_the_two_divisions_on_random_prefixes(counts, data):
+    symbols = "abcd"[:len(counts)]
+    w = "".join(data.draw(st.permutations([s for s, c in zip(symbols, counts) for _ in range(c)])))
+    # a step starts anywhere in the block and may be its short last one
+    i = data.draw(st.integers(0, len(w) - 1))
+    rest = [w[i:].count(s) for s in symbols]
+    check_step(w[i:i + data.draw(st.integers(1, _STEP))], rest, symbols)
+
+
+def test_step_at_t_zero_one_letter_and_the_short_last_step():
+    check_step("a" * 64, [100, 50], "ab")  # t = 0: every letter is the least
+    check_step("a" * 64, [64, 0, 3], "abc")
+    check_step("a" * 64, [64], "a")  # a one-letter alphabet
+    check_step("a" * 5, [5], "a")
+    w = random_word(AB, 1000, seed=7)  # 1000 = 15 * 64 + 40
+    check_step(w[960:], [w[960:].count(s) for s in "ab"], "ab")
+    check_step("b" * 40, [0, 40], "ab")
+
+
 def sampled_word(alphabet, n, p, seed):
     """First letter with probability p, the others uniformly otherwise."""
     rng = SplitMix64(derive(seed, n, alphabet.size))
@@ -702,6 +737,46 @@ def test_repair_decode_refuses_a_bitmap_of_the_wrong_length_before_sizing_substi
         # neither |A| ** flips nor the substitution block was touched
         assert not reads and bits.sliced == head
     assert repair_decode(watched, base, stream) == "b" * 4000 and reads
+
+
+def digits_one_at_a_time(val, n, base):
+    """The per-digit loop the radix conversion replaced: peel n digits."""
+    out = []
+    for _ in range(n):
+        val, r = divmod(val, base)
+        out.append(r)
+    assert not val
+    return out[::-1]
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_radix_conversion_matches_the_per_digit_loop(base):
+    # groups of `cut` digits are the largest that fit int64 and are peeled in numpy
+    cut = 1 << max(j for j in range(7) if base ** (1 << j) < 1 << 63)
+    lengths = {0, 1, cut - 1, cut, cut + 1} | {(1 << k) + e for k in range(1, 12) for e in (-1, 0, 1)}
+    rng = SplitMix64(derive(base, 2026))
+    for n in sorted(lengths):
+        for digits in ([0] * n, [base - 1] * n, [rng.randrange(base) for _ in range(n)]):
+            val = _join_digits(digits, base)
+            assert val == sum(d * base ** (n - 1 - k) for k, d in enumerate(digits))
+            assert _split_digits(val, n, base) == digits_one_at_a_time(val, n, base) == digits
+
+
+def test_repair_decode_refuses_an_out_of_range_block_before_splitting_it(monkeypatch):
+    splits = []
+    split = complexity._split_digits
+    monkeypatch.setattr(complexity, "_split_digits", lambda *a: splits.append(a) or split(*a))
+    abc = Alphabet(("a", "b", "c"))
+    for flips in (1, 5, 40, 1000):
+        splits.clear()
+        head = freq_encode(binary_alphabet(), "1" * flips)
+        width = (3 ** flips - 1).bit_length()
+        for val in (3 ** flips, (1 << width) - 1):
+            with pytest.raises(CoderDecodeError, match="substitution block out of range"):
+                repair_decode(abc, "a" * flips, head + format(val, f"0{width}b"))
+        assert not splits
+        top = head + format(3 ** flips - 1, f"0{width}b")
+        assert repair_decode(abc, "a" * flips, top) == "c" * flips and splits
 
 
 def test_repair_decode_rejects_substitute_equal_to_base():

@@ -12,6 +12,7 @@ from amenlab.groups import (
     CoordinateRangeError,
     Heisenberg,
     Zd,
+    _extremes,
     compose_rows,
     get_group,
     is_connected_with_identity,
@@ -175,6 +176,21 @@ def test_compose_rows_and_pack_rows_match_the_scalar_law(name):
         got = pack_rows(np.array(part, dtype=np.int64)[None])
         assert got.shape == (1, len(part)) and got[0].tolist() == [pack_coords(r) for r in part]
         assert sorted_indices(np.array(part, dtype=np.int64)) == tuple(sorted(map(pack_coords, part)))
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 4096])
+def test_extremes_are_the_axis_bounds_either_side_of_the_column_switch(n):
+    rng = np.random.default_rng(n)
+    for d in (1, 2, 3):
+        rows = rng.integers(-COORD_LIMIT, COORD_LIMIT + 1, size=(n, d))
+        want = [(min(col), max(col)) for col in zip(*rows.tolist())]
+        for x in (rows, np.asfortranarray(rows), rows[::-1], rows.reshape(1, n, d)):
+            assert _extremes(x) == want
+    # one row past 2**62 moves a large array to Python ints, as a small one
+    rows = np.zeros((n, 2), dtype=np.int64)
+    rows[n // 2] = unpack_coords(INDEX_ARRAY_LIMIT, 2)
+    got = pack_rows(rows)
+    assert got.dtype == object and got.tolist() == [pack_coords(r) for r in rows.tolist()]
 
 
 def test_unpack_coords_array_pinned():
