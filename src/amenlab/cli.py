@@ -5,6 +5,8 @@ config echo) followed by a CSV payload.  With a fixed seed the payload is
 byte identical across runs; only the ``# generated`` line varies, so
 diff-based golden tests simply drop it.  A ``key=value`` config file can
 preset any long option; argparse reads it as flags, and explicit flags win.
+A run whose leading words name a command builds that command's parser alone;
+the full tree is built when they name none, and to report unrecognized flags.
 
 Exit codes: 0 success, 2 usage or input error, 3 budget exhausted (the
 report written so far is flagged with ``# partial true``).
@@ -19,6 +21,8 @@ from contextlib import contextmanager
 from dataclasses import fields
 from datetime import datetime, timezone
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .complexity import (
@@ -39,7 +43,7 @@ from .folner import (
 )
 from .groups import CoordinateRangeError, get_group
 from .quasitiling import DEFAULT_HORIZON, cover, plan
-from .rng import derive, site_uniform
+from .rng import derive, site_uniforms
 from .setcodec import decode_connected, encode_connected
 from .stochastic import MarkovMeasure, MeasureSource, parse_measure
 from .symbolic import binary_alphabet, load_sft, topological_entropy_estimate
@@ -250,13 +254,12 @@ def _cmd_repair_demo(args):
     n, flips = args.length, args.flips
     if not 0 <= flips <= n:
         raise UsageError("--flips must lie between 0 and --length")
-    base = "".join("1" if site_uniform(args.seed, k) < 0.5 else "0" for k in range(n))
-    # flip the k positions ranked lowest by an independent uniform
-    ranks = sorted(range(n), key=lambda k: site_uniform(derive(args.seed, 1), k))
-    flipped = set(ranks[:flips])
-    target = "".join(
-        ("1" if base[k] == "0" else "0") if k in flipped else base[k] for k in range(n)
-    )
+    sites = np.arange(n, dtype=np.uint64)
+    word = (site_uniforms(args.seed, sites) < 0.5).view(np.uint8)  # 1 where base has "1"
+    base = (word + 48).tobytes().decode("ascii")
+    # flip the k positions ranked lowest by an independent uniform, ties by position
+    word[np.argsort(site_uniforms(derive(args.seed, 1), sites), kind="stable")[:flips]] ^= 1
+    target = (word + 48).tobytes().decode("ascii")
     stream = repair_encode(alphabet, base, target)
     ok = repair_decode(alphabet, base, stream) == target
     plain_freq = freq_length(alphabet, target)
@@ -312,8 +315,8 @@ def _parse(parser, argv):
         for token, key in preset.items():
             if token in extra or not hasattr(args, key.replace("-", "_")):
                 raise UsageError(f"config key {key!r} does not match any option")
-        if extra:
-            parser.error("unrecognized arguments: " + " ".join(extra))
+        if extra:  # the full tree reports these on its top parser
+            _build_parser().error("unrecognized arguments: " + " ".join(extra))
     except _ParserError as err:
         failed, message = err.args
         # argparse stops at the first bad value, and preset tokens come first
@@ -345,86 +348,83 @@ def _add_common(p, *, group=True, family=False):
     p.add_argument("--config", help="key=value preset file; flags override")
 
 
+_UPTO = ("--upto", dict(type=int, required=True, help="largest index"))
+_GROUPS = {"folner": "Folner sequence reports", "codec": "connected-set codec",
+           "entropy": "subshift entropy estimates",
+           "brudno": "complexity rates of sampled configurations"}
+# (words, help, _add_common flags, option specs, handler), in the order --help lists them
+_COMMANDS = [
+    (("folner", "defect"), "per-index max translation defect and description size",
+     dict(family=True), [_UPTO], _cmd_folner_defect),
+    (("folner", "tempered"), "prefix temperedness constants", dict(family=True), [_UPTO],
+     _cmd_folner_tempered),
+    (("folner", "modest-search"), "smallest modest set for an index", {},
+     [("--i", dict(type=int, required=True, help="invariance demand")),
+      ("--cap", dict(type=natural, default=1_000_000, help="enumeration budget"))],
+     _cmd_folner_modest_search),
+    (("codec", "encode"), "set file -> bit string", {}, [("--set-file", dict(
+        required=True, help="one canonical element per line"))], _cmd_codec_encode),
+    (("codec", "decode"), "bit string -> set file", {}, [("--bits-file", dict(
+        required=True, help="file holding one 0/1 line"))], _cmd_codec_decode),
+    (("tile",), "plan a quasi-tiling and cover a window", dict(family=True),
+     [("--eps", dict(required=True, help="tiling parameter, e.g. 1/4")),
+      ("--i", dict(type=int, required=True, help="window index to cover")),
+      ("--horizon", dict(type=int, default=DEFAULT_HORIZON,
+                         help="largest index the planner may use"))], _cmd_tile),
+    (("entropy", "sft"), "normalized log pattern counts along a family",
+     dict(group=False, family=True),
+     [("--file", dict(required=True, help="SFT description file")), _UPTO,
+      ("--budget", dict(type=natural, default=20_000_000,
+                        help="pattern counting budget: (state, symbol) extensions per window"))],
+     _cmd_entropy_sft),
+    (("brudno", "run"), "rate series for a measure and estimator set", dict(family=True),
+     [("--measure", dict(required=True, help="bernoulli:p0,p1,... or markov:[[...],...] "
+                                             "(markov needs --group z)")),
+      ("--estimator", dict(required=True, choices=sorted(ESTIMATORS) + ["all"])), _UPTO,
+      ("--seed", dict(type=int, required=True, help="sampling seed"))], _cmd_brudno_run),
+    (("repair-demo",), "edit coding of a corrupted word vs plain coders", dict(group=False),
+     [("--length", dict(type=int, default=2000)),
+      ("--flips", dict(type=int, default=40, help="sites to flip, 0..length")),
+      ("--seed", dict(type=int, default=7))], _cmd_repair_demo),
+]
+_BY_WORDS = {entry[0]: entry for entry in _COMMANDS}
+
+
+def _fill(p, words, common, options, func):
+    """Add one command's flags to its parser, and the defaults its report echoes."""
+    _add_common(p, **common)
+    for flag, spec in options:
+        p.add_argument(flag, **spec)
+    p.set_defaults(func=func, cmd=words[0], **dict(zip(["subcmd"], words[1:])))
+    return p
+
+
+def _command_parser(words, _help, *rest):
+    return _fill(_Parser(prog=" ".join(("amenlab",) + words)), words, *rest)
+
+
 def _build_parser():
-    parser = _Parser(
-        prog="amenlab",
-        description="Folner sequences, tilings, subshift entropy, and complexity rates.",
-    )
+    """Every command under one top parser: for runs that name none, and its own errors."""
+    parser = _Parser(prog="amenlab", description="Folner sequences, tilings, subshift entropy,"
+                     " and complexity rates.")
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="cmd")
-
-    folner = sub.add_parser("folner", help="Folner sequence reports")
-    fsub = folner.add_subparsers(dest="subcmd")
-    p = fsub.add_parser("defect", help="per-index max translation defect and description size")
-    _add_common(p, family=True)
-    p.add_argument("--upto", type=int, required=True, help="largest index")
-    p.set_defaults(func=_cmd_folner_defect)
-    p = fsub.add_parser("tempered", help="prefix temperedness constants")
-    _add_common(p, family=True)
-    p.add_argument("--upto", type=int, required=True, help="largest index")
-    p.set_defaults(func=_cmd_folner_tempered)
-    p = fsub.add_parser("modest-search", help="smallest modest set for an index")
-    _add_common(p)
-    p.add_argument("--i", type=int, required=True, help="invariance demand")
-    p.add_argument("--cap", type=natural, default=1_000_000, help="enumeration budget")
-    p.set_defaults(func=_cmd_folner_modest_search)
-
-    codec = sub.add_parser("codec", help="connected-set codec")
-    csub = codec.add_subparsers(dest="subcmd")
-    p = csub.add_parser("encode", help="set file -> bit string")
-    _add_common(p)
-    p.add_argument("--set-file", dest="set_file", required=True,
-                   help="one canonical element per line")
-    p.set_defaults(func=_cmd_codec_encode)
-    p = csub.add_parser("decode", help="bit string -> set file")
-    _add_common(p)
-    p.add_argument("--bits-file", dest="bits_file", required=True,
-                   help="file holding one 0/1 line")
-    p.set_defaults(func=_cmd_codec_decode)
-
-    p = sub.add_parser("tile", help="plan a quasi-tiling and cover a window")
-    _add_common(p, family=True)
-    p.add_argument("--eps", required=True, help="tiling parameter, e.g. 1/4")
-    p.add_argument("--i", type=int, required=True, help="window index to cover")
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
-                   help="largest index the planner may use")
-    p.set_defaults(func=_cmd_tile)
-
-    entropy = sub.add_parser("entropy", help="subshift entropy estimates")
-    esub = entropy.add_subparsers(dest="subcmd")
-    p = esub.add_parser("sft", help="normalized log pattern counts along a family")
-    _add_common(p, group=False, family=True)
-    p.add_argument("--file", required=True, help="SFT description file")
-    p.add_argument("--upto", type=int, required=True, help="largest index")
-    p.add_argument("--budget", type=natural, default=20_000_000,
-                   help="pattern counting budget: (state, symbol) extensions per window")
-    p.set_defaults(func=_cmd_entropy_sft)
-
-    brudno = sub.add_parser("brudno", help="complexity rates of sampled configurations")
-    bsub = brudno.add_subparsers(dest="subcmd")
-    p = bsub.add_parser("run", help="rate series for a measure and estimator set")
-    _add_common(p, family=True)
-    p.add_argument("--measure", required=True,
-                   help="bernoulli:p0,p1,... or markov:[[...],...] (markov needs --group z)")
-    p.add_argument("--estimator", required=True, choices=sorted(ESTIMATORS) + ["all"])
-    p.add_argument("--upto", type=int, required=True, help="largest index")
-    p.add_argument("--seed", type=int, required=True, help="sampling seed")
-    p.set_defaults(func=_cmd_brudno_run)
-
-    p = sub.add_parser("repair-demo", help="edit coding of a corrupted word vs plain coders")
-    _add_common(p, group=False)
-    p.add_argument("--length", type=int, default=2000)
-    p.add_argument("--flips", type=int, default=40, help="sites to flip, 0..length")
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=_cmd_repair_demo)
-
+    groups = {}
+    for words, text, *rest in _COMMANDS:
+        if len(words) == 2 and words[0] not in groups:
+            group = sub.add_parser(words[0], help=_GROUPS[words[0]])
+            groups[words[0]] = group.add_subparsers(dest="subcmd")
+        _fill(groups.get(words[0], sub).add_parser(words[-1], help=text), words, *rest)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argv's leading words name a command: build that command's parser alone
+    entry = _BY_WORDS.get(tuple(argv[:2])) or _BY_WORDS.get(tuple(argv[:1]))
+    parser = _command_parser(*entry) if entry else _build_parser()
     try:
-        args = _parse(parser, list(sys.argv[1:] if argv is None else argv))
+        args = _parse(parser, argv[len(entry[0]):] if entry else argv)
         if args.func is None:
             parser.print_usage(sys.stderr)
             return 2

@@ -204,6 +204,8 @@ def _unrank_in_class(rank: int, size: int, counts: list[int], symbols) -> str:
     rem = sum(counts)
     if rank >= size:
         raise CoderDecodeError("type-class rank out of range")
+    if size == 1:  # at most one nonzero count: the class is one word
+        return "".join(s * c for s, c in zip(symbols, counts))
     index_of = {s: i for i, s in enumerate(symbols)}
     out = []
     while rem:

@@ -1,17 +1,21 @@
 """End-to-end command line runs against report files."""
 
+import argparse
 import csv
 import hashlib
 import io
+import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from amenlab import folner, groups, setcodec
+from amenlab import cli, folner, groups, setcodec
 from amenlab.cli import main
 from amenlab.folner import builtin_families, temperedness_constant
 from amenlab.groups import get_group
+from amenlab.rng import derive, site_uniform
 from amenlab.stochastic import MeasureSource
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -370,6 +374,92 @@ def test_help_exits_zero():
     assert main([]) == 2
 
 
+# -- parsers ---------------------------------------------------------------------
+
+# Exit code, stdout and stderr of help, usage and error runs, captured at 80
+# columns when every run built the whole parser tree.  Python 3.13's argparse
+# wraps some usage lines elsewhere.
+CLI_TEXT = json.loads((ROOT / "tests" / "cli_text.json").read_text(encoding="ascii"))
+
+
+def _text_run(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "preset.cfg").write_text("group=z\nupto=three\n", encoding="ascii")
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    out = "".join(ln for ln in out.splitlines(True) if not ln.startswith("# generated"))
+    return {"argv": argv, "code": code, "stdout": out, "stderr": err}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 wraps usage lines anew")
+@pytest.mark.parametrize("case", CLI_TEXT, ids=[" ".join(c["argv"]) for c in CLI_TEXT])
+def test_help_usage_and_error_text_is_pinned(tmp_path, monkeypatch, capsys, case):
+    assert _text_run(tmp_path, monkeypatch, capsys, case["argv"]) == case
+
+
+@pytest.mark.parametrize("argv", [c["argv"] for c in CLI_TEXT] + [
+    ["folner", "defect", "--group", "z", "--upto", "2"],
+    ["tile", "--group", "z", "--eps", "1/2", "--i", "2"],
+    ["folner", "defect", "--up", "2", "--group=z"],
+    ["folner", "modest-search", "--group", "z", "--i", "2", "--c", "5"],
+    ["folner", "defect", "--group", "z", "--upto", "3", "-h"],
+    ["folner", "defect", "--group", "z", "--upto", "3", "-x"],
+    ["folner", "defect", "--", "--group", "z", "--upto", "3"],
+    ["folner", "defect", "--config", "preset.cfg", "--upto", "2"],
+    ["folner", "defect", "--config", "missing.cfg"],
+    ["folner", "defect", "defect", "--group", "z", "--upto", "1"],
+    ["tile", "tile"],
+    ["brudno", "run", "--group", "z"],
+    ["repair-demo", "--length", "3", "--flips", "4"],
+], ids=" ".join)
+def test_a_command_parser_alone_answers_as_the_full_tree(tmp_path, monkeypatch, capsys, argv):
+    alone = _text_run(tmp_path, monkeypatch, capsys, argv)
+    monkeypatch.setattr(cli, "_BY_WORDS", {})  # every run builds the full tree
+    assert _text_run(tmp_path, monkeypatch, capsys, argv) == alone
+
+
+def test_a_named_command_builds_its_parser_alone(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append((type(self), kwargs.get("prog")))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    out = tmp_path / "temp.csv"
+    assert main(["folner", "tempered", "--group", "z", "--upto", "3", "--out", str(out)]) == 0
+    # the command's parser and the --config pre-parser
+    assert built == [(cli._Parser, "amenlab folner tempered"), (argparse.ArgumentParser, None)]
+
+    def listed(argv):  # the subcommands named in the usage line
+        assert main(argv + ["--help"]) == 0
+        return capsys.readouterr().out.split("{")[1].split("}")[0].split(",")
+
+    top = listed([])
+    for words, *_ in cli._COMMANDS:
+        assert words[0] in top and words[-1] in listed(list(words[:-1]))
+
+
+def _subcommand(parser, word):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[word]
+
+
+@pytest.mark.parametrize("entry", cli._COMMANDS, ids=[" ".join(e[0]) for e in cli._COMMANDS])
+def test_each_command_parser_has_the_options_it_has_in_the_full_tree(entry):
+    tree = cli._build_parser()
+    for word in entry[0]:
+        tree = _subcommand(tree, word)
+    alone = cli._command_parser(*entry)
+    keys = ("option_strings", "dest", "nargs", "const", "default", "type", "choices",
+            "required", "help", "metavar")
+    specs = [[tuple(getattr(a, k) for k in keys) for a in p._actions] for p in (alone, tree)]
+    assert specs[0] == specs[1]
+    assert (alone.prog, alone._defaults) == (tree.prog, tree._defaults)
+
+
 # -- config contract -------------------------------------------------------------
 
 
@@ -592,6 +682,26 @@ def test_brudno_markov_ratios_match_decimals(tmp_path):
                      "--estimator", "all", "--upto", "6", "--seed", "2", "--out", str(out)]) == 0
         bodies.append(data_rows(out))
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("length,flips,seed", [(300, 300, 7), (500, 17, -3), (1, 1, 2**70)])
+def test_repair_demo_draws_the_per_site_uniforms(tmp_path, monkeypatch, length, flips, seed):
+    drawn = []
+    encode = cli.repair_encode
+
+    def spy(alphabet, base, target):
+        drawn.append((base, target))
+        return encode(alphabet, base, target)
+
+    monkeypatch.setattr(cli, "repair_encode", spy)
+    assert main(["repair-demo", "--length", str(length), "--flips", str(flips),
+                 "--seed", str(seed), "--out", str(tmp_path / "r.csv")]) == 0
+    base = "".join("1" if site_uniform(seed, k) < 0.5 else "0" for k in range(length))
+    ranks = sorted(range(length), key=lambda k: site_uniform(derive(seed, 1), k))
+    flipped = set(ranks[:flips])
+    target = "".join(("1" if base[k] == "0" else "0") if k in flipped else base[k]
+                     for k in range(length))
+    assert drawn == [(base, target)]
 
 
 @pytest.mark.parametrize("flips", [-1, 21])

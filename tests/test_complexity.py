@@ -401,6 +401,18 @@ def test_rank_matches_reference_on_full_blocks():
         check_against_reference(alphabet, random_word(alphabet, 1 << 16, seed=5), rng)
 
 
+def test_a_class_of_one_word_is_decoded_without_stepping(monkeypatch):
+    monkeypatch.setattr(complexity, "_unrank_steps", lambda *a: pytest.fail("stepped"))
+    for symbols, counts in (("ab", [0, 95_000]), ("abc", [0, 0, 7]), ("ab", [3, 0]),
+                            ("ab", [0, 0])):
+        word = "".join(s * c for s, c in zip(symbols, counts))
+        assert _unrank_in_class(0, 1, counts, tuple(symbols)) == word
+        with pytest.raises(CoderDecodeError, match="rank out of range"):
+            _unrank_in_class(1, 1, counts, tuple(symbols))
+    ones = "b" * 95_000  # a full block and a short one, each a class of one word
+    assert freq_decode(AB, freq_encode(AB, ones)) == ones
+
+
 def shuffled(letters, rng):
     letters = list(letters)
     for i in range(len(letters) - 1, 0, -1):
