@@ -6,7 +6,8 @@ concrete group supplies an invertible codec between indices and canonical
 integer coordinates, the composition law on coordinates, and a fixed
 ordered symmetric generating set used for Cayley adjacency.  Cayley walks
 step coordinate tuples with ``steps``, so they decode or pack an index once
-per member rather than once per neighbour.
+per member rather than once per neighbour.  ``pack_coords``, ``compose`` and
+``steps`` are straight-line for d <= 3 and loop only for d >= 4.
 
 The enumeration, computed only by :func:`pack_coords` and its inverse
 :func:`unpack_coords`, or by their int64 array forms for indices below
@@ -51,16 +52,31 @@ class CoordinateRangeError(ArithmeticError):
 
 
 def pack_coords(coords: Sequence[int]) -> int:
-    """Index of a coordinate tuple: zigzag each entry, then fold right-to-left
-    with the Cantor pairing (x, y) -> (x + y)(x + y + 1)/2 + y.  Unchecked:
-    ``encode`` and every ``compose`` range-check first."""
-    it = reversed(coords)
-    c = next(it)
-    acc = 2 * c - 1 if c > 0 else -2 * c
-    for c in it:
-        s = acc + (2 * c - 1 if c > 0 else -2 * c)
+    """Index of a coordinate tuple or list: zigzag each entry, then fold right-to-left
+    with the Cantor pairing (x, y) -> (x + y)(x + y + 1)/2 + y, in straight lines up
+    to 3 entries.  Unchecked: ``encode`` and every ``compose`` range-check first."""
+    n = len(coords)
+    if n == 1:
+        c, = coords
+        return 2 * c - 1 if c > 0 else -2 * c
+    if n == 2:
+        x, y = coords
+        acc = 2 * y - 1 if y > 0 else -2 * y
+    elif n == 3:
+        x, y, z = coords
+        acc = 2 * z - 1 if z > 0 else -2 * z
+        s = acc + (2 * y - 1 if y > 0 else -2 * y)
         acc = s * (s + 1) // 2 + acc
-    return acc
+    else:
+        it = reversed(coords)
+        c = next(it)
+        acc = 2 * c - 1 if c > 0 else -2 * c
+        for c in it:
+            s = acc + (2 * c - 1 if c > 0 else -2 * c)
+            acc = s * (s + 1) // 2 + acc
+        return acc
+    s = acc + (2 * x - 1 if x > 0 else -2 * x)
+    return s * (s + 1) // 2 + acc
 
 
 def pack_coords_array(coords: Sequence[np.ndarray]) -> np.ndarray:
@@ -202,7 +218,8 @@ class ComputableGroup:
 
     def compose(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Coordinates of a*b; raises CoordinateRangeError outside +/-2**40,
-        so callers may pack the result without checking it again."""
+        so callers may pack the result without checking it again.  For d <= 3,
+        one chained comparison per coordinate; ``_check_range`` only to raise."""
         raise NotImplementedError
 
     def steps(self, c: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -257,14 +274,19 @@ class ComputableGroup:
         return 0
 
     def multiply(self, g: int, h: int) -> int:
-        return pack_coords(self.compose(self.decode(g), self.decode(h)))
+        if g < 0 or h < 0:
+            raise ValueError("element indices are naturals")
+        d = self.dimension
+        return pack_coords(self.compose(unpack_coords(g, d), unpack_coords(h, d)))
 
     def inverse(self, g: int) -> int:
         return self.encode(self.invert_coords(self.decode(g)))
 
     def neighbors(self, g: int) -> list[int]:
         """Cayley neighbors s*g for s in the fixed generator order."""
-        return [pack_coords(n) for n in self.steps(self.decode(g))]
+        if g < 0:
+            raise ValueError("element indices are naturals")
+        return list(map(pack_coords, self.steps(unpack_coords(g, self.dimension))))
 
     # -- canonical text form -------------------------------------------------
 
@@ -301,23 +323,48 @@ class Zd(ComputableGroup):
             for axis in range(d) for sign in (1, -1))
 
     def compose(self, a, b):
-        out = tuple(x + y for x, y in zip(a, b))
+        d = self.dimension
+        if d == 1:
+            out = (a[0] + b[0],)
+            if -COORD_LIMIT <= out[0] <= COORD_LIMIT:
+                return out
+        elif d == 2:
+            (x, y), (u, v) = a, b
+            out = x, y = x + u, y + v
+            if -COORD_LIMIT <= x <= COORD_LIMIT and -COORD_LIMIT <= y <= COORD_LIMIT:
+                return out
+        elif d == 3:
+            (x, y, z), (u, v, w) = a, b
+            out = x, y, z = x + u, y + v, z + w
+            if (-COORD_LIMIT <= x <= COORD_LIMIT and -COORD_LIMIT <= y <= COORD_LIMIT
+                    and -COORD_LIMIT <= z <= COORD_LIMIT):
+                return out
+        else:
+            out = tuple(x + y for x, y in zip(a, b))
         _check_range(out)
         return out
 
     def steps(self, c):
-        """Unrolled for d = 1 and d = 2, a loop over the axes for d >= 3; each
-        axis range-checks only its own coordinate, as in the loop."""
-        if self.dimension == 1:
+        """Straight-line for d <= 3, a loop over the axes for d >= 4; each axis
+        range-checks its own coordinate, calling ``_check_range`` only to raise."""
+        d = self.dimension
+        if d == 1:
             x, = c
             if not -COORD_LIMIT < x < COORD_LIMIT:
                 _check_range((x + 1, x - 1))
             return [(x + 1,), (x - 1,)]
-        if self.dimension == 2:
+        if d == 2:
             x, y = c
             if not (-COORD_LIMIT < x < COORD_LIMIT and -COORD_LIMIT < y < COORD_LIMIT):
                 _check_range((x + 1, x - 1, y + 1, y - 1))
             return [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
+        if d == 3:
+            x, y, z = c
+            if not (-COORD_LIMIT < x < COORD_LIMIT and -COORD_LIMIT < y < COORD_LIMIT
+                    and -COORD_LIMIT < z < COORD_LIMIT):
+                _check_range((x + 1, x - 1, y + 1, y - 1, z + 1, z - 1))
+            return [(x + 1, y, z), (x - 1, y, z), (x, y + 1, z), (x, y - 1, z),
+                    (x, y, z + 1), (x, y, z - 1)]
         out = []
         for k, x in enumerate(c):
             if not -COORD_LIMIT < x < COORD_LIMIT:
@@ -350,8 +397,11 @@ class Heisenberg(ComputableGroup):
     generator_coords = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
 
     def compose(self, a, b):
-        out = (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
-        _check_range(out)
+        (x, y, z), (u, v, w) = a, b
+        out = x, y, z = x + u, y + v, z + w + x * v
+        if not (-COORD_LIMIT <= x <= COORD_LIMIT and -COORD_LIMIT <= y <= COORD_LIMIT
+                and -COORD_LIMIT <= z <= COORD_LIMIT):
+            _check_range(out)
         return out
 
     def steps(self, c):

@@ -1,7 +1,7 @@
 """Slow, plainly correct references that the tests hold the package to."""
 
 from amenlab.errors import BudgetExceededError
-from amenlab.groups import normalize_subset
+from amenlab.groups import _check_range, normalize_subset
 from amenlab.symbolic import PartialConfiguration, _constraint_instances
 
 
@@ -38,3 +38,25 @@ def iter_admissible(sft, F, budget=1_000_000):
             trial[depth] += 1
         else:
             trial.append(0)
+
+
+def reference_pack(coords):
+    """pack_coords as one loop for any length: zigzag each coordinate, then
+    fold right-to-left with the Cantor pairing (x, y) -> (x + y)(x + y + 1)/2 + y."""
+    it = reversed(coords)
+    c = next(it)
+    acc = 2 * c - 1 if c > 0 else -2 * c
+    for c in it:
+        s = acc + (2 * c - 1 if c > 0 else -2 * c)
+        acc = s * (s + 1) // 2 + acc
+    return acc
+
+
+def reference_compose(group, a, b):
+    """group.compose as the law reads: the coordinate sums (on h3 the last one
+    plus a*b'), then every coordinate range-checked in order."""
+    out = tuple(x + y for x, y in zip(a, b))
+    if group.name == "h3":
+        out = (out[0], out[1], out[2] + a[0] * b[1])
+    _check_range(out)
+    return out

@@ -6,6 +6,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from amenlab import groups
 from amenlab.groups import (
     COORD_LIMIT,
     INDEX_ARRAY_LIMIT,
@@ -36,6 +37,7 @@ from amenlab.folner import (
 from amenlab.rng import SplitMix64
 from amenlab.stochastic import parse_measure, sample
 from amenlab.symbolic import admissible_patterns, golden_mean_sft
+from reference import reference_compose, reference_pack
 
 
 def test_zigzag_enumeration_prefix():
@@ -52,6 +54,17 @@ def test_cantor_pair_roundtrip():
         for y in coords:
             assert unpack_coords(pack_coords((x, y)), 2) == (x, y)
     assert pack_coords((0, 0)) == 0
+    # every length from the straight-line forms (1-3) to the loop, as tuples
+    # and as the lists Runs iteration passes, near 0 and near and past +/-2**40
+    near = [0, 1, -1, 2, COORD_LIMIT - 1, COORD_LIMIT, COORD_LIMIT + 1,
+            1 - COORD_LIMIT, -COORD_LIMIT, -1 - COORD_LIMIT]
+    rng = SplitMix64(49)
+    for d in range(1, 8):
+        points = [tuple(near[rng.randrange(len(near))] for _ in range(d)) for _ in range(300)]
+        for p in points + [tuple(near[:d]), tuple(near[-d:])]:
+            g = reference_pack(p)
+            assert pack_coords(p) == pack_coords(list(p)) == g, p
+            assert unpack_coords(g, d) == p
 
 
 def _enumeration_cases():
@@ -459,9 +472,13 @@ def test_memoised_decode_matches_the_plain_decode(name):
 
 def test_negative_index_is_refused_before_the_memo():
     unpack_coords.cache_clear()
-    for name in ("z", "z2", "h3"):
-        with pytest.raises(ValueError):
-            get_group(name).decode(-1)
+    for name in ("z", "z2", "z3", "z4", "h3"):
+        group = get_group(name)
+        for call, args in [(group.decode, (-1,)), (group.multiply, (-1, 0)),
+                           (group.multiply, (0, -1)), (group.multiply, (-2, -1)),
+                           (group.neighbors, (-1,)), (group.inverse, (-1,))]:
+            with pytest.raises(ValueError, match="element indices are naturals"):
+                call(*args)
     info = unpack_coords.cache_info()
     assert (info.currsize, info.hits, info.misses) == (0, 0, 0)
 
@@ -494,31 +511,79 @@ def _outcome(fn, *args):
         return CoordinateRangeError
 
 
-@pytest.mark.parametrize("name", ["z", "z2", "z3", "z4", "h3"])
-def test_neighbors_match_multiply_near_the_cap(name):
-    """neighbors against multiply, and steps against compose, on random points
-    and on every point whose coordinates are 0 or within 1 of +/-2**40."""
-    group = get_group(name)
-    rng = SplitMix64(41)
-    edge = (0, COORD_LIMIT - 1, COORD_LIMIT, COORD_LIMIT + 1,
+def _message_outcome(fn, *args):
+    """fn(*args), or CoordinateRangeError with its message."""
+    try:
+        return fn(*args)
+    except CoordinateRangeError as exc:
+        return CoordinateRangeError, str(exc)
+
+
+def _reference_multiply(group, g, h):
+    d = group.dimension
+    a, b = unpack_coords.__wrapped__(g, d), unpack_coords.__wrapped__(h, d)
+    return reference_pack(reference_compose(group, a, b))
+
+
+def _edge_points(d):
+    """Every point whose coordinates are 0 or within 1 of +/-2**40; past four
+    axes, every such point with at most two coordinates off 0."""
+    edge = (COORD_LIMIT - 1, COORD_LIMIT, COORD_LIMIT + 1,
             1 - COORD_LIMIT, -COORD_LIMIT, -1 - COORD_LIMIT)
-    points = [_coords_near_cap(rng, group.dimension) for _ in range(400)]
-    points += product(edge, repeat=group.dimension)
+    points = product((0,) + edge, repeat=d)
+    return [p for p in points if d <= 4 or sum(map(bool, p)) <= 2]
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "z4", "z7", "h3"])
+def test_neighbors_match_multiply_near_the_cap(name, monkeypatch):
+    """compose (both orders, with each generator), multiply, inverse, steps and
+    neighbors against the reference law on random points and every edge point:
+    the same value, or CoordinateRangeError with the same message.  A step
+    raises for the first coordinate its check reaches, which is the message
+    of the law at one of the raising generators.  Up to d = 3 the range check
+    is called only to raise."""
+    group = get_group(name)
+    d = group.dimension
+    real_check, checks = groups._check_range, []
+
+    def spy(coords):
+        checks.append(coords)
+        return real_check(coords)
+
+    def checked(fn, *args, only_to_raise=True):
+        del checks[:]
+        got = _message_outcome(fn, *args)
+        if only_to_raise:
+            assert not checks or got[0] is CoordinateRangeError, (fn, args)
+        return got
+
+    monkeypatch.setattr(groups, "_check_range", spy)
+    rng = SplitMix64(41)
+    points = [_coords_near_cap(rng, d) for _ in range(400)] + _edge_points(d)
     raised = 0
     for p in points:
-        g = pack_coords(p)
-        want = [_outcome(group.multiply, s, g) for s in group.generators]
-        composed = [_outcome(group.compose, s, p) for s in group.generator_coords]
-        assert (CoordinateRangeError in want) == (CoordinateRangeError in composed), p
-        if CoordinateRangeError in want:
+        g = reference_pack(p)
+        assert pack_coords(p) == g
+        laws = []
+        for s, sg in zip(group.generator_coords, group.generators):
+            for a, b, x, y in ((s, p, sg, g), (p, s, g, sg)):
+                law = _message_outcome(reference_compose, group, a, b)
+                assert checked(group.compose, a, b, only_to_raise=d <= 3) == law, (a, b)
+                want = law if law[0] is CoordinateRangeError else reference_pack(law)
+                assert checked(group.multiply, x, y, only_to_raise=d <= 3) == want, (a, b)
+            laws.append(_message_outcome(reference_compose, group, s, p))
+        # the inverse's coordinates times the identity: range-checked as the law checks
+        inverse = _message_outcome(lambda: reference_pack(
+            reference_compose(group, group.invert_coords(p), (0,) * d)))
+        assert _message_outcome(group.inverse, g) == inverse, p
+        stepped, neighbors = checked(group.steps, p), checked(group.neighbors, g)
+        failed = [law for law in laws if law[0] is CoordinateRangeError]
+        if failed:
             raised += 1
-            with pytest.raises(CoordinateRangeError):
-                group.neighbors(g)
-            with pytest.raises(CoordinateRangeError):
-                group.steps(p)
+            assert stepped in failed and neighbors in failed, p
         else:
-            assert group.neighbors(g) == want
-            assert group.steps(p) == composed
+            assert stepped == laws
+            assert neighbors == list(map(reference_pack, laws))
     assert 0 < raised < len(points)
 
 
@@ -533,7 +598,7 @@ def _h3_points_where_c_plus_minus_b_crosses_the_cap():
     return out
 
 
-@pytest.mark.parametrize("name", ["z", "z2", "z3", "h3"])
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "z7", "h3"])
 def test_steps_pack_to_multiply_near_the_cap(name):
     group = get_group(name)
     rng = SplitMix64(47)
@@ -543,7 +608,7 @@ def test_steps_pack_to_multiply_near_the_cap(name):
     raised = 0
     for p in points:
         g = pack_coords(p)
-        want = [_outcome(group.multiply, s, g) for s in group.generators]
+        want = [_outcome(_reference_multiply, group, s, g) for s in group.generators]
         if CoordinateRangeError in want:
             raised += 1
             with pytest.raises(CoordinateRangeError):
