@@ -6,8 +6,8 @@ concrete group supplies an invertible codec between indices and canonical
 integer coordinates, the composition law on coordinates, and a fixed
 ordered symmetric generating set used for Cayley adjacency.  Cayley walks
 step coordinate tuples with ``steps``, so they decode or pack an index once
-per member rather than once per neighbour.  ``pack_coords``, ``compose`` and
-``steps`` are straight-line for d <= 3 and loop only for d >= 4.
+per member rather than once per neighbour.  ``pack_coords`` and ``steps`` are
+straight-line for d <= 3 and ``compose`` for z, z2 and h3; the rest loop.
 
 The enumeration, computed only by :func:`pack_coords` and its inverse
 :func:`unpack_coords`, or by their int64 array forms for indices below
@@ -218,8 +218,8 @@ class ComputableGroup:
 
     def compose(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Coordinates of a*b; raises CoordinateRangeError outside +/-2**40,
-        so callers may pack the result without checking it again.  For d <= 3,
-        one chained comparison per coordinate; ``_check_range`` only to raise."""
+        so callers may pack the result without checking it again.  On z, z2 and
+        h3, one chained comparison per coordinate; ``_check_range`` only to raise."""
         raise NotImplementedError
 
     def steps(self, c: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -274,6 +274,7 @@ class ComputableGroup:
         return 0
 
     def multiply(self, g: int, h: int) -> int:
+        # both operands before either decode can fill the memo
         if g < 0 or h < 0:
             raise ValueError("element indices are naturals")
         d = self.dimension
@@ -284,9 +285,7 @@ class ComputableGroup:
 
     def neighbors(self, g: int) -> list[int]:
         """Cayley neighbors s*g for s in the fixed generator order."""
-        if g < 0:
-            raise ValueError("element indices are naturals")
-        return list(map(pack_coords, self.steps(unpack_coords(g, self.dimension))))
+        return [pack_coords(n) for n in self.steps(self.decode(g))]
 
     # -- canonical text form -------------------------------------------------
 
@@ -332,12 +331,6 @@ class Zd(ComputableGroup):
             (x, y), (u, v) = a, b
             out = x, y = x + u, y + v
             if -COORD_LIMIT <= x <= COORD_LIMIT and -COORD_LIMIT <= y <= COORD_LIMIT:
-                return out
-        elif d == 3:
-            (x, y, z), (u, v, w) = a, b
-            out = x, y, z = x + u, y + v, z + w
-            if (-COORD_LIMIT <= x <= COORD_LIMIT and -COORD_LIMIT <= y <= COORD_LIMIT
-                    and -COORD_LIMIT <= z <= COORD_LIMIT):
                 return out
         else:
             out = tuple(x + y for x, y in zip(a, b))
