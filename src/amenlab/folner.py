@@ -18,10 +18,11 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .complexity import freq_length, selfdelim_length
+from .complexity import FREQ_BLOCK, _class_size, freq_length, selfdelim_length
 from .errors import BudgetExceededError
 from .groups import (
     ComputableGroup,
+    CoordinateRangeError,
     FiniteSubset,
     Heisenberg,
     Runs,
@@ -31,7 +32,6 @@ from .groups import (
     runs_of,
     runs_union,
     set_product,
-    sorted_indices,
     subset_from_mask,
 )
 from .setcodec import EncodingDomainError, encode_coords
@@ -232,6 +232,24 @@ def _box_bits(runs: Runs):
                for lo, hi in zip(lows, highs))
 
 
+def _stream_floor(group: ComputableGroup, runs: Runs) -> int:
+    """A lower bound on both stream candidates of ``description_bits``, from
+    |F| ones and |SF \\ F| zeros, the letter counts of the code word of a
+    connected identity-containing F.  Exact below one freq block; past it,
+    a block (and the tail) holds at least half its symbols in one letter."""
+    ones = len(runs)
+    ball = np.array(((0,) * group.dimension, *group.generator_coords), dtype=np.int64)
+    zeros = product_size(group, Runs(ball, np.ones(len(ball), dtype=np.int64)), runs) - ones
+    full, rest = divmod(ones + zeros, FREQ_BLOCK)
+    if full:
+        # each block's larger count frame, plus at least 2 bits for the other
+        half = selfdelim_length(FREQ_BLOCK // 2)
+        freq = full * (half + 2) + selfdelim_length((rest + 1) // 2) + 2
+    else:
+        freq = selfdelim_length(zeros) + selfdelim_length(ones) + _class_size([zeros, ones])[1]
+    return min(ones + zeros, freq)
+
+
 def description_bits(group: ComputableGroup, F) -> int:
     """Upper bound in bits on the description length of F (Runs or an index set).
 
@@ -240,23 +258,34 @@ def description_bits(group: ComputableGroup, F) -> int:
     zeros are rare in almost-invariant sets, so this lands near
     |F|*H(o(1))), a coordinate-box descriptor, and a sorted-index delta
     code as the catch-all.  All of them read F's runs (``runs_of``: one
-    array decode of an index set) and the coordinate rows of their sites.
+    array decode of an index set).
+
+    The cheap candidates go first: the box descriptor from the run bounds,
+    then the delta code only if its floor |frame(n)| + 4n - 2 (every index
+    gap after the first is at least 1) is below the box.  A two-part code's
+    length depends only on its letter counts (Cover, "Enumerative source
+    encoding", IEEE Trans. IT 1973), so ``_stream_floor`` bounds both stream
+    candidates from |F| and |SF \\ F| (one ``product_size``); the Cayley walk
+    runs only when that floor is below the best cheap candidate, or when
+    the product leaves +/-2**40 although F does not.
     """
     if not len(F):
         return _delta_bits(())
     runs = runs_of(group, F)
-    sites = runs.sites()
-    candidates = [_delta_bits(sorted_indices(sites))]
-    box = _box_bits(runs)
-    if box is not None:
-        candidates.append(box)
+    n, best = len(runs), _box_bits(runs)
+    if best is None or selfdelim_length(n) + 4 * n - 2 < best:
+        delta = _delta_bits(runs.indices())
+        best = delta if best is None else min(best, delta)
     try:
-        stream = encode_coords(group, frozenset(map(tuple, sites.tolist())))
-    except EncodingDomainError:
+        if _stream_floor(group, runs) >= best:
+            return best
+    except CoordinateRangeError:  # the walk only steps through the identity's component
         pass
-    else:
-        candidates += [len(stream), freq_length(binary_alphabet(), stream)]
-    return min(candidates)
+    try:
+        stream = encode_coords(group, frozenset(map(tuple, runs.sites().tolist())))
+    except EncodingDomainError:
+        return best
+    return min(best, len(stream), freq_length(binary_alphabet(), stream))
 
 
 def series_tail(sizes, eps) -> object:

@@ -1,8 +1,11 @@
 """Slow, plainly correct references that the tests hold the package to."""
 
+from amenlab.complexity import freq_length
 from amenlab.errors import BudgetExceededError
-from amenlab.groups import _check_range, normalize_subset
-from amenlab.symbolic import PartialConfiguration, _constraint_instances
+from amenlab.folner import _box_bits, _delta_bits
+from amenlab.groups import _check_range, normalize_subset, runs_of, sorted_indices
+from amenlab.setcodec import EncodingDomainError, encode_coords
+from amenlab.symbolic import PartialConfiguration, _constraint_instances, binary_alphabet
 
 
 def iter_admissible(sft, F, budget=1_000_000):
@@ -60,3 +63,24 @@ def reference_compose(group, a, b):
         out = (out[0], out[1], out[2] + a[0] * b[1])
     _check_range(out)
     return out
+
+
+def reference_description_bits(group, F):
+    """folner.description_bits as every candidate computed: the delta code,
+    the box descriptor and, whenever the codec applies, the Cayley walk's
+    code word and its frequency-coded length, then their minimum."""
+    if not len(F):
+        return _delta_bits(())
+    runs = runs_of(group, F)
+    sites = runs.sites()
+    candidates = [_delta_bits(sorted_indices(sites))]
+    box = _box_bits(runs)
+    if box is not None:
+        candidates.append(box)
+    try:
+        stream = encode_coords(group, frozenset(map(tuple, sites.tolist())))
+    except EncodingDomainError:
+        pass
+    else:
+        candidates += [len(stream), freq_length(binary_alphabet(), stream)]
+    return min(candidates)

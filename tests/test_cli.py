@@ -634,6 +634,33 @@ def test_folner_defect_on_boxes_builds_and_decodes_nothing(tmp_path, monkeypatch
     assert calls == []
 
 
+def test_folner_defect_walks_only_where_the_code_word_can_win(tmp_path, monkeypatch):
+    # the description bound runs the Cayley walk only on rows where the floor
+    # of the code word's two lengths, from |F| and |SF \ F|, is below the box
+    # and delta codes: z2 boxes of side 1 and 2 and h3's identity alone
+    walks = []
+    walk = groups.walk
+
+    def spy(group, inside):
+        walks.append(group.name)
+        return walk(group, inside)
+
+    monkeypatch.setattr(groups, "walk", spy)
+    monkeypatch.setattr(setcodec, "walk", spy)  # the encoder's own name for it
+    runs = [(command, code, digest) for command, code, digest in PINNED
+            if command.startswith("folner defect")]
+    runs += [("folner defect --group z2 --family boxes --upto 32", 0,
+              "65af84d4ac774ed5d58d96be45545f272e2433e69a7d2dbb66062f4d6844105e"),
+             ("folner defect --group z3 --family boxes --upto 48", 0,
+              "e21feaefcd7c3490b3a78ce398ba616b44dff2826510f3a9f13c738697ecb28a")]
+    counts = []
+    for command, code, digest in runs:
+        walks.clear()
+        assert _pinned_run(tmp_path, monkeypatch, command.split()) == (code, digest)
+        counts.append(len(walks))
+    assert counts == [2, 0, 1, 2, 0]
+
+
 @pytest.mark.parametrize("command,code,digest", PINNED, ids=[c for c, _, _ in PINNED])
 def test_preset_alone_gives_the_pinned_payload(tmp_path, monkeypatch, capsys,
                                                command, code, digest):

@@ -10,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amenlab import folner, groups
+from amenlab.complexity import FREQ_BLOCK, freq_length
 from amenlab.errors import BudgetExceededError
 from amenlab.folner import (
     DefectReport,
@@ -43,7 +46,9 @@ from amenlab.groups import (
 )
 from amenlab.quasitiling import plan
 from amenlab.rng import SplitMix64, derive
-from amenlab.setcodec import random_connected_subset
+from amenlab.setcodec import encode_connected, random_connected_subset
+from amenlab.symbolic import binary_alphabet
+from reference import reference_description_bits
 
 ROOT = Path(__file__).resolve().parent.parent
 Z = get_group("z")
@@ -813,6 +818,83 @@ def test_description_bits_of_runs_equal_those_of_the_index_set(name):
 
 def test_description_bits_empty_set():
     assert description_bits(Z, ()) == 2
+
+
+def test_description_bits_next_to_the_coordinate_limit():
+    # SF leaves +/-2**40 although F does not: the stream floor's product
+    # raises, and the walk, which never leaves the identity's component,
+    # finds the codec inapplicable, so the delta code stands
+    for coords, bits in (((0, 2**40), 92), ((0, -2**40), 94), ((0, 1, 2**40), 96)):
+        F = normalize_subset(Z.encode((c,)) for c in coords)
+        assert description_bits(Z, F) == bits == reference_description_bits(Z, F)
+
+
+def test_description_bits_stream_floor_is_exact_below_one_block_and_a_floor_past_it():
+    # z2 boxes with a hole at (1, 1), connected and holding the identity: the
+    # last two code words pass one freq block (65,536 symbols), the one of
+    # side 256 by a single full block and a tail
+    for side in (3, 40, 200, 256, 300):
+        F = normalize_subset(Z2.encode((x, y)) for x in range(side) for y in range(side)
+                             if (x, y) != (1, 1))
+        stream = encode_connected(Z2, F)
+        lengths = (len(stream), freq_length(binary_alphabet(), stream))
+        floor = folner._stream_floor(Z2, runs_of(Z2, F))
+        assert floor == min(lengths) if len(stream) < FREQ_BLOCK else floor <= min(lengths)
+
+
+ORACLE = settings(derandomize=True, max_examples=150, deadline=None)
+ORACLE_GROUPS = st.sampled_from(["z", "z2", "z3", "h3"])
+
+
+@ORACLE
+@given(ORACLE_GROUPS, st.integers(1, 60), st.integers(0, 2**63 - 1))
+def test_description_bits_matches_the_reference_on_connected_sets(name, size, seed):
+    group = get_group(name)
+    F = random_connected_subset(group, size, seed)
+    assert description_bits(group, F) == reference_description_bits(group, F)
+    # the same set moved off the identity, where the codec does not apply
+    moved = normalize_subset(group.multiply(group.generators[0], f) for f in F)
+    assert description_bits(group, moved) == reference_description_bits(group, moved)
+
+
+@ORACLE
+@given(ORACLE_GROUPS, st.sets(st.integers(0, 300), min_size=1, max_size=40))
+def test_description_bits_matches_the_reference_on_arbitrary_index_sets(name, F):
+    # mostly disconnected, with and without the identity
+    group = get_group(name)
+    assert description_bits(group, tuple(F)) == reference_description_bits(group, tuple(F))
+
+
+@ORACLE
+@given(st.integers(-50, 50), st.integers(1, 80))
+def test_description_bits_matches_the_reference_on_intervals(start, n):
+    F = z_interval(start, start + n)
+    assert description_bits(Z, F) == reference_description_bits(Z, F)
+
+
+@pytest.mark.parametrize("name,sides,levels", [
+    ("z", 200, 10), ("z2", 24, 5), ("z3", 9, 3), ("z4", 5, 2), ("h3", 5, 2)])
+def test_description_bits_matches_the_reference_on_the_families(name, sides, levels):
+    group = get_group(name)
+    fams = builtin_families(group)
+    windows = [fams["boxes"].runs(n) for n in range(1, sides + 1)]
+    windows += [fams["dyadic"].runs(i) for i in range(levels + 1)]
+    for runs in windows:
+        assert description_bits(group, runs) == reference_description_bits(group, runs)
+
+
+def test_description_bits_where_the_stream_wins():
+    # the identity alone where it has at most 4 neighbours (a 6-bit delta code
+    # beats the 7-bit word on z3), short intervals of the line and the z2 boxes
+    # of side 1 and 2 are described by a code word, below the box and delta codes
+    boxes = builtin_families(Z2)["boxes"]
+    windows = [(g, (g.identity,)) for g in (Z, Z2, H3)]
+    windows += [(Z, z_interval(0, n)) for n in range(1, 9)]
+    windows += [(Z2, boxes.runs(1)), (Z2, boxes.runs(2))]
+    for group, F in windows:
+        runs = runs_of(group, F)
+        cheap = min(folner._delta_bits(runs.indices()), folner._box_bits(runs) or 1 << 30)
+        assert description_bits(group, F) == reference_description_bits(group, F) < cheap
 
 
 # -- tail sums ------------------------------------------------------------
