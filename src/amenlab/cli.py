@@ -28,7 +28,7 @@ from . import __version__
 from .complexity import (
     ESTIMATORS,
     freq_length,
-    lz78_encode,
+    lz78_length,
     rate_series,
     repair_decode,
     repair_encode,
@@ -263,7 +263,7 @@ def _cmd_repair_demo(args):
     stream = repair_encode(alphabet, base, target)
     ok = repair_decode(alphabet, base, stream) == target
     plain_freq = freq_length(alphabet, target)
-    plain_lz = len(lz78_encode(alphabet, target))
+    plain_lz = lz78_length(alphabet, target)
     _report(args, ["length", "flips", "repair_bits", "freq_bits", "lz78_bits", "roundtrip_ok"],
             [[n, flips, len(stream), plain_freq, plain_lz, ok]])
     return 0

@@ -5,7 +5,8 @@ decoder in this module inverts, so estimates are true description lengths,
 never entropy formulas in disguise.  ``ESTIMATORS`` maps each name that
 ``rate_series`` accepts to that length, computed without building the code
 word: ``freq_length`` from the letter counts, ``lz78_length`` from the
-parse alone.
+tokens of the one LZ78 parse that ``lz78_encode`` formats, each new phrase
+as the token ref*|A| + literal that ``lz78_decode`` reads.
 
 Integers are framed with a self-delimiting code: the binary digits of n,
 each digit doubled, followed by the stop pair "01" (so 5 = 101 becomes
@@ -34,11 +35,11 @@ exactly.
 
 from __future__ import annotations
 
+from collections.abc import Callable, KeysView
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, log2, prod
 from operator import mul, ne
-from typing import Callable
 
 import numpy as np
 
@@ -318,45 +319,11 @@ def freq_decode(alphabet: Alphabet, bits: str) -> str:
 
 # -- incremental-parsing (LZ78) coder ----------------------------------------
 
-def lz78_encode(alphabet: Alphabet, w: str) -> str:
-    """LZ78: length frame, then (back-reference, literal) tokens.
-
-    Back-references use ceil(log2(dictionary size)) bits at emission time;
-    a trailing partial phrase is emitted as a bare back-reference, which the
-    decoder recognizes from the remaining length.
-    """
-    if not w:
-        raise ValueError("cannot code the empty word")
-    index_of = {s: i for i, s in enumerate(alphabet.symbols)}
-    lit_width = (alphabet.size - 1).bit_length()
-    parts = [selfdelim_encode(len(w))]
-    trie: dict[tuple[int, str], int] = {}
-    cur = 0
-    for ch in w:
-        if ch not in index_of:
-            raise ValueError(f"symbol {ch!r} not in alphabet")
-        nxt = trie.get((cur, ch))
-        if nxt is not None:
-            cur = nxt
-            continue
-        width = len(trie).bit_length()  # the trie holds every phrase but the empty one
-        if width:
-            parts.append(format(cur, f"0{width}b"))
-        if lit_width:
-            parts.append(format(index_of[ch], f"0{lit_width}b"))
-        trie[(cur, ch)] = len(trie) + 1
-        cur = 0
-    if cur:
-        width = len(trie).bit_length()
-        if width:
-            parts.append(format(cur, f"0{width}b"))
-    return "".join(parts)
-
-
-def lz78_length(alphabet: Alphabet, w: str) -> int:
-    """``len(lz78_encode(alphabet, w))``, from the same parse with no token
-    formatted.  A node's trie key is its phrase number times |A|, so a
-    child's key is its parent's plus the symbol index."""
+def _lz78_parse(alphabet: Alphabet, w: str) -> tuple[KeysView[int], int]:
+    """Each new phrase of w's LZ78 parse as the token ref*|A| + literal index,
+    in order, and the number of a trailing partial phrase (0 if none).  The
+    tokens are the trie's keys: phrase k's node is k*|A|, and a child's key
+    is its parent's node plus the symbol index."""
     if not w:
         raise ValueError("cannot code the empty word")
     symbols = alphabet.symbols
@@ -364,22 +331,47 @@ def lz78_length(alphabet: Alphabet, w: str) -> int:
         bad = next(ch for ch in w if ch not in symbols)
         raise ValueError(f"symbol {bad!r} not in alphabet")
     asize = alphabet.size
-    lit_width = (asize - 1).bit_length()
     trie: dict[int, int] = {}
     get = trie.get
-    bits = cur = 0
+    cur = 0
     for key in map(ord, w.translate({ord(s): i for i, s in enumerate(symbols)})):
         nxt = get(cur + key)
-        if nxt is None:  # a new phrase: a reference as wide as the phrase count, a literal
-            phrases = len(trie)
-            bits += phrases.bit_length() + lit_width
-            trie[cur + key] = (phrases + 1) * asize
+        if nxt is None:
+            trie[cur + key] = (len(trie) + 1) * asize
             cur = 0
         else:
             cur = nxt
-    if cur:
-        bits += len(trie).bit_length()
-    return selfdelim_length(len(w)) + bits
+    return trie.keys(), cur // asize
+
+
+def lz78_encode(alphabet: Alphabet, w: str) -> str:
+    """LZ78: length frame, then (back-reference, literal) tokens.
+
+    Back-references use ceil(log2(dictionary size)) bits at emission time;
+    a trailing partial phrase is emitted as a bare back-reference, which the
+    decoder recognizes from the remaining length.
+    """
+    tokens, final = _lz78_parse(alphabet, w)
+    asize = alphabet.size
+    lit_width = (asize - 1).bit_length()
+    parts = [selfdelim_encode(len(w))]
+    for k, token in enumerate(tokens):  # phrase k's reference takes bitlen(k) bits
+        if k or lit_width:  # format writes at least 1 bit; phrase 0 over one letter takes none
+            ref, lit = divmod(token, asize)
+            parts.append(format(ref << lit_width | lit, f"0{k.bit_length() + lit_width}b"))
+    if final:
+        parts.append(format(final, f"0{len(tokens).bit_length()}b"))
+    return "".join(parts)
+
+
+def lz78_length(alphabet: Alphabet, w: str) -> int:
+    """``len(lz78_encode(alphabet, w))``, from the parse's tokens with none
+    formatted.  The P >= 1 references take sum(bitlen(k) for k < P) bits,
+    which is P*L - 2**L + 1 for L = bitlen(P - 1)."""
+    tokens, final = _lz78_parse(alphabet, w)
+    phrases, top = len(tokens), (len(tokens) - 1).bit_length()
+    return (selfdelim_length(len(w)) + phrases * top - (1 << top) + 1
+            + phrases * (alphabet.size - 1).bit_length() + (phrases.bit_length() if final else 0))
 
 
 def lz78_decode(alphabet: Alphabet, bits: str) -> str:

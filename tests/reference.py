@@ -1,6 +1,6 @@
 """Slow, plainly correct references that the tests hold the package to."""
 
-from amenlab.complexity import freq_length
+from amenlab.complexity import freq_length, selfdelim_encode
 from amenlab.errors import BudgetExceededError
 from amenlab.folner import _box_bits, _delta_bits
 from amenlab.groups import _check_range, normalize_subset, runs_of, sorted_indices
@@ -84,3 +84,34 @@ def reference_description_bits(group, F):
     else:
         candidates += [len(stream), freq_length(binary_alphabet(), stream)]
     return min(candidates)
+
+
+def reference_lz78_encode(alphabet, w):
+    """complexity.lz78_encode as its own parse: a trie keyed by (phrase,
+    symbol), each (back-reference, literal) token formatted as it is found."""
+    if not w:
+        raise ValueError("cannot code the empty word")
+    index_of = {s: i for i, s in enumerate(alphabet.symbols)}
+    lit_width = (alphabet.size - 1).bit_length()
+    parts = [selfdelim_encode(len(w))]
+    trie = {}
+    cur = 0
+    for ch in w:
+        if ch not in index_of:
+            raise ValueError(f"symbol {ch!r} not in alphabet")
+        nxt = trie.get((cur, ch))
+        if nxt is not None:
+            cur = nxt
+            continue
+        width = len(trie).bit_length()  # the trie holds every phrase but the empty one
+        if width:
+            parts.append(format(cur, f"0{width}b"))
+        if lit_width:
+            parts.append(format(index_of[ch], f"0{lit_width}b"))
+        trie[(cur, ch)] = len(trie) + 1
+        cur = 0
+    if cur:
+        width = len(trie).bit_length()
+        if width:
+            parts.append(format(cur, f"0{width}b"))
+    return "".join(parts)

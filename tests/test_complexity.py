@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from amenlab.complexity import (
     CoderDecodeError,
     _multinomial,
     _join_digits,
+    _lz78_parse,
     _rank_in_class,
     _split_digits,
     _step,
@@ -48,9 +50,10 @@ from amenlab.complexity import (
 )
 from amenlab.folner import builtin_families
 from amenlab.groups import get_group
-from amenlab.rng import SplitMix64, derive, site_uniform
+from amenlab.rng import SplitMix64, derive, site_uniform, site_uniforms
 from amenlab.stochastic import ConstantSource
 from amenlab.symbolic import Alphabet, PartialConfiguration, binary_alphabet
+from reference import reference_lz78_encode
 
 AB = Alphabet(("a", "b"))
 
@@ -607,12 +610,66 @@ def test_lz78_length_matches_the_stream_on_long_and_wide_words():
 
 
 def test_lz78_length_raises_like_the_encoder():
-    for w in ("", "axb", "ab" * 10 + "?"):
+    # the last word's first foreign symbol comes past 10**4 valid ones
+    for w in ("", "axb", "ab" * 10 + "?", "ab" * 6000 + "?a!"):
         with pytest.raises(ValueError) as enc:
             lz78_encode(AB, w)
         with pytest.raises(ValueError) as length:
             lz78_length(AB, w)
         assert str(length.value) == str(enc.value)
+
+
+def lz78_phrases(w):
+    """The complete phrases of w's LZ78 parse, without a trailing partial one."""
+    seen, out, cur = set(), [], ""
+    for ch in w:
+        cur += ch
+        if cur not in seen:
+            seen.add(cur)
+            out.append(cur)
+            cur = ""
+    return out
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_lz78_encode_matches_the_tuple_trie(asize, partial, data):
+    # the word ends on a phrase boundary, or repeats a phrase it has parsed
+    # (phrase j) so that it ends mid-phrase with final reference j
+    alphabet = Alphabet(tuple("abcd"[:asize]))
+    drawn = data.draw(st.text(alphabet="".join(alphabet.symbols), min_size=1, max_size=300))
+    phrases = lz78_phrases(drawn)
+    w, final = "".join(phrases), 0
+    if partial:
+        final = data.draw(st.integers(1, len(phrases)))
+        w += phrases[final - 1]
+    assert _lz78_parse(alphabet, w)[1] == final
+    assert lz78_encode(alphabet, w) == reference_lz78_encode(alphabet, w)
+
+
+def site_word(k, n, seed, p=None):
+    """n of the first k letters from site_uniforms(seed, 0..n-1): "a" where the
+    uniform is below p and "b" elsewhere, or uniform over all k if p is None."""
+    u = site_uniforms(seed, np.arange(n, dtype=np.uint64))
+    index = (u >= p).view(np.uint8) if p is not None else (u * k).astype(np.uint8)
+    return (index + ord("a")).tobytes().decode("ascii")
+
+
+@pytest.mark.parametrize("symbols, word, digest", [
+    ("ab", lambda: site_word(2, 1 << 20, 1, p=0.9),
+     "75ba00e1171f56357f3615618143e351cd766e142e9bc5cd79145cdf46a231e3"),
+    ("abc", lambda: site_word(3, 10**5, 2),
+     "a96a0cf4aef48a4d5b8c4374ad512c57ed905f6ca1a02d1897524b08ce14a349"),
+    ("a", lambda: "a" * 4096,
+     "2384f9a4189d1256141d0db56d524a07a1826b8eea42fa3d5c5a6e210d626bbf"),
+], ids=["bernoulli-2^20", "three-letters-10^5", "one-letter-4096"])
+def test_lz78_streams_pinned(symbols, word, digest):
+    # digests of the tuple-keyed trie encoder's streams, so the token parse
+    # must reproduce every code word bit for bit
+    alphabet, w = Alphabet(tuple(symbols)), word()
+    stream = lz78_encode(alphabet, w)
+    assert hashlib.sha256(stream.encode()).hexdigest() == digest
+    assert lz78_length(alphabet, w) == len(stream)
 
 
 @PROPERTY
