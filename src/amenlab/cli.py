@@ -35,6 +35,7 @@ from .complexity import (
 )
 from .errors import BudgetExceededError
 from .folner import (
+    DEFAULT_CAP,
     builtin_families,
     description_bits,
     generator_defect_counts,
@@ -46,7 +47,7 @@ from .quasitiling import DEFAULT_HORIZON, cover, plan
 from .rng import derive, site_uniforms
 from .setcodec import decode_connected, encode_connected
 from .stochastic import MarkovMeasure, MeasureSource, parse_measure
-from .symbolic import binary_alphabet, load_sft, topological_entropy_estimate
+from .symbolic import DEFAULT_BUDGET, binary_alphabet, load_sft, topological_entropy_estimate
 
 
 class UsageError(ValueError):
@@ -360,7 +361,7 @@ _COMMANDS = [
      _cmd_folner_tempered),
     (("folner", "modest-search"), "smallest modest set for an index", {},
      [("--i", dict(type=int, required=True, help="invariance demand")),
-      ("--cap", dict(type=natural, default=1_000_000, help="enumeration budget"))],
+      ("--cap", dict(type=natural, default=DEFAULT_CAP, help="enumeration budget"))],
      _cmd_folner_modest_search),
     (("codec", "encode"), "set file -> bit string", {}, [("--set-file", dict(
         required=True, help="one canonical element per line"))], _cmd_codec_encode),
@@ -374,7 +375,7 @@ _COMMANDS = [
     (("entropy", "sft"), "normalized log pattern counts along a family",
      dict(group=False, family=True),
      [("--file", dict(required=True, help="SFT description file")), _UPTO,
-      ("--budget", dict(type=natural, default=20_000_000,
+      ("--budget", dict(type=natural, default=DEFAULT_BUDGET,
                         help="pattern counting budget: (state, symbol) extensions per window"))],
      _cmd_entropy_sft),
     (("brudno", "run"), "rate series for a measure and estimator set", dict(family=True),

@@ -37,6 +37,8 @@ from .groups import (
 from .setcodec import EncodingDomainError, encode_coords
 from .symbolic import binary_alphabet
 
+DEFAULT_CAP = 1_000_000  # masks modest_search may enumerate
+
 
 def inverse_runs(group: ComputableGroup, runs: Runs) -> Runs:
     """The inverses of the sites of ``runs``: on both shipped laws the inverse
@@ -203,7 +205,7 @@ def temperedness_constant(seq: FolnerSequence, upto: int) -> Fraction:
     return max(c for _, _, c in temperedness_witnesses(seq, upto))
 
 
-def modest_search(group: ComputableGroup, i: int, cap: int = 1_000_000) -> FiniteSubset:
+def modest_search(group: ComputableGroup, i: int, cap: int = DEFAULT_CAP) -> FiniteSubset:
     """First finite subset F (bitmask enumeration order) with |F| > i whose
     defect under every element of index < i stays below 1/(i+1), exactly."""
     if i < 0:

@@ -6,8 +6,8 @@ concrete group supplies an invertible codec between indices and canonical
 integer coordinates, the composition law on coordinates, and a fixed
 ordered symmetric generating set used for Cayley adjacency.  Cayley walks
 step coordinate tuples with ``steps``, so they decode or pack an index once
-per member rather than once per neighbour.  ``pack_coords`` and ``steps`` are
-straight-line for d <= 3 and ``compose`` for z, z2 and h3; the rest loop.
+per member rather than once per neighbour.  ``pack_coords`` is straight-line
+for d <= 3, ``steps`` and ``compose`` for z, z2 and h3; the rest loop.
 
 The enumeration, computed only by :func:`pack_coords` and its inverse
 :func:`unpack_coords`, or by their int64 array forms for indices below
@@ -338,7 +338,7 @@ class Zd(ComputableGroup):
         return out
 
     def steps(self, c):
-        """Straight-line for d <= 3, a loop over the axes for d >= 4; each axis
+        """Straight-line for d <= 2, a loop over the axes for d >= 3; each axis
         range-checks its own coordinate, calling ``_check_range`` only to raise."""
         d = self.dimension
         if d == 1:
@@ -351,13 +351,6 @@ class Zd(ComputableGroup):
             if not (-COORD_LIMIT < x < COORD_LIMIT and -COORD_LIMIT < y < COORD_LIMIT):
                 _check_range((x + 1, x - 1, y + 1, y - 1))
             return [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
-        if d == 3:
-            x, y, z = c
-            if not (-COORD_LIMIT < x < COORD_LIMIT and -COORD_LIMIT < y < COORD_LIMIT
-                    and -COORD_LIMIT < z < COORD_LIMIT):
-                _check_range((x + 1, x - 1, y + 1, y - 1, z + 1, z - 1))
-            return [(x + 1, y, z), (x - 1, y, z), (x, y + 1, z), (x, y - 1, z),
-                    (x, y, z + 1), (x, y, z - 1)]
         out = []
         for k, x in enumerate(c):
             if not -COORD_LIMIT < x < COORD_LIMIT:

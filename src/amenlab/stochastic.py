@@ -17,7 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
-from operator import lt
 from typing import Sequence
 
 import numpy as np
@@ -143,13 +142,11 @@ def sample(measure, F: FiniteSubset, seed: int) -> PartialConfiguration:
     sites = F if isinstance(F, tuple) else tuple(F)
     n = len(sites)
     try:
-        exact = np.fromiter(sites, np.uint64, n)
-    except OverflowError:  # an index past 2**64 (coordinates near 2**40 on z2, h3) or below 0
-        increasing = all(map(lt, sites, islice(sites, 1, None)))
-        u = site_uniforms(seed, np.fromiter((g % (1 << 64) for g in sites), np.uint64, n))
-    else:
-        increasing = bool(np.all(exact[1:] > exact[:-1]))
-        u = site_uniforms(seed, exact)
+        index = np.fromiter(sites, np.int64, n)
+    except OverflowError:  # an index past 2**63 (coordinates near 2**40 on z2, h3)
+        index = np.array(sites, dtype=object)
+    increasing = bool(np.all(index[1:] > index[:-1]))
+    u = _index_uniforms(seed, index)
     if isinstance(measure, BernoulliMeasure):
         states = _bernoulli(measure, u)
     else:
@@ -169,10 +166,9 @@ def sample(measure, F: FiniteSubset, seed: int) -> PartialConfiguration:
 
 def sample_word(measure, runs: Runs, seed: int) -> str:
     """``cont(sample(measure, F, seed))`` for F the sites of ``runs``, from one
-    array of their indices (``pack_rows``): int64, or Python ints past 2**62,
-    which are reduced mod 2**64 as ``sample`` reduces them.  A Bernoulli word
-    sorts that array; a Markov chain runs over the coordinates of one run of
-    the line, and its states are then put in index order.  ``runs`` is nonempty."""
+    ``pack_rows`` array of their indices.  A Bernoulli word sorts that array; a
+    Markov chain runs over the coordinates of one run of the line, and its
+    states are then put in index order.  ``runs`` is nonempty."""
     _check_sampler(measure)
     if not len(runs):
         raise ValueError("empty window")
@@ -194,8 +190,8 @@ def _check_sampler(measure) -> None:
 
 
 def _index_uniforms(seed: int, index: np.ndarray) -> np.ndarray:
-    """site_uniforms of the natural indices of a ``pack_rows`` array."""
-    if index.dtype == object:  # past 2**62, and maybe past 2**64
+    """site_uniforms of int64 or object indices, each reduced mod 2**64, negatives too."""
+    if index.dtype == object:  # Python ints, which may pass 2**64
         index = np.fromiter((g % (1 << 64) for g in index.tolist()), np.uint64, len(index))
     return site_uniforms(seed, index.view(np.uint64))
 

@@ -225,6 +225,7 @@ def golden_mean_sft() -> SFT:
 
 # the frontier DP keeps its state codes in int64 while |A|**slots <= 2**CODE_BITS
 CODE_BITS = 62
+DEFAULT_BUDGET = 20_000_000  # (state, symbol) extensions a count may take
 
 
 def _constraint_instances(sft: SFT, order: list[tuple[int, ...]]) -> list[list[tuple]]:
@@ -259,7 +260,7 @@ def transfer_matrix_count(sft: SFT, length: int) -> int:
     return sft.walk.count(length)
 
 
-def admissible_patterns(sft: SFT, F, budget: int | None = 20_000_000) -> int:
+def admissible_patterns(sft: SFT, F, budget: int | None = DEFAULT_BUDGET) -> int:
     """Number of locally admissible patterns on the window F, given as Runs
     (disjoint runs along the last axis) or as an index set, which is decoded
     once into its runs (``runs_of``).
@@ -368,7 +369,7 @@ def _frontier_steps(sft: SFT, order: list[tuple[int, ...]]):
 
 
 def topological_entropy_estimate(sft: SFT, seq, upto: int,
-                                 budget: int | None = 20_000_000) -> list[RatePoint]:
+                                 budget: int | None = DEFAULT_BUDGET) -> list[RatePoint]:
     """Normalized log-counts log2(N(F_i))/|F_i| along a Folner sequence.
 
     Each window is read as its runs (``seq.runs``), so a box family builds
@@ -414,7 +415,7 @@ class CountingBoundReport:
 
 
 def q_count_bound(sft: SFT, T, plan, cover, seq, h: float | None = None,
-                  budget: int | None = 20_000_000) -> CountingBoundReport:
+                  budget: int | None = DEFAULT_BUDGET) -> CountingBoundReport:
     """Per-tile counting bound over a quasi-tiling cover of the window T;
     each placed scale's tile is read as its runs (``seq.runs``).
 

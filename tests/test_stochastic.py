@@ -134,6 +134,36 @@ def test_negative_indices_sample_like_the_per_site_loop():
         sample(parse_measure("markov:[[0.5,0.5],[1,0]]"), (-1, 0), 7)
 
 
+def test_bernoulli_sample_reads_an_index_set_out_of_order_and_with_repeats():
+    m = parse_measure("bernoulli:0.2,0,0.3,0.5")
+    F = (9, 2, 9, 0, 5, 2)
+    for seed in (1, 7):
+        t = sample(m, F, seed)
+        assert t.support == (0, 2, 5, 9)
+        reference = _reference_values(m, F, seed)
+        assert cont(t) == "".join(reference[g] for g in t.support)
+
+
+def test_bernoulli_sample_mixes_negative_int64_and_wide_indices():
+    # int64 holds the first two; 2**63 + 1 and 2**64 + 7 take the Python-int path.
+    # Without the last index numpy would infer float64 for the rest, so both go in
+    m = parse_measure("bernoulli:0.9,0.1")
+    wide = (-5, 3, (1 << 63) + 1, (1 << 64) + 7)
+    for F in (wide, wide[:-1]):
+        for seed in (1, 7, 424242):
+            reference = _reference_values(m, F, seed)
+            for window in (F, F[::-1]):
+                t = sample(m, window, seed)
+                assert t.support == F
+                assert dict(zip(t.support, cont(t))) == reference, (F, seed)
+
+
+def test_markov_sample_rejects_a_repeated_site():
+    m = parse_measure("markov:[[0.5,0.5],[1,0]]")
+    with pytest.raises(ValueError, match="interval of the line"):
+        sample(m, (0, 1, 1, 2), 7)
+
+
 def test_sample_rejects_an_object_that_is_no_measure():
     with pytest.raises(TypeError, match="cannot sample object"):
         sample(object(), interval(4), 1)
