@@ -94,11 +94,8 @@ def _report(args, header, rows, partial=False, notes=()):
 
 
 def _read_data_lines(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    except OSError as err:
-        raise UsageError(str(err)) from None
+    with open(path, "r", encoding="ascii") as fh:
+        return [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
 
 
 # -- folner ------------------------------------------------------------------
@@ -132,7 +129,7 @@ def _cmd_folner_modest_search(args):
     except BudgetExceededError:
         _report(args, ["element"], [], partial=True)
         return 3
-    rows = [[group.format_element(g)] for g in sorted(F)]
+    rows = [[group.format_element(g)] for g in F]
     _report(args, ["element"], rows, notes=[f"size {len(F)}"])
     return 0
 
@@ -161,7 +158,7 @@ def _cmd_codec_decode(args):
     T = decode_connected(group, lines[0])
     with _open_out(args) as fh:
         _write_stanza(fh, args)
-        for g in sorted(T):
+        for g in T:
             fh.write(group.format_element(g) + "\n")
     return 0
 
@@ -182,7 +179,7 @@ def _cmd_tile(args):
     rows = [
         ["center", scale, group.format_element(c), "", "", "", ""]
         for scale in tiling.scales
-        for c in sorted(cov.scale_centers[scale])
+        for c in cov.scale_centers[scale]
     ]
     total = len(rows)
     checks = [(f.name, getattr(cov.report, f.name)) for f in fields(cov.report)]
@@ -210,10 +207,7 @@ def _cmd_tile(args):
 
 
 def _cmd_entropy_sft(args):
-    try:
-        sft = load_sft(args.file)
-    except OSError as err:
-        raise UsageError(str(err)) from None
+    sft = load_sft(args.file)
     seq = _family(sft.group, args.family)
     stop = None
     try:
@@ -276,19 +270,16 @@ def _cmd_repair_demo(args):
 def _load_config(path):
     """Preset lines as ``--key=value`` flag tokens, each mapped to its key."""
     tokens = {}
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, eq, value = line.partition("=")
-                if not eq:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
-                key = key.strip()
-                tokens[f"--{key.replace('_', '-')}={value.strip()}"] = key
-    except OSError as err:
-        raise UsageError(str(err)) from None
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise UsageError(f"{path}:{lineno}: expected key=value")
+            key = key.strip()
+            tokens[f"--{key.replace('_', '-')}={value.strip()}"] = key
     return tokens
 
 

@@ -99,14 +99,14 @@ def _zigzag(c: np.ndarray) -> np.ndarray:
     return np.subtract(-1, z, out=z, where=c > 0)
 
 
-def _extremes(rows: np.ndarray) -> list[tuple[int, int]]:
-    """(least, greatest) coordinate on each axis of nonempty int64 rows (last
-    axis).  A reduction across C-contiguous rows runs one inner loop per row,
-    so from 128 rows on (the measured crossover) each column is reduced alone."""
+def _extremes(rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """Lists of the least and of the greatest coordinate per axis of nonempty int64
+    rows (last axis); ``Runs.bounds`` reads them.  A reduction across C-contiguous
+    rows runs one inner loop per row, so from 128 rows on (measured) columns go alone."""
     flat = rows.reshape(-1, rows.shape[-1])
     if len(flat) < 128:
-        return list(zip(flat.min(axis=0).tolist(), flat.max(axis=0).tolist()))
-    return [(int(col.min()), int(col.max())) for col in flat.T]
+        return flat.min(axis=0).tolist(), flat.max(axis=0).tolist()
+    return [int(col.min()) for col in flat.T], [int(col.max()) for col in flat.T]
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
@@ -114,7 +114,7 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     indices while the signed far corner packs below INDEX_ARRAY_LIMIT, else
     Python ints in an object array.  Nothing wraps."""
     # an index grows with each zigzagged coordinate; pack the larger on each axis
-    far = pack_coords([hi if 2 * hi - 1 > -2 * lo else lo for lo, hi in _extremes(rows)])
+    far = pack_coords([hi if 2 * hi - 1 > -2 * lo else lo for lo, hi in zip(*_extremes(rows))])
     cols = np.moveaxis(rows, -1, 0)
     return pack_coords_array(list(cols if far < INDEX_ARRAY_LIMIT else cols.astype(object)))
 
@@ -138,7 +138,7 @@ def compose_rows(group: ComputableGroup, a: np.ndarray, b: np.ndarray, reach=0) 
     ints with every entry checked, raising CoordinateRangeError as ``compose``
     does.  Nothing wraps.
     """
-    far = [tuple(max(-lo, hi) for lo, hi in _extremes(x)) for x in (a, b)]
+    far = [tuple(max(-lo, hi) for lo, hi in zip(*_extremes(x))) for x in (a, b)]
     try:
         *_, top = group.compose(*far)
         _check_range((top + int(np.max(reach)),))
@@ -505,11 +505,11 @@ class Runs:
         return sorted_indices(self.sites())
 
     def bounds(self) -> tuple[list[int], list[int]]:
-        """The least and the greatest coordinate on each axis over all sites;
-        on the last axis the top is head + length - 1."""
-        lo, hi = self.heads.min(axis=0), self.heads.max(axis=0)
-        hi[-1] = (self.heads[:, -1] + self.lengths).max() - 1
-        return lo.tolist(), hi.tolist()
+        """The least and the greatest coordinate on each axis over all sites: the
+        heads' ``_extremes``, save that the top of the last axis is head + length - 1."""
+        lo, hi = _extremes(self.heads)
+        hi[-1] = int((self.heads[:, -1] + self.lengths).max()) - 1
+        return lo, hi
 
 
 def runs_union(*parts: Runs) -> Runs:

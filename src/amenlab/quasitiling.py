@@ -97,7 +97,7 @@ class CoverReport:
 @dataclass(frozen=True)
 class Cover:
     plan: TilingPlan
-    scale_centers: dict  # scale index -> tuple of centers
+    scale_centers: dict  # scale index -> tuple of centers, in increasing order
     covered: frozenset
     report: Optional[CoverReport] = None
 

@@ -359,6 +359,19 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["codec", "encode", "--group", "z", "--set-file"],
+    ["codec", "decode", "--group", "z", "--bits-file"],
+    ["entropy", "sft", "--upto", "3", "--file"],
+    ["folner", "defect", "--group", "z", "--upto", "3", "--config"],
+], ids=["set-file", "bits-file", "sft-file", "config"])
+def test_unreadable_input_files_report_the_os_error(tmp_path, capsys, argv):
+    for path, text in ((tmp_path / "missing.txt", "[Errno 2] No such file or directory"),
+                       (tmp_path, "[Errno 21] Is a directory")):
+        assert main(argv + [str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {text}: '{path}'\n")
+
+
 def test_threads_is_not_an_option(tmp_path, capsys):
     assert main(["brudno", "run", "--group", "z", "--family", "boxes",
                  "--measure", "bernoulli:0.5,0.5", "--estimator", "all",

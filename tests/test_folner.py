@@ -599,6 +599,33 @@ def test_runs_union_merges_overlapping_touching_and_repeated_runs(name):
         assert _runs_equal(runs_of(group, sites[::-1] + sites), union)
 
 
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 5000])
+def test_runs_bounds_and_union_agree_with_the_sites(n):
+    # run counts either side of the 128-row switch in the per-axis extremes;
+    # heads in a small box, so that runs overlap and touch, one run from
+    # -2**40 on every axis and one ending at +2**40 (for n = 1, the same run)
+    rng = np.random.default_rng(n)
+    for d in (1, 2, 3, 7):
+        heads = rng.integers(-8, 4, size=(n, d))
+        lengths = rng.integers(1, 6, size=n)
+        heads[-1] = -COORD_LIMIT
+        heads[0, -1] = COORD_LIMIT + 1 - lengths[0]
+        runs = Runs(heads, lengths)
+        sites = runs.sites()
+        assert runs.bounds() == (sites.min(axis=0).tolist(), sites.max(axis=0).tolist())
+        assert max(runs.bounds()[1]) == COORD_LIMIT
+        want = set(map(tuple, sites.tolist()))
+        parts = [Runs(heads[k::2], lengths[k::2]) for k in range(2) if n > k]
+        for union in (runs_union(runs), runs_union(*parts)):
+            assert set(map(tuple, union.sites().tolist())) == want and len(union) == len(want)
+            # disjoint maximal runs in coordinate order: on one line a run
+            # starts past the end of the one before it, and never touches it
+            rows = [(h[:-1], h[-1], h[-1] + m)
+                    for h, m in zip(union.heads.tolist(), union.lengths.tolist())]
+            assert rows == sorted(rows)
+            assert all(p[0] != q[0] or p[2] < q[1] for p, q in zip(rows, rows[1:]))
+
+
 @pytest.mark.parametrize("name", ["z2", "z3", "h3"])
 def test_runs_union_is_exact_past_int64_keys(name):
     # lines 2**41 apart on two axes: the mixed-radix keys pass 2**62, and the

@@ -196,7 +196,7 @@ def test_extremes_are_the_axis_bounds_either_side_of_the_column_switch(n):
     rng = np.random.default_rng(n)
     for d in (1, 2, 3):
         rows = rng.integers(-COORD_LIMIT, COORD_LIMIT + 1, size=(n, d))
-        want = [(min(col), max(col)) for col in zip(*rows.tolist())]
+        want = tuple([f(col) for col in zip(*rows.tolist())] for f in (min, max))
         for x in (rows, np.asfortranarray(rows), rows[::-1], rows.reshape(1, n, d)):
             assert _extremes(x) == want
     # one row past 2**62 moves a large array to Python ints, as a small one
