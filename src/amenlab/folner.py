@@ -95,12 +95,21 @@ class DefectReport:
 
 
 def _box_runs(group: ComputableGroup, n: int) -> Runs:
-    """The box of side n from its sides alone: n^(d-1) runs of length m.  The
-    far corner is range-checked before anything is allocated."""
+    """The box of side n from its sides alone: n^(d-1) runs of length m, heads
+    in C order over the first d-1 sides.  The heads are column-major, written
+    one contiguous block per axis, and the far corner is range-checked before
+    anything is allocated."""
     *prefix, m = (n, n, n * n) if isinstance(group, Heisenberg) else (n,) * group.dimension
-    _check_range((*(s - 1 for s in prefix), m - 1))
-    heads = np.indices((*prefix, 1), dtype=np.int64).reshape(len(prefix) + 1, -1).T
-    return Runs(heads, np.full(len(heads), m, dtype=np.int64))
+    _check_range((n - 1, m - 1))  # every prefix side is n
+    # a few array writes, not np.indices and np.full: those are numpy helpers
+    # written in Python, and their fixed cost was most of a small box's build
+    d = group.dimension
+    cols = np.zeros((d, *prefix), dtype=np.int64)  # the last axis stays 0
+    for k in range(d - 1):
+        cols[k] = np.arange(n).reshape(n, *(1,) * (d - 2 - k))
+    lengths = np.empty(cols[0].size, dtype=np.int64)
+    lengths.fill(m)
+    return Runs(cols.reshape(d, -1).T, lengths)
 
 
 def builtin_families(group: ComputableGroup) -> dict[str, FolnerSequence]:

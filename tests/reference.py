@@ -1,9 +1,18 @@
 """Slow, plainly correct references that the tests hold the package to."""
 
+import numpy as np
+
 from amenlab.complexity import freq_length, selfdelim_encode
 from amenlab.errors import BudgetExceededError
 from amenlab.folner import _box_bits, _delta_bits
-from amenlab.groups import _check_range, normalize_subset, runs_of, sorted_indices
+from amenlab.groups import (
+    Heisenberg,
+    Runs,
+    _check_range,
+    normalize_subset,
+    runs_of,
+    sorted_indices,
+)
 from amenlab.setcodec import EncodingDomainError, encode_coords
 from amenlab.symbolic import PartialConfiguration, _constraint_instances, binary_alphabet
 
@@ -63,6 +72,16 @@ def reference_compose(group, a, b):
         out = (out[0], out[1], out[2] + a[0] * b[1])
     _check_range(out)
     return out
+
+
+def reference_box_runs(group, n):
+    """folner._box_runs through ``np.indices``: the box of side n as the
+    n^(d-1) runs of length m whose heads are the grid of its first d-1 sides
+    (last coordinate 0) in C order, every side's top range-checked first."""
+    *prefix, m = (n, n, n * n) if isinstance(group, Heisenberg) else (n,) * group.dimension
+    _check_range((*(s - 1 for s in prefix), m - 1))
+    heads = np.indices((*prefix, 1), dtype=np.int64).reshape(len(prefix) + 1, -1).T
+    return Runs(heads, np.full(len(heads), m, dtype=np.int64))
 
 
 def reference_description_bits(group, F):

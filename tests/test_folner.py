@@ -48,7 +48,7 @@ from amenlab.quasitiling import plan
 from amenlab.rng import SplitMix64, derive
 from amenlab.setcodec import encode_connected, random_connected_subset
 from amenlab.symbolic import binary_alphabet
-from reference import reference_description_bits
+from reference import reference_box_runs, reference_description_bits
 
 ROOT = Path(__file__).resolve().parent.parent
 Z = get_group("z")
@@ -146,6 +146,36 @@ def test_box_past_the_coordinate_range_raises_before_building():
     # side 2**64 on z: the far corner 2**64 - 1 is range-checked first
     with pytest.raises(CoordinateRangeError, match=r"outside supported range \+/-2\*\*40"):
         builtin_families(Z)["dyadic"].subset(64)
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "z3", "z4", "z7", "h3"])
+def test_box_runs_match_the_np_indices_reference(name):
+    # equal values, and the same column-major layout that the column reads
+    # (Runs.sites, _extremes, runs_union) and the frontier DP's C row order see;
+    # z7 stops at side 9 (9^6 runs), since side 32 would hold 32^6
+    group = get_group(name)
+    dyadic = 3 if name == "z7" else 5
+    for n in sorted({*range(1, 10), *(1 << i for i in range(dyadic + 1))}):
+        got, want = folner._box_runs(group, n), reference_box_runs(group, n)
+        for a, b in ((got.heads, want.heads), (got.lengths, want.lengths)):
+            assert a.dtype == b.dtype == np.int64
+            assert (a.shape, a.strides) == (b.shape, b.strides)
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name, n, coord", [
+    ("h3", 2**20 + 1, 2**40 + 2**21),  # sides 2**20 in range, height (2**20 + 1)**2 - 1 not
+    ("z3", 2**40 + 2, 2**40 + 1),
+])
+def test_box_runs_range_check_comes_before_any_allocation(monkeypatch, name, n, coord):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a box array was allocated before the range check")
+
+    for alloc in ("zeros", "empty", "full", "indices", "arange"):
+        monkeypatch.setattr(np, alloc, refuse)
+    with pytest.raises(CoordinateRangeError) as err:
+        folner._box_runs(get_group(name), n)
+    assert str(err.value) == f"coordinate {coord} outside supported range +/-2**40"
 
 
 def test_sequence_index_validation():

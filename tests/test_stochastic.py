@@ -356,6 +356,27 @@ def test_markov_windows_with_common_left_end_agree():
         assert small_values[g] == big_values[g]
 
 
+def test_words_of_the_line_windows_nest_and_those_of_the_plane_do_not():
+    # boxes are [0, n)^d, not centred: on z the side-4 box has zigzag indices
+    # {0, 1, 3, 5}, and every window of the line has left end 0, where the
+    # Markov chain starts, so each word on z is a prefix of the next one
+    z_fams = builtin_families(get_group("z"))
+    assert z_fams["boxes"].subset(4) == (0, 1, 3, 5)
+    for spec in ("markov:[[0.5,0.5],[1,0]]", "bernoulli:0.9,0.1"):
+        src = MeasureSource(parse_measure(spec), seed=1)
+        for seq, upto in ((z_fams["boxes"], 40), (z_fams["dyadic"], 10)):
+            runs = [seq.runs(i) for i in seq.indices(upto)]
+            assert all(r.heads.tolist() == [[0]] for r in runs)
+            words = [src.word(r) for r in runs]
+            assert all(b.startswith(a) for a, b in zip(words, words[1:]))
+    # on z2 a larger square puts new sites between the old ones in index
+    # order, so from side 8 on no word extends the one before
+    seq = builtin_families(get_group("z2"))["dyadic"]
+    src = MeasureSource(parse_measure("bernoulli:0.9,0.1"), seed=1)
+    words = [src.word(seq.runs(i)) for i in seq.indices(5)]
+    assert [b.startswith(a) for a, b in zip(words, words[1:])] == [True, True, False, False, False]
+
+
 def test_empirical_frequencies_exact():
     z = get_group("z")
     t = sample(BernoulliMeasure(AB, ProbabilityVector((1, 0))), interval(4), 0)
