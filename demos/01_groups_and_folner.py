@@ -27,7 +27,7 @@ b = z2.encode((-1, 4))
 print("element indices:", a, b)
 print("product:", z2.decode(z2.multiply(a, b)))
 print("inverse:", z2.decode(z2.inverse(a)))
-print("canonical form:", z2.format_element(a))
+print("canonical forms:", *z2.format_elements([a, b]))
 
 h3 = get_group("h3")
 x = h3.encode((1, 0, 0))

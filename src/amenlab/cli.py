@@ -45,7 +45,7 @@ from .folner import (
 from .groups import CoordinateRangeError, get_group
 from .quasitiling import DEFAULT_HORIZON, cover, plan
 from .rng import derive, site_uniforms
-from .setcodec import decode_connected, encode_connected
+from .setcodec import decode_connected, encode_coords
 from .stochastic import MarkovMeasure, MeasureSource, parse_measure
 from .symbolic import DEFAULT_BUDGET, binary_alphabet, load_sft, topological_entropy_estimate
 
@@ -129,7 +129,7 @@ def _cmd_folner_modest_search(args):
     except BudgetExceededError:
         _report(args, ["element"], [], partial=True)
         return 3
-    rows = [[group.format_element(g)] for g in F]
+    rows = [[text] for text in group.format_elements(F)]
     _report(args, ["element"], rows, notes=[f"size {len(F)}"])
     return 0
 
@@ -140,10 +140,10 @@ def _cmd_folner_modest_search(args):
 
 def _cmd_codec_encode(args):
     group = get_group(args.group)
-    elements = frozenset(group.parse_element(line) for line in _read_data_lines(args.set_file))
-    if not elements:
+    coords = frozenset(group.parse_elements(_read_data_lines(args.set_file)))
+    if not coords:
         raise UsageError(f"{args.set_file}: no elements")
-    bits = encode_connected(group, elements)
+    bits = encode_coords(group, coords)
     with _open_out(args) as fh:
         _write_stanza(fh, args)
         fh.write(bits + "\n")
@@ -158,8 +158,9 @@ def _cmd_codec_decode(args):
     T = decode_connected(group, lines[0])
     with _open_out(args) as fh:
         _write_stanza(fh, args)
-        for g in T:
-            fh.write(group.format_element(g) + "\n")
+        # a few thousand members at a time, so the text never holds the whole set
+        for k in range(0, len(T), 4096):
+            fh.writelines(text + "\n" for text in group.format_elements(T[k:k + 4096]))
     return 0
 
 
@@ -174,12 +175,12 @@ def _cmd_tile(args):
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse eps {args.eps!r}") from None
     tiling = plan(seq, eps, horizon=args.horizon)
-    T = seq.subset(args.i)
+    T = seq.runs(args.i)
     cov = cover(T, tiling, seq)
     rows = [
-        ["center", scale, group.format_element(c), "", "", "", ""]
+        ["center", scale, text, "", "", "", ""]
         for scale in tiling.scales
-        for c in cov.scale_centers[scale]
+        for text in group.format_elements(cov.scale_centers[scale])
     ]
     total = len(rows)
     checks = [(f.name, getattr(cov.report, f.name)) for f in fields(cov.report)]

@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt, prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -205,8 +205,7 @@ def _check_range(coords: Iterable[int]) -> None:
 class ComputableGroup:
     """Base class: index codec, composition law, fixed generating set."""
 
-    name: str
-    prefix: str
+    name: str  # upper-cased, the prefix of element text (``Z2:(1,0)``)
     dimension: int
     generator_coords: tuple[tuple[int, ...], ...]
 
@@ -289,20 +288,28 @@ class ComputableGroup:
 
     # -- canonical text form -------------------------------------------------
 
-    def format_element(self, g: int) -> str:
-        coords = self.decode(g)
-        if self.dimension == 1:
-            return f"{self.prefix}:{coords[0]}"
-        return f"{self.prefix}:({','.join(str(c) for c in coords)})"
+    def format_elements(self, F: Iterable[int]) -> list[str]:
+        """The text of each index of F, in F's order, from one ``decode_array``:
+        ``Z:-3`` on the line, ``Z2:(1,-2)`` elsewhere."""
+        form = ",".join(["{}"] * self.dimension)
+        form = f"{self.name.upper()}:" + (form if self.dimension == 1 else f"({form})")
+        return [form.format(*row) for row in self.decode_array(F).tolist()]
 
-    def parse_element(self, text: str) -> int:
-        m = re.fullmatch(rf"{self.prefix}:\((-?\d+(?:,-?\d+)*)\)", text.strip())
-        if m is None and self.dimension == 1:
-            m = re.fullmatch(rf"{self.prefix}:(-?\d+)", text.strip())
-        if m is None:
-            raise ValueError(f"cannot parse {text!r} as an element of {self.name}")
-        coords = tuple(int(p) for p in m.group(1).split(","))
-        return self.encode(coords)
+    def parse_elements(self, lines: Iterable[str]) -> Iterator[tuple[int, ...]]:
+        """Each line's element text (``Z:3`` also as ``Z:(3)``) as range-checked coordinates,
+        lazily: the first bad line raises ValueError or CoordinateRangeError, and no later
+        line is read."""
+        form = r"\((-?\d+(?:,-?\d+)*)\)" + (r"|(-?\d+)" if self.dimension == 1 else "")
+        match = re.compile(rf"{self.name.upper()}:(?:{form})").fullmatch
+        for text in lines:
+            m = match(text.strip())
+            if m is None:
+                raise ValueError(f"cannot parse {text!r} as an element of {self.name}")
+            coords = tuple(map(int, m[m.lastindex].split(",")))  # the one group that matched
+            if len(coords) != self.dimension:
+                raise ValueError(f"{self.name} elements have {self.dimension} coordinates")
+            _check_range(coords)
+            yield coords
 
     def __repr__(self) -> str:
         return f"<group {self.name}>"
@@ -316,7 +323,6 @@ class Zd(ComputableGroup):
             raise ValueError("d >= 1")
         self.dimension = d
         self.name = "z" if d == 1 else f"z{d}"
-        self.prefix = "Z" if d == 1 else f"Z{d}"
         self.generator_coords = tuple(
             tuple(sign if k == axis else 0 for k in range(d))
             for axis in range(d) for sign in (1, -1))
@@ -379,7 +385,6 @@ class Heisenberg(ComputableGroup):
 
     dimension = 3
     name = "h3"
-    prefix = "H3"
     generator_coords = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
 
     def compose(self, a, b):

@@ -17,8 +17,8 @@ hold with room to spare even when fewer scales than the classical k fit.
 The greedy pass reads, for each candidate center c in T, the positions in
 sorted T of the cells of the translate tile*c; it does no group arithmetic.
 Those rows are built per scale, ``CHUNK_CELLS`` cells at a time, by
-``groups.translate_right`` of the tile's sites by T's decoded rows, and
-located in T's sorted indices, packed the same way (``np.searchsorted``).
+``groups.translate_right`` of the tile's sites by T's sites, read from its
+runs, and located in T's sorted indices, packed the same way (``np.searchsorted``).
 The translate works in int64 where nothing can wrap and on Python ints
 otherwise, so every window takes this one route and a product past
 +/-2**40 raises CoordinateRangeError.  ``verify_cover`` recomputes the
@@ -182,13 +182,15 @@ def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan
     return TilingPlan(eps, tuple(scales), threshold)
 
 
-def _cell_rows(group: ComputableGroup, tile_rows: np.ndarray, index: np.ndarray,
-               rows: np.ndarray):
+def _cell_rows(group: ComputableGroup, tile: Runs, index: np.ndarray, rows: np.ndarray):
     """Yield (k, positions in ``index`` of the cells of tile*index[k]) for each k,
-    in increasing order, whose translate lies inside the sorted indices
-    ``index`` (coordinate ``rows``).  Cells are packed by ``translate_right``,
-    so a product past +/-2**40 raises CoordinateRangeError and no index wraps."""
+    in increasing order, whose translate lies inside the sorted indices ``index``
+    (coordinate ``rows``); none, and no tile sites built, when the tile has more
+    sites than ``index``.  Cells are packed by ``translate_right``: nothing wraps."""
     n = len(index)
+    if len(tile) > n:
+        return
+    tile_rows = tile.sites()
     step = max(1, CHUNK_CELLS // len(tile_rows))
     for k in range(0, n, step):
         cells = translate_right(group, tile_rows, rows[k:k + step])
@@ -198,22 +200,24 @@ def _cell_rows(group: ComputableGroup, tile_rows: np.ndarray, index: np.ndarray,
 
 
 def cover(T, tiling: TilingPlan, seq: FolnerSequence) -> Cover:
-    """Greedy cover of T, largest scale first.
+    """Greedy cover of T (Runs or a nonempty index set), largest scale first.
 
     Candidate centers are scanned in increasing element order; a center is
     accepted iff its tile lies inside T and at least a (1-eps/2) fraction
     of it is still uncovered.  The pass reads each candidate's cells as
     positions in sorted T against one covered flag per position (see the
-    module docstring); T is decoded once and each tile is read from its
-    runs once per scale.  A negative index in T raises ValueError, a
-    product past +/-2**40 CoordinateRangeError.  The report of the four
-    assertions is attached (covers of sets outside the plan's certified
-    range may fail assertion 2; they are reported, not rejected).
+    module docstring); T's sites are built once, each tile's at most once per
+    scale.  An empty T or a negative index raises ValueError, a product
+    past +/-2**40 CoordinateRangeError.  The report of the four assertions
+    is attached (covers of sets outside the plan's certified range may fail
+    assertion 2; they are reported, not rejected).
     """
     group = seq.group
-    candidates = sorted(frozenset(T))
-    rows = group.decode_array(candidates)
-    index = pack_rows(rows) if candidates else rows[:, 0]  # an empty T has no extremes
+    rows = runs_of(group, T).sites()
+    index = pack_rows(rows)
+    order = np.argsort(index)
+    index, rows = index[order], rows[order]
+    candidates = index.tolist()
     flags = bytearray(len(candidates))  # flags[k]: candidates[k] is covered
     scale_centers: dict = {}
     for j in reversed(tiling.scales):
@@ -221,7 +225,7 @@ def cover(T, tiling: TilingPlan, seq: FolnerSequence) -> Cover:
         # fresh counts cells, so fresh >= (1 - eps/2)|tile| iff fresh >= need
         need = math.ceil((1 - tiling.eps / 2) * len(tile))
         centers = []
-        for k, row in _cell_rows(group, tile.sites(), index, rows):
+        for k, row in _cell_rows(group, tile, index, rows):
             if len(row) - sum(map(flags.__getitem__, row)) >= need:
                 centers.append(candidates[k])
                 for p in row:
@@ -235,13 +239,12 @@ def verify_cover(T, tiling: TilingPlan, cov: Cover, seq: FolnerSequence) -> Cove
     """Recompute the four assertions from T, each tile's runs and the centers
     alone, exactly.  Each scale's centers are translated ``CHUNK_CELLS``
     cells at a time; all cells, sorted once, are located in T's sorted
-    indices (decoded and packed here) and counted with their repeats for
-    the mass and the cells outside T, and without them for the union.  A
-    negative index raises ValueError, a cell past +/-2**40
+    indices (from T's runs, as in ``cover``) and counted with their repeats
+    for the mass and the cells outside T, and without them for the union.
+    An empty T or a negative index raises ValueError, a cell past +/-2**40
     CoordinateRangeError."""
     group = seq.group
-    rows = group.decode_array(frozenset(T))
-    index = np.sort(pack_rows(rows)) if len(rows) else rows[:, 0]  # an empty T has no extremes
+    index = np.sort(pack_rows(runs_of(group, T).sites()))
     eps = tiling.eps
     parts = [index[:0]]  # a cover without centers still concatenates
     for j, centers in cov.scale_centers.items():

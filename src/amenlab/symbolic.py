@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BudgetExceededError
-from .groups import ComputableGroup, Runs, Zd, get_group, runs_of
+from .groups import ComputableGroup, Runs, Zd, get_group, pack_coords, runs_of
 from .series import RatePoint
 
 
@@ -506,10 +506,11 @@ def parse_sft(text: str) -> SFT:
         prefix = raw_patterns[0][1][0][0].split(":", 1)[0]
         group = get_group(prefix)
     forbidden = []
+    coords = group.parse_elements(e for _, pairs in raw_patterns for e, _ in pairs)
     for lineno, pairs in raw_patterns:
         pattern: dict[int, str] = {}
         for e, s in pairs:
-            g = group.parse_element(e)
+            g = pack_coords(next(coords))  # parsed now: an earlier repeat is named first
             if g in pattern:
                 raise ValueError(f"line {lineno}: element {e} named twice")
             pattern[g] = s

@@ -1,5 +1,7 @@
 """Slow, plainly correct references that the tests hold the package to."""
 
+import re
+
 import numpy as np
 
 from amenlab.complexity import freq_length, selfdelim_encode
@@ -50,6 +52,28 @@ def iter_admissible(sft, F, budget=1_000_000):
             trial[depth] += 1
         else:
             trial.append(0)
+
+
+def format_element(group, g):
+    """The text of the element at index g, one decode per element: ``Z:-3`` on the
+    line, ``Z2:(1,-2)`` with parentheses elsewhere."""
+    coords = group.decode(g)
+    if group.dimension == 1:
+        return f"{group.name.upper()}:{coords[0]}"
+    return f"{group.name.upper()}:({','.join(str(c) for c in coords)})"
+
+
+def parse_element(group, text):
+    """The index of the element named by ``text``, one regex match per call; on the
+    line the parenthesised form is tried first.  ``group.encode`` checks the arity
+    and the range."""
+    m = re.fullmatch(rf"{group.name.upper()}:\((-?\d+(?:,-?\d+)*)\)", text.strip())
+    if m is None and group.dimension == 1:
+        m = re.fullmatch(rf"{group.name.upper()}:(-?\d+)", text.strip())
+    if m is None:
+        raise ValueError(f"cannot parse {text!r} as an element of {group.name}")
+    coords = tuple(int(p) for p in m.group(1).split(","))
+    return group.encode(coords)
 
 
 def reference_pack(coords):

@@ -100,7 +100,7 @@ def test_modest_search_report(tmp_path):
     header, rows = data_rows(out)
     assert header == ["element"]
     z = get_group("z")
-    coords = {z.decode(z.parse_element(r[0]))[0] for r in rows}
+    coords = {c for c, in z.parse_elements(r[0] for r in rows)}
     assert coords == set(range(-5, 6))
     with open(out, encoding="ascii") as fh:
         assert any(ln.strip() == "# size 11" for ln in fh)
@@ -224,6 +224,62 @@ def test_input_coordinate_out_of_range_exits_2(tmp_path, capsys, cmd, name, text
     assert not out.exists()
 
 
+@pytest.mark.parametrize("group,text,error", [
+    ("z2", "Z2:(0,0)\nZ3:(0,0)\n", "cannot parse 'Z3:(0,0)' as an element of z2"),
+    ("z2", "Z2:(1,)\n", "cannot parse 'Z2:(1,)' as an element of z2"),
+    ("z2", "Z2:(0,0)\nZ2:(1,2,3)\n", "z2 elements have 2 coordinates"),
+    ("z", "Z:(1,2)\n", "z elements have 1 coordinates"),
+    ("z2", "Z2:(0,0)\n  not an element  \n", "cannot parse 'not an element' as an element of z2"),
+    ("z3", "Z3:(0,0,0)\nZ3:(0,-1099511627777,0)\n",
+     "coordinate -1099511627777 outside supported range +/-2**40"),
+    # only the first bad line is reported, whatever the later one's fault
+    ("z2", "Z2:(0,0)\nZ2:(1,2,3)\nZ2:(1,x)\n", "z2 elements have 2 coordinates"),
+    ("z2", "Z2:(1,x)\nZ2:(1,2,3)\n", "cannot parse 'Z2:(1,x)' as an element of z2"),
+    ("h3", "H3:(0,0,0)\nH3:(0,0,1099511627777)\nH3:(0,0)\n",
+     "coordinate 1099511627777 outside supported range +/-2**40"),
+], ids=["prefix", "empty coordinate", "arity", "arity on z", "garbage", "range",
+        "arity first", "parse first", "range first"])
+def test_codec_encode_reports_the_first_malformed_line(tmp_path, capsys, group, text, error):
+    path = tmp_path / "T.txt"
+    path.write_text(text, encoding="ascii")
+    out = tmp_path / "bits.txt"
+    assert main(["codec", "encode", "--group", group, "--set-file", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
+def test_codec_encode_accepts_every_element_form_of_the_line(tmp_path):
+    # Z:(3) and Z:-0 name the elements Z:3 and Z:0, so they encode the same bits
+    bits = []
+    for text in ("Z:0\nZ:1\nZ:2\nZ:3\n", "Z:-0\nZ:1\n  Z:2\nZ:(3)\n"):
+        path = tmp_path / "T.txt"
+        path.write_text(text, encoding="ascii")
+        out = tmp_path / "bits.txt"
+        assert main(["codec", "encode", "--group", "z", "--set-file", str(path),
+                     "--out", str(out)]) == 0
+        bits.append([ln for ln in out.read_text().splitlines() if not ln.startswith("#")])
+    assert bits[0] == bits[1] == ["111100"]
+
+
+@pytest.mark.parametrize("lines,error", [
+    (["Z:0=1 Z:(1,)=1"], "cannot parse 'Z:(1,)' as an element of z"),
+    # on each line, pair by pair: a repeat before a malformed element is named
+    (["Z:0=1 Z:(0)=0 Z:(1,)=1"], "line 2: element Z:(0) named twice"),
+    (["Z:0=1 Z:(1,)=1 Z:0=0"], "cannot parse 'Z:(1,)' as an element of z"),
+    (["Z:0=1 Z:-0=0", "Z:(1,)=1"], "line 2: element Z:-0 named twice"),
+    (["Z:0=1 Z:1=1", "Z:(1,2)=1 Z:1=1 Z:1=0"], "z elements have 1 coordinates"),
+], ids=["malformed", "repeat first", "malformed first", "repeat on an earlier line",
+        "arity"])
+def test_entropy_sft_reports_the_first_bad_element(tmp_path, capsys, lines, error):
+    path = tmp_path / "bad.sft"
+    path.write_text("\n".join(["alphabet 0 1"] + lines) + "\n", encoding="ascii")
+    out = tmp_path / "entropy.csv"
+    assert main(["entropy", "sft", "--file", str(path), "--upto", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
 def test_tile_dyadic_window_past_the_coordinate_range_exits_2(tmp_path, capsys):
     # the planner asks for window 64 of z dyadic, whose far corner is 2**64 - 1
     out = tmp_path / "tile.csv"
@@ -236,8 +292,8 @@ def test_tile_dyadic_window_past_the_coordinate_range_exits_2(tmp_path, capsys):
 
 def test_tile_h3_boxes_plans_to_the_default_horizon_from_runs(tmp_path, monkeypatch):
     # the planner reads windows up to index 64 (4096 runs each) as runs, and
-    # cover and verify_cover read the tiles as runs; the only index tuple
-    # built is the window covered
+    # cover and verify_cover read the window covered and the tiles as runs;
+    # no index tuple is built
     calls = []
     subset = folner.FolnerSequence.subset
     monkeypatch.setattr(folner.FolnerSequence, "subset",
@@ -249,8 +305,22 @@ def test_tile_h3_boxes_plans_to_the_default_horizon_from_runs(tmp_path, monkeypa
     assert time.perf_counter() - start < 60
     (note,) = [ln for ln in out.read_text().splitlines() if ln.startswith("# plan ")]
     assert note == "# plan scales=1,2 threshold=41"
-    assert calls == [6]
+    assert calls == []
     header, rows = data_rows(out)
+    assert [r[-1] for r in rows if r[0] == "assertion"] == ["True"] * 4
+
+
+@pytest.mark.parametrize("horizon", [30, 38])
+def test_tile_z_dyadic_covers_with_the_tiles_that_fit(tmp_path, horizon):
+    # the plan's scales from 12 up are windows of 2**12 sites and more (2**24
+    # at horizon 30, 2**32 at 38); none fits in the 1,024 sites covered, so
+    # cover builds none of them
+    out = tmp_path / "tile.csv"
+    start = time.perf_counter()
+    assert main(["tile", "--group", "z", "--family", "dyadic", "--eps", "1/4", "--i", "10",
+                 "--horizon", str(horizon), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 10
+    _, rows = data_rows(out)
     assert [r[-1] for r in rows if r[0] == "assertion"] == ["True"] * 4
 
 

@@ -5,6 +5,8 @@ from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amenlab import groups
 from amenlab.groups import (
@@ -37,7 +39,7 @@ from amenlab.folner import (
 from amenlab.rng import SplitMix64
 from amenlab.stochastic import parse_measure, sample
 from amenlab.symbolic import admissible_patterns, golden_mean_sft
-from reference import reference_compose, reference_pack
+from reference import format_element, parse_element, reference_compose, reference_pack
 
 
 def test_zigzag_enumeration_prefix():
@@ -344,19 +346,119 @@ def test_group_laws_on_random_triples(name):
 def test_element_text_roundtrip(name):
     g = get_group(name)
     rng = SplitMix64(3)
-    for _ in range(100):
-        e = rng.randrange(10 ** 6)
-        assert g.parse_element(g.format_element(e)) == e
+    elements = [rng.randrange(10 ** 6) for _ in range(100)]
+    assert list(map(g.encode, g.parse_elements(g.format_elements(elements)))) == elements
 
 
 def test_element_text_forms():
-    assert get_group("z").format_element(get_group("z").encode((-3,))) == "Z:-3"
+    assert get_group("z").format_elements([get_group("z").encode((-3,))]) == ["Z:-3"]
     z2 = get_group("z2")
-    assert z2.format_element(z2.encode((1, -2))) == "Z2:(1,-2)"
+    assert z2.format_elements([z2.encode((1, -2))]) == ["Z2:(1,-2)"]
     h = get_group("h3")
-    assert h.format_element(h.encode((0, 1, 5))) == "H3:(0,1,5)"
+    assert h.format_elements([h.encode((0, 1, 5))]) == ["H3:(0,1,5)"]
     with pytest.raises(ValueError):
-        z2.parse_element("Z2:(1,)")
+        list(z2.parse_elements(["Z2:(1,)"]))
+
+
+TEXT_ORACLE = settings(derandomize=True, max_examples=200, deadline=None)
+TEXT_GROUPS = st.sampled_from(["z", "z2", "z3", "z7", "h3"])
+
+
+def parsed_by_the_oracle(group, lines):
+    """The indices the scalar parser gives line by line, then the type and
+    message of its first error, if any."""
+    out = []
+    try:
+        for text in lines:
+            out.append(parse_element(group, text))
+    except (ValueError, ArithmeticError) as err:
+        out.append((type(err), str(err)))
+    return out
+
+
+def parsed_in_bulk(group, lines):
+    """parsed_by_the_oracle through parse_elements: each tuple packed, in order."""
+    out = []
+    try:
+        for coords in group.parse_elements(lines):
+            out.append(pack_coords(coords))
+    except (ValueError, ArithmeticError) as err:
+        out.append((type(err), str(err)))
+    return out
+
+
+@TEXT_ORACLE
+@given(TEXT_GROUPS, st.data())
+def test_element_text_matches_the_scalar_oracle_in_range(name, data):
+    # coordinates up to +/-2**40; on z2 and above the far corner packs past
+    # 2**62, which sends the batch down decode_array's per-site route
+    group = get_group(name)
+    coord = st.integers(-COORD_LIMIT, COORD_LIMIT)
+    tuples = data.draw(st.lists(st.tuples(*[coord] * group.dimension), min_size=1, max_size=20))
+    if data.draw(st.booleans()):
+        tuples.append((COORD_LIMIT,) * group.dimension)
+    F = [group.encode(c) for c in tuples]
+    if group.dimension > 1 and tuples[-1] == (COORD_LIMIT,) * group.dimension:
+        assert max(F) >= INDEX_ARRAY_LIMIT
+    texts = group.format_elements(F)
+    assert texts == [format_element(group, g) for g in F]
+    assert parsed_in_bulk(group, texts) == parsed_by_the_oracle(group, texts) == F
+
+
+@TEXT_ORACLE
+@given(TEXT_GROUPS, st.lists(st.integers(0, 2 ** 62 - 1) | st.integers(2 ** 62, 2 ** 90),
+                             min_size=1, max_size=20))
+def test_element_text_matches_the_scalar_oracle_on_indices(name, F):
+    # any index, below and past 2**62; one whose coordinates do not fit int64
+    # is outside every window, and the bulk form refuses it
+    group = get_group(name)
+    if max(abs(c) for g in F for c in group.decode(g)) < 2 ** 63:
+        assert group.format_elements(F) == [format_element(group, g) for g in F]
+    else:
+        with pytest.raises(CoordinateRangeError):
+            group.format_elements(F)
+
+
+@st.composite
+def element_text(draw, group):
+    """Element text of the group: well formed (also ``-0``, ``007``, an
+    Arabic-Indic digit, +/-2**40, and ``Z:(3)`` on the line); or well formed
+    but for one fault (another prefix, a coordinate too few or too many, the
+    parentheses toggled, a coordinate past +/-2**40, a digit string that int()
+    reads but the grammar refuses); or plain noise over the grammar's
+    characters.  Whitespace may surround any of it."""
+    fault = draw(st.sampled_from(["none", "none", "prefix", "arity", "paren", "far", "digits",
+                                  "noise"]))
+    if fault == "noise":
+        return draw(st.text("ZH237:(),-0189 \t٣x", max_size=16))
+    d = group.dimension
+    good = st.integers(-5, 5).map(str) | st.sampled_from(
+        [str(COORD_LIMIT), str(-COORD_LIMIT), "-0", "007", "٣", "-٣1"])
+    coords = draw(st.lists(good, min_size=d, max_size=d))
+    prefix, paren = group.name.upper(), d > 1 or draw(st.booleans())
+    if fault == "prefix":
+        prefix = draw(st.sampled_from(["Z", "Z2", "H3", group.name]))
+    elif fault == "arity":
+        coords = coords[1:] if d > 1 and draw(st.booleans()) else coords + ["1"]
+    elif fault == "paren":
+        paren = not paren
+    elif fault in ("far", "digits"):
+        coords[draw(st.integers(0, d - 1))] = draw(st.sampled_from(
+            [str(COORD_LIMIT + 1), str(-COORD_LIMIT - 1)] if fault == "far"
+            else ["", "-", "+1", "1_0", " 1"]))
+    pad = st.sampled_from(["", "", " ", "\t", " \n"])
+    body = ",".join(coords)
+    return f"{draw(pad)}{prefix}:{'(' * paren}{body}{')' * paren}{draw(pad)}"
+
+
+@TEXT_ORACLE
+@given(TEXT_GROUPS, st.data())
+def test_element_text_matches_the_scalar_oracle_on_random_text(name, data):
+    # the same lines accepted, with the same elements, until the same first
+    # bad line, which raises the same error with the same message
+    group = get_group(name)
+    lines = data.draw(st.lists(element_text(group), min_size=1, max_size=6))
+    assert parsed_in_bulk(group, lines) == parsed_by_the_oracle(group, lines)
 
 
 def test_coordinate_range_guard():

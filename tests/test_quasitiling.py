@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from amenlab import quasitiling
+from amenlab import groups, quasitiling
 from amenlab.cli import main
 from amenlab.folner import FolnerSequence, builtin_families, product_size
 from amenlab.groups import (
@@ -430,13 +430,14 @@ def assert_plain_report(report):
 def assert_cover_is_the_reference(monkeypatch, T, tiling, seq):
     """cover equals reference_cover on the centers, the covered set and every
     report field (so verify_cover's report equals reference_verify's).  The
-    greedy pass translates every candidate row once per scale, and
-    verify_cover every center row once, scale by scale."""
+    greedy pass translates every candidate row once per scale whose tile
+    fits inside T, and verify_cover every center row once, scale by scale."""
     with translates(monkeypatch) as calls:
         got = cover(T, tiling, seq)
     assert got == reference_cover(T, tiling, seq)
     assert_plain_report(got.report)
-    assert rows_of(calls, "cover") == sorted(frozenset(T)) * len(tiling.scales)
+    fitting = sum(len(seq.subset(j)) <= len(frozenset(T)) for j in tiling.scales)
+    assert rows_of(calls, "cover") == sorted(frozenset(T)) * fitting
     assert rows_of(calls, "verify") == [c for cs in got.scale_centers.values() for c in cs]
     return got
 
@@ -483,12 +484,14 @@ def test_cover_matches_the_reference_on_irregular_windows(monkeypatch, gid):
                 set_product(group, box, (group.generators[-1],)),
                 set_product(group, set_product(group, box, (g,)), (g,))]
     assert any(group.identity not in frozenset(T) for T in windows)
-    windows.append(())
     for eps in (HALF, QUARTER):
         for scales in ((1, 2), (1, 3), (2,), (1, 2, 3)):
             tiling = TilingPlan(eps, scales, 0)
             for T in windows:
                 assert_cover_is_the_reference(monkeypatch, T, tiling, seq)
+            # an empty window is refused, as every window reader refuses it
+            with pytest.raises(ValueError, match="window must be nonempty"):
+                cover((), tiling, seq)
 
 
 @pytest.mark.parametrize("gid", ["z", "z2", "h3"])
@@ -498,6 +501,29 @@ def test_cover_with_a_tile_larger_than_the_window_matches_the_reference(monkeypa
         for scales in ((3,), (1, 6)):
             cov = assert_cover_is_the_reference(monkeypatch, T, TilingPlan(QUARTER, scales, 0), seq)
             assert cov.scale_centers[scales[-1]] == ()
+
+
+def test_cover_builds_no_sites_of_a_tile_larger_than_the_window(monkeypatch):
+    # z dyadic: the tiles of scales 16 and 32 have 2**16 and 2**32 sites, T has
+    # 1,024; the spy refuses to build any site list longer than T
+    seq = builtin_families(Z)["dyadic"]
+    T = seq.runs(10)
+    built = []
+    sites = groups.Runs.sites
+
+    def spy_sites(runs):
+        built.append(len(runs))
+        assert len(runs) <= len(T), "sites of a tile that cannot fit"
+        return sites(runs)
+
+    monkeypatch.setattr(groups.Runs, "sites", spy_sites)
+    tiling = TilingPlan(QUARTER, (0, 1, 4, 8, 16, 32), 0)
+    cov = cover(T, tiling, seq)
+    assert cov.scale_centers[16] == cov.scale_centers[32] == ()
+    assert max(built) == len(T) == 1024
+    fitting = cover(T, TilingPlan(QUARTER, (0, 1, 4, 8), 0), seq)
+    assert {j: cov.scale_centers[j] for j in (0, 1, 4, 8)} == fitting.scale_centers
+    assert (cov.covered, cov.report) == (fitting.covered, fitting.report)
 
 
 def test_cover_near_the_coordinate_range_takes_the_one_route(monkeypatch):
@@ -580,7 +606,7 @@ def test_tile_cli_translates_once_per_center(tmp_path, monkeypatch):
                if row[:1] == ["center"]]
     verified = rows_of(calls, "verify")
     assert len(verified) == len(set(verified)) == len(centers) == 400
-    assert sorted(map(Z2.format_element, verified)) == sorted(centers)
+    assert sorted(Z2.format_elements(verified)) == sorted(centers)
 
 
 def assert_verify_is_the_reference(T, tiling, cov, seq):
@@ -612,9 +638,7 @@ def test_verify_cover_matches_the_reference_on_hand_built_covers(monkeypatch, ch
          {"tiles_inside", "mass_vs_covered", "mass_vs_total"}, (20, 120)),
         # singleton tiles on top of the 10-tiles
         (T, {10: tiles, 1: tiles}, {"mass_vs_covered", "mass_vs_total"}, (0, 110)),
-        # an empty T, with and without centers, and empty scales
-        ((), {10: tiles, 1: ()}, {"tiles_inside", "mass_vs_total"}, (100, 100)),
-        ((), {10: (), 1: ()}, set(), (0, 0)),
+        # empty scales
         (T, {10: (), 1: ()}, {"residue_small"}, (0, 0)),
     ]
     for k, (window, centers, failing, counts) in enumerate(cases):
@@ -623,6 +647,10 @@ def test_verify_cover_matches_the_reference_on_hand_built_covers(monkeypatch, ch
         if counts is not None:
             rep = verify_cover(window, tiling, cov, seq)
             assert (rep.tiles_inside.lhs, rep.mass_vs_total.lhs) == counts, k
+    # an empty T is refused, with and without centers
+    for centers in ({10: tiles, 1: ()}, {10: (), 1: ()}):
+        with pytest.raises(ValueError, match="window must be nonempty"):
+            verify_cover((), tiling, Cover(tiling, centers, frozenset()), seq)
 
 
 def test_verify_cover_past_2_62_matches_the_reference():
