@@ -49,7 +49,7 @@ T = seq.subset(100)
 cov = cover(T, tight, seq)
 print("\nexact tiling of [0,100) by [0,10): centers",
       sorted(z.decode(c)[0] for c in cov.scale_centers[10]))
-print("uncovered sites:", len(frozenset(T) - cov.covered))
+print("uncovered sites:", cov.report.residue_small.lhs)
 
 # -- two dimensions: disjoint 2x2 bricks --------------------------------------
 
@@ -57,8 +57,8 @@ seq2 = builtin_families(z2)["boxes"]
 p2 = plan(seq2, Fraction(1, 4))
 T2 = seq2.subset(12)
 cov2 = cover(T2, p2, seq2)
-rep2 = verify_cover(T2, p2, cov2, seq2)
+rep2 = verify_cover(T2, cov2, seq2)
 placed = sum(len(v) for v in cov2.scale_centers.values())
 print(f"\n12x12 window, eps=1/4: {placed} tiles, "
-      f"{len(cov2.covered)}/{len(T2)} sites covered, "
+      f"{len(T2) - rep2.residue_small.lhs}/{len(T2)} sites covered, "
       f"all assertions hold: {rep2.all_hold}")

@@ -16,12 +16,11 @@ from pathlib import Path
 
 from amenlab.folner import builtin_families
 from amenlab.groups import get_group
-from amenlab.quasitiling import Cover, TilingPlan, verify_cover
+from amenlab.quasitiling import Cover, TilingPlan, q_count_bound, verify_cover
 from amenlab.symbolic import (
     admissible_patterns,
     golden_mean_sft,
     load_sft,
-    q_count_bound,
     topological_entropy_estimate,
     transfer_matrix_count,
 )
@@ -61,8 +60,8 @@ for n in range(1, 6):
 tiling = TilingPlan(Fraction(1, 4), (10,), 0)
 T = seq.subset(100)
 centers = tuple(z.encode((10 * k,)) for k in range(10))
-cov = Cover(tiling, {10: centers}, frozenset(T))
-assert verify_cover(T, tiling, cov, seq).all_hold
-rep = q_count_bound(sft, T, tiling, cov, seq, h=series[-1].rate)
+cov = Cover(tiling, {10: centers})
+assert verify_cover(T, cov, seq).all_hold
+rep = q_count_bound(sft, T, cov, seq, h=series[-1].rate)
 print(f"\nexact tiling of [0,100): counting bound {rep.total_bits:.2f} bits, "
       f"budget {rep.rhs_bits:.2f} bits, holds: {rep.holds}")

@@ -195,8 +195,9 @@ def _cmd_tile(args):
         f"plan eps={eps} scales={tiling.scales} threshold={tiling.threshold}",
         file=summary,
     )
+    covered = len(T) - cov.report.residue_small.lhs
     print(
-        f"cover of F_{args.i} (|T|={len(T)}): {total} tiles, {len(cov.covered)}/{len(T)} covered",
+        f"cover of F_{args.i} (|T|={len(T)}): {total} tiles, {covered}/{len(T)} covered",
         file=summary,
     )
     verdict = " ".join(f"{name}={'ok' if chk.holds else 'FAIL'}" for name, chk in checks)

@@ -23,22 +23,22 @@ The translate works in int64 where nothing can wrap and on Python ints
 otherwise, so every window takes this one route and a product past
 +/-2**40 raises CoordinateRangeError.  ``verify_cover`` recomputes the
 report from T, the tiles' runs and the centers alone, through the same
-translate and one sort of all the cells.
+translate and one sort of all the cells; ``q_count_bound`` reads that recount.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 from fractions import Fraction
-from itertools import compress
 from typing import Optional
 
 import numpy as np
 
 from .folner import FolnerSequence, Runs, product_size, runs_of, runs_union
 from .groups import ComputableGroup, pack_rows, translate_right
+from .symbolic import DEFAULT_BUDGET, SFT, admissible_patterns
 
 DEFAULT_HORIZON = 64
 CHUNK_CELLS = 1 << 18  # cells translated at once by ``cover`` and ``verify_cover``
@@ -98,8 +98,7 @@ class CoverReport:
 class Cover:
     plan: TilingPlan
     scale_centers: dict  # scale index -> tuple of centers, in increasing order
-    covered: frozenset
-    report: Optional[CoverReport] = None
+    report: Optional[CoverReport] = field(default=None, kw_only=True)
 
 
 def scale_count(eps) -> int:
@@ -231,21 +230,21 @@ def cover(T, tiling: TilingPlan, seq: FolnerSequence) -> Cover:
                 for p in row:
                     flags[p] = 1
         scale_centers[j] = tuple(centers)
-    cov = Cover(tiling, scale_centers, frozenset(compress(candidates, flags)))
-    return replace(cov, report=verify_cover(T, tiling, cov, seq))
+    cov = Cover(tiling, scale_centers)
+    return replace(cov, report=verify_cover(T, cov, seq))
 
 
-def verify_cover(T, tiling: TilingPlan, cov: Cover, seq: FolnerSequence) -> CoverReport:
-    """Recompute the four assertions from T, each tile's runs and the centers
-    alone, exactly.  Each scale's centers are translated ``CHUNK_CELLS``
-    cells at a time; all cells, sorted once, are located in T's sorted
-    indices (from T's runs, as in ``cover``) and counted with their repeats
-    for the mass and the cells outside T, and without them for the union.
-    An empty T or a negative index raises ValueError, a cell past +/-2**40
-    CoordinateRangeError."""
+def verify_cover(T, cov: Cover, seq: FolnerSequence) -> CoverReport:
+    """Recompute the four assertions from T, each tile's runs, the centers
+    and the plan's eps alone, exactly; ``cov.report`` is not read.  Each
+    scale's centers are translated ``CHUNK_CELLS`` cells at a time; all
+    cells, sorted once, are located in T's sorted indices (from T's runs, as
+    in ``cover``) and counted with their repeats for the mass and the cells
+    outside T, and without them for the union.  An empty T or a negative
+    index raises ValueError, a cell past +/-2**40 CoordinateRangeError."""
     group = seq.group
     index = np.sort(pack_rows(runs_of(group, T).sites()))
-    eps = tiling.eps
+    eps = cov.plan.eps
     parts = [index[:0]]  # a cover without centers still concatenates
     for j, centers in cov.scale_centers.items():
         if not centers:
@@ -268,4 +267,75 @@ def verify_cover(T, tiling: TilingPlan, cov: Cover, seq: FolnerSequence) -> Cove
         AssertionCheck(Fraction(size - hit), eps * size),
         AssertionCheck(Fraction(mass), (1 + eps) * union),
         AssertionCheck(Fraction(mass), (1 + eps) * size),
+    )
+
+
+@dataclass(frozen=True)
+class CountingBoundReport:
+    """Log-count bound for patterns constrained on the tiles of a cover.
+
+    ``total_bits`` bounds log2 of the number of window patterns whose
+    restriction to every placed tile is admissible, with residual sites
+    free.  When an entropy value ``h`` is supplied, the report also checks
+    total_bits <= ((1+eps)*(h+eps) + eps*log2|A|) * |T|.
+    """
+
+    total_bits: float
+    per_scale: tuple[tuple[int, int, int, float], ...]  # (scale index, tile size, centers, log2 count)
+    residual_sites: int
+    residual_bits: float
+    window_size: int
+    eps_float: float
+    h: float | None
+    rhs_bits: float | None
+    holds: bool | None
+
+
+def q_count_bound(sft: SFT, T, cover: Cover, seq: FolnerSequence, h: float | None = None,
+                  budget: int | None = DEFAULT_BUDGET) -> CountingBoundReport:
+    """Per-tile counting bound over a quasi-tiling cover of the window T, at
+    the eps of ``cover.plan``.  Every scale with centers counts, in
+    increasing order, its tile read as runs (``seq.runs``); the cells outside
+    T and the residual sites are those ``verify_cover`` recounts from the
+    centers, so a report handed in with the cover is not read.
+
+    Raises ValueError for a cover reaching outside T: a tile there has no
+    restriction to the window, so its count bounds nothing."""
+    T = runs_of(seq.group, T)
+    report = verify_cover(T, cover, seq)
+    outside = report.tiles_inside.lhs
+    if outside:
+        raise ValueError(f"cover places {outside} tile cells outside the window of size {len(T)}")
+    asize = sft.alphabet.size
+    per_scale = []
+    total = 0.0
+    for j, centers in sorted(cover.scale_centers.items()):
+        if not centers:
+            continue
+        tile = seq.runs(j)
+        size = len(tile)
+        count = admissible_patterns(sft, tile, budget=budget)
+        if count == 0:
+            raise ValueError(f"no admissible pattern on window {j} of size {size}")
+        bits = math.log2(count)
+        per_scale.append((j, size, len(centers), bits))
+        total += bits * len(centers)
+    residual = int(report.residue_small.lhs)
+    residual_bits = residual * math.log2(asize)
+    total += residual_bits
+    eps = float(cover.plan.eps)
+    rhs = holds = None
+    if h is not None:
+        rhs = ((1 + eps) * (h + eps) + eps * math.log2(asize)) * len(T)
+        holds = total <= rhs
+    return CountingBoundReport(
+        total_bits=total,
+        per_scale=tuple(per_scale),
+        residual_sites=residual,
+        residual_bits=residual_bits,
+        window_size=len(T),
+        eps_float=eps,
+        h=h,
+        rhs_bits=rhs,
+        holds=holds,
     )

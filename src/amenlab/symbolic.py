@@ -133,18 +133,15 @@ class SFT:
     Construction prepares the patterns for counting once.  ``patterns``
     holds, per forbidden pattern, the coordinate offsets of its sites (each
     site composed with the inverse of its first site, so the first offset
-    is the identity) and its symbol indices.  ``transfer`` is None unless
-    the subshift is nearest-neighbour on the line (one-site bans and bans on
-    two adjacent sites only); then row 0 marks the symbols a first site may
-    take and row 1 + a the symbols that may follow a, and ``walk`` is this
-    SFT's own transfer walk (else None).
+    is the identity) and its symbol indices.  ``walk`` is None unless the
+    subshift is nearest-neighbour on the line (one-site bans and bans on two
+    adjacent sites only); then it is this SFT's own transfer walk.
     """
 
     group: ComputableGroup
     alphabet: Alphabet
     forbidden: tuple[PartialConfiguration, ...]
     patterns: tuple = field(init=False, repr=False, compare=False)
-    transfer: np.ndarray | None = field(init=False, repr=False, compare=False)
     walk: "_TransferWalk | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -158,12 +155,12 @@ class SFT:
             offsets = (group.compose(c, anchor_inv) for c in map(group.decode, p.support))
             patterns.append((tuple(offsets), syms))
         object.__setattr__(self, "patterns", tuple(patterns))
-        transfer = _transfer(group, self.alphabet.size, patterns)
-        object.__setattr__(self, "transfer", transfer)
-        object.__setattr__(self, "walk", None if transfer is None else _TransferWalk(transfer))
+        object.__setattr__(self, "walk", _transfer(group, self.alphabet.size, patterns))
 
 
-def _transfer(group: ComputableGroup, size: int, patterns) -> np.ndarray | None:
+def _transfer(group: ComputableGroup, size: int, patterns) -> "_TransferWalk | None":
+    """The transfer walk of a nearest-neighbour SFT on the line, else None;
+    matrix row 0 marks the symbols a first site may take, row 1 + a those after a."""
     if not isinstance(group, Zd) or group.dimension != 1:
         return None
     T = np.ones((size + 1, size), dtype=object)  # exact Python ints
@@ -175,7 +172,7 @@ def _transfer(group: ComputableGroup, size: int, patterns) -> np.ndarray | None:
             T[1 + a, b] = 0
         else:
             return None
-    return T
+    return _TransferWalk(T)
 
 
 class _TransferWalk:
@@ -391,75 +388,6 @@ def topological_entropy_estimate(sft: SFT, seq, upto: int,
         bits = log2(count)
         series.append(RatePoint(i, size, bits, bits / size))
     return series
-
-
-@dataclass(frozen=True)
-class CountingBoundReport:
-    """Log-count bound for patterns constrained on the tiles of a cover.
-
-    ``total_bits`` bounds log2 of the number of window patterns whose
-    restriction to every placed tile is admissible, with residual sites
-    free.  When an entropy value ``h`` is supplied, the report also checks
-    total_bits <= ((1+eps)*(h+eps) + eps*log2|A|) * |T|.
-    """
-
-    total_bits: float
-    per_scale: tuple[tuple[int, int, int, float], ...]  # (scale index, tile size, centers, log2 count)
-    residual_sites: int
-    residual_bits: float
-    window_size: int
-    eps_float: float
-    h: float | None
-    rhs_bits: float | None
-    holds: bool | None
-
-
-def q_count_bound(sft: SFT, T, plan, cover, seq, h: float | None = None,
-                  budget: int | None = DEFAULT_BUDGET) -> CountingBoundReport:
-    """Per-tile counting bound over a quasi-tiling cover of the window T;
-    each placed scale's tile is read as its runs (``seq.runs``).
-
-    Raises ValueError for a cover reaching outside T: a tile there has no
-    restriction to the window, so its count bounds nothing."""
-    window = frozenset(T)
-    outside = len(cover.covered - window)
-    if outside:
-        raise ValueError(f"cover reaches {outside} sites outside the window of size {len(window)}")
-    asize = sft.alphabet.size
-    per_scale = []
-    total = 0.0
-    for j in plan.scales:
-        centers = cover.scale_centers.get(j, ())
-        if not centers:
-            continue
-        tile = seq.runs(j)
-        size = len(tile)
-        count = admissible_patterns(sft, tile, budget=budget)
-        if count == 0:
-            raise ValueError(f"no admissible pattern on window {j} of size {size}")
-        bits = log2(count)
-        per_scale.append((j, size, len(centers), bits))
-        total += bits * len(centers)
-    residual = len(window) - len(cover.covered)
-    residual_bits = residual * log2(asize)
-    total += residual_bits
-    eps = plan.eps
-    rhs = None
-    holds = None
-    if h is not None:
-        rhs = ((1 + float(eps)) * (h + float(eps)) + float(eps) * log2(asize)) * len(window)
-        holds = total <= rhs
-    return CountingBoundReport(
-        total_bits=total,
-        per_scale=tuple(per_scale),
-        residual_sites=residual,
-        residual_bits=residual_bits,
-        window_size=len(window),
-        eps_float=float(eps),
-        h=h,
-        rhs_bits=rhs,
-        holds=holds,
-    )
 
 
 # -- description files ---------------------------------------------------

@@ -30,7 +30,7 @@ from amenlab.folner import (
     temperedness_constant,
 )
 from amenlab.groups import get_group, is_connected_with_identity
-from amenlab.quasitiling import Cover, TilingPlan, cover, plan, verify_cover
+from amenlab.quasitiling import Cover, TilingPlan, cover, plan, q_count_bound, verify_cover
 from amenlab.rng import SplitMix64
 from amenlab.setcodec import decode_connected, encode_connected, random_connected_subset
 from amenlab.stochastic import BernoulliMeasure, MarkovMeasure, MeasureSource, sample
@@ -39,7 +39,6 @@ from amenlab.symbolic import (
     binary_alphabet,
     cont,
     golden_mean_sft,
-    q_count_bound,
     topological_entropy_estimate,
     transfer_matrix_count,
 )
@@ -173,7 +172,7 @@ def test_criterion_06_quasi_tiling():
         p = plan(seq, eps)
         for i in (p.threshold + 1, p.threshold + 3, p.threshold + 6):
             cov = cover(seq.subset(i), p, seq)
-            rep = verify_cover(seq.subset(i), p, cov, seq)
+            rep = verify_cover(seq.subset(i), cov, seq)
             assert rep.tiles_inside.holds, (gid, eps, i)
             assert rep.residue_small.holds, (gid, eps, i)
             assert rep.mass_vs_covered.holds, (gid, eps, i)
@@ -184,7 +183,7 @@ def test_criterion_06_quasi_tiling():
     tiling = TilingPlan(Fraction(1, 10), (10,), 0)
     T = seq.subset(100)
     cov = cover(T, tiling, seq)
-    assert len(frozenset(T) - cov.covered) == 0
+    assert cov.report.residue_small.lhs == 0
     assert {Z.decode(c)[0] for c in cov.scale_centers[10]} == {10 * k for k in range(10)}
 
 
@@ -217,10 +216,10 @@ def test_criterion_08_counting_bound():
     tiling = TilingPlan(Fraction(1, 4), (10,), 0)
     T = seq.subset(100)
     centers = tuple(Z.encode((10 * k,)) for k in range(10))
-    cov = Cover(tiling, {10: centers}, frozenset(T))
-    assert verify_cover(T, tiling, cov, seq).all_hold
+    cov = Cover(tiling, {10: centers})
+    assert verify_cover(T, cov, seq).all_hold
     h = 0.694242
-    rep = q_count_bound(sft, T, tiling, cov, seq, h=h)
+    rep = q_count_bound(sft, T, cov, seq, h=h)
     assert abs(rep.total_bits - 10 * math.log2(144)) < 1e-9
     rhs = ((1 + 0.25) * (h + 0.25) + 0.25 * math.log2(2)) * 100
     assert rep.rhs_bits == pytest.approx(rhs)

@@ -280,6 +280,22 @@ def test_entropy_sft_reports_the_first_bad_element(tmp_path, capsys, lines, erro
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,summary", [
+    ("tile --group z2 --eps 1/4 --i 12",
+     "plan eps=1/4 scales=(1, 2) threshold=32\n"
+     "cover of F_12 (|T|=144): 36 tiles, 144/144 covered\n"
+     "assertions: tiles_inside=ok residue_small=ok mass_vs_covered=ok mass_vs_total=ok\n"),
+    ("tile --group z --family dyadic --eps 1/4 --i 10 --horizon 38",
+     "plan eps=1/4 scales=(0, 1, 4, 8, 12, 16, 20, 24, 28, 32) threshold=35\n"
+     "cover of F_10 (|T|=1024): 16 tiles, 1024/1024 covered\n"
+     "assertions: tiles_inside=ok residue_small=ok mass_vs_covered=ok mass_vs_total=ok\n"),
+])
+def test_tile_summary_on_stderr_is_pinned(capsys, argv, summary):
+    # the covered count is |T| less the report's residue, read from no other set
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().err == summary
+
+
 def test_tile_dyadic_window_past_the_coordinate_range_exits_2(tmp_path, capsys):
     # the planner asks for window 64 of z dyadic, whose far corner is 2**64 - 1
     out = tmp_path / "tile.csv"

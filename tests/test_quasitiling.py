@@ -30,11 +30,12 @@ from amenlab.quasitiling import (
     _padded,
     cover,
     plan,
+    q_count_bound,
     scale_count,
     verify_cover,
 )
 from amenlab.setcodec import random_connected_subset
-from amenlab.symbolic import golden_mean_sft, parse_sft, q_count_bound, SFT, binary_alphabet
+from amenlab.symbolic import golden_mean_sft, parse_sft, SFT, binary_alphabet
 
 Z = get_group("z")
 Z2 = get_group("z2")
@@ -262,8 +263,8 @@ def test_perfect_tiling_interval():
     rep = cov.report
     assert rep.all_hold
     assert rep.residue_small.lhs == 0
-    # exact tiling: total tile mass equals the covered region
-    assert rep.mass_vs_covered.lhs == len(cov.covered) == 100
+    # exact tiling: total tile mass equals the covered region, all of T
+    assert rep.mass_vs_covered.lhs == len(T) == 100
 
 
 def test_cover_z_half_above_threshold():
@@ -308,14 +309,14 @@ def test_cover_multiscale_uses_large_tiles():
     assert sorted(Z.decode(c)[0] for c in cov.scale_centers[8]) == list(range(0, 54, 6))
     assert sorted(Z.decode(c)[0] for c in cov.scale_centers[2]) == [56, 58]
     assert len(cov.scale_centers[1]) == 0
-    assert len(cov.covered) == 60
+    assert cov.report.residue_small.lhs == 0
 
 
 def test_empty_cover_report():
     seq = z_boxes()
     tiling = TilingPlan(HALF, (1, 2), 10)
-    empty = Cover(tiling, {1: (), 2: ()}, frozenset())
-    rep = verify_cover(seq.subset(20), tiling, empty, seq)
+    empty = Cover(tiling, {1: (), 2: ()})
+    rep = verify_cover(seq.subset(20), empty, seq)
     assert rep.tiles_inside.holds
     assert not rep.residue_small.holds
     assert rep.mass_vs_covered.holds
@@ -331,12 +332,12 @@ def test_oversized_tile_reports_failure_without_abort():
     assert cov.report.tiles_inside.holds
 
 
-def reference_verify(T, tiling, cov, seq):
+def reference_verify(T, cov, seq):
     """The per-center verifier: one scalar translate (``set_product``) per
     center, and a Python set of every covered index."""
     group = seq.group
     Tset = frozenset(T)
-    eps = tiling.eps
+    eps = cov.plan.eps
     union = set()
     mass = 0
     outside = 0
@@ -377,8 +378,8 @@ def reference_cover(T, tiling, seq):
                 centers.append(c)
                 covered.update(cells)
         scale_centers[j] = tuple(centers)
-    cov = Cover(tiling, scale_centers, frozenset(covered))
-    return replace(cov, report=reference_verify(T, tiling, cov, seq))
+    cov = Cover(tiling, scale_centers)
+    return replace(cov, report=reference_verify(T, cov, seq))
 
 
 @contextmanager
@@ -428,8 +429,7 @@ def assert_plain_report(report):
 
 
 def assert_cover_is_the_reference(monkeypatch, T, tiling, seq):
-    """cover equals reference_cover on the centers, the covered set and every
-    report field (so verify_cover's report equals reference_verify's).  The
+    """cover equals reference_cover on the centers and every report field (so verify_cover's report equals reference_verify's).  The
     greedy pass translates every candidate row once per scale whose tile
     fits inside T, and verify_cover every center row once, scale by scale."""
     with translates(monkeypatch) as calls:
@@ -523,7 +523,7 @@ def test_cover_builds_no_sites_of_a_tile_larger_than_the_window(monkeypatch):
     assert max(built) == len(T) == 1024
     fitting = cover(T, TilingPlan(QUARTER, (0, 1, 4, 8), 0), seq)
     assert {j: cov.scale_centers[j] for j in (0, 1, 4, 8)} == fitting.scale_centers
-    assert (cov.covered, cov.report) == (fitting.covered, fitting.report)
+    assert cov.report == fitting.report
 
 
 def test_cover_near_the_coordinate_range_takes_the_one_route(monkeypatch):
@@ -536,7 +536,7 @@ def test_cover_near_the_coordinate_range_takes_the_one_route(monkeypatch):
     for eps in (HALF, QUARTER):
         cov = assert_cover_is_the_reference(monkeypatch, T, TilingPlan(eps, (1, 3), 0), seq)
         assert set(far) & set(cov.scale_centers[3])
-        assert cov.covered == frozenset(T)
+        assert cov.report.residue_small.lhs == 0
     # a product at 2**40 + 1 raises in cover as in the reference, with the
     # same message, in the first translate: the top scale's 21 candidate rows,
     # and verify_cover never runs
@@ -609,11 +609,11 @@ def test_tile_cli_translates_once_per_center(tmp_path, monkeypatch):
     assert sorted(Z2.format_elements(verified)) == sorted(centers)
 
 
-def assert_verify_is_the_reference(T, tiling, cov, seq):
+def assert_verify_is_the_reference(T, cov, seq):
     """verify_cover equals reference_verify field for field; the names of
     the assertions that fail."""
-    got = verify_cover(T, tiling, cov, seq)
-    assert got == reference_verify(T, tiling, cov, seq)
+    got = verify_cover(T, cov, seq)
+    assert got == reference_verify(T, cov, seq)
     assert_plain_report(got)
     return {f.name for f in fields(got) if not getattr(got, f.name).holds}
 
@@ -642,15 +642,15 @@ def test_verify_cover_matches_the_reference_on_hand_built_covers(monkeypatch, ch
         (T, {10: (), 1: ()}, {"residue_small"}, (0, 0)),
     ]
     for k, (window, centers, failing, counts) in enumerate(cases):
-        cov = Cover(tiling, centers, frozenset())
-        assert assert_verify_is_the_reference(window, tiling, cov, seq) == failing, k
+        cov = Cover(tiling, centers)
+        assert assert_verify_is_the_reference(window, cov, seq) == failing, k
         if counts is not None:
-            rep = verify_cover(window, tiling, cov, seq)
+            rep = verify_cover(window, cov, seq)
             assert (rep.tiles_inside.lhs, rep.mass_vs_total.lhs) == counts, k
     # an empty T is refused, with and without centers
     for centers in ({10: tiles, 1: ()}, {10: (), 1: ()}):
         with pytest.raises(ValueError, match="window must be nonempty"):
-            verify_cover((), tiling, Cover(tiling, centers, frozenset()), seq)
+            verify_cover((), Cover(tiling, centers), seq)
 
 
 def test_verify_cover_past_2_62_matches_the_reference():
@@ -664,16 +664,16 @@ def test_verify_cover_past_2_62_matches_the_reference():
     assert min(line + (far,)) >= 1 << 62
     tiling = TilingPlan(Fraction(1, 100), (1, 2), 0)
     got = cover(T, tiling, seq)
-    assert assert_verify_is_the_reference(T, tiling, got, seq) == set()
+    assert assert_verify_is_the_reference(T, got, seq) == set()
     for centers, failing, outside in (
             # mass 128 + 4 against 1.01 x 130 sites
             ({2: (0,), 1: line + line}, {"mass_vs_covered", "mass_vs_total"}, 0),
             # 126 + 128 + 2 cells outside T, 2 of its 130 sites covered
             ({2: (line[0], far), 1: (far, far)},
              {"tiles_inside", "residue_small", "mass_vs_total"}, 256)):
-        cov = Cover(tiling, centers, frozenset())
-        assert assert_verify_is_the_reference(T, tiling, cov, seq) == failing
-        assert verify_cover(T, tiling, cov, seq).tiles_inside.lhs == outside
+        cov = Cover(tiling, centers)
+        assert assert_verify_is_the_reference(T, cov, seq) == failing
+        assert verify_cover(T, cov, seq).tiles_inside.lhs == outside
 
 
 def test_verify_cover_past_the_coordinate_range_raises_as_the_reference():
@@ -681,11 +681,11 @@ def test_verify_cover_past_the_coordinate_range_raises_as_the_reference():
     # range is 2**40 + 1 on both sides
     seq = z_boxes()
     tiling = TilingPlan(HALF, (10,), 0)
-    cov = Cover(tiling, {10: (0, Z.encode(((1 << 40) - 1,)))}, frozenset())
+    cov = Cover(tiling, {10: (0, Z.encode(((1 << 40) - 1,)))})
     with pytest.raises(CoordinateRangeError) as want:
-        reference_verify(seq.subset(20), tiling, cov, seq)
+        reference_verify(seq.subset(20), cov, seq)
     with pytest.raises(CoordinateRangeError) as got:
-        verify_cover(seq.subset(20), tiling, cov, seq)
+        verify_cover(seq.subset(20), cov, seq)
     assert str(got.value) == str(want.value) == (
         "coordinate 1099511627777 outside supported range +/-2**40")
 
@@ -695,10 +695,8 @@ def test_verify_cover_past_the_coordinate_range_raises_as_the_reference():
 
 def exact_interval_cover(seq, tiling, side, reach):
     """Hand-built cover of [0, reach) by disjoint [0, side) tiles."""
-    group = seq.group
-    centers = tuple(group.encode((side * k,)) for k in range(reach // side))
-    covered = frozenset(group.encode((c,)) for c in range(reach))
-    return Cover(tiling, {side: centers}, covered)
+    centers = tuple(seq.group.encode((side * k,)) for k in range(reach // side))
+    return Cover(tiling, {side: centers})
 
 
 def test_q_bound_full_shift_exact_cover():
@@ -707,7 +705,7 @@ def test_q_bound_full_shift_exact_cover():
     tiling = TilingPlan(Fraction(1, 10), (10,), 0)
     T = seq.subset(100)
     cov = cover(T, tiling, seq)
-    rep = q_count_bound(full, T, tiling, cov, seq)
+    rep = q_count_bound(full, T, cov, seq)
     assert rep.residual_sites == 0
     assert abs(rep.total_bits - 100 * math.log2(2)) < 1e-9
 
@@ -718,9 +716,9 @@ def test_q_bound_golden_mean_quarter():
     tiling = TilingPlan(QUARTER, (10,), 0)
     T = seq.subset(100)
     cov = exact_interval_cover(seq, tiling, 10, 100)
-    assert verify_cover(T, tiling, cov, seq).all_hold
+    assert verify_cover(T, cov, seq).all_hold
     h = 0.694242
-    rep = q_count_bound(sft, T, tiling, cov, seq, h=h)
+    rep = q_count_bound(sft, T, cov, seq, h=h)
     # ten tiles, each with fib(12) = 144 admissible words
     assert abs(rep.total_bits - 10 * math.log2(144)) < 1e-9
     assert rep.rhs_bits == pytest.approx(((1.25) * (h + 0.25) + 0.25) * 100)
@@ -734,7 +732,7 @@ def test_q_bound_names_a_tile_without_admissible_patterns():
     tiling = TilingPlan(QUARTER, (10,), 0)
     cov = exact_interval_cover(seq, tiling, 10, 100)
     with pytest.raises(ValueError, match="no admissible pattern on window 10 of size 10"):
-        q_count_bound(sft, seq.subset(100), tiling, cov, seq)
+        q_count_bound(sft, seq.subset(100), cov, seq)
 
 
 def test_q_bound_rejects_a_cover_reaching_outside_the_window():
@@ -742,7 +740,56 @@ def test_q_bound_rejects_a_cover_reaching_outside_the_window():
     seq = z_boxes()
     full = SFT(Z, binary_alphabet(), ())
     tiling = TilingPlan(QUARTER, (4,), 0)
-    c = Z.encode((4,))
-    cov = Cover(tiling, {4: (c,)}, set_product(Z, seq.subset(4), (c,)))
-    with pytest.raises(ValueError, match="cover reaches 2 sites outside the window of size 6"):
-        q_count_bound(full, seq.subset(6), tiling, cov, seq)
+    cov = Cover(tiling, {4: (Z.encode((4,)),)})
+    with pytest.raises(ValueError,
+                       match="cover places 2 tile cells outside the window of size 6"):
+        q_count_bound(full, seq.subset(6), cov, seq)
+
+
+def test_q_bound_recounts_the_sites_the_centers_cover():
+    # the full 2-shift on T = [0, 100) has 2**100 patterns, so any bound is at
+    # least 100 bits; five 10-tiles on [0, 50) leave 50 residual sites at 1 bit
+    seq = z_boxes()
+    full = SFT(Z, binary_alphabet(), ())
+    T = seq.subset(100)
+    tens = tuple(Z.encode((10 * k,)) for k in range(5))
+    ones = tuple(Z.encode((k,)) for k in range(50, 100))
+    half = Cover(TilingPlan(QUARTER, (10,), 0), {10: tens})
+    rep = q_count_bound(full, T, half, seq, h=0.0)
+    assert (rep.residual_sites, rep.total_bits, rep.holds) == (50, 100.0, False)
+    # the 1-tiles on [50, 100) are counted, also under a plan that lists
+    # only scale 10: every scale with centers is a row, in increasing order
+    for scales in ((1, 10), (10,)):
+        both = Cover(TilingPlan(QUARTER, scales, 0), {10: tens, 1: ones})
+        if scales == (1, 10):
+            assert verify_cover(T, both, seq).all_hold
+        rep = q_count_bound(full, T, both, seq, h=0.0)
+        assert [row[:3] for row in rep.per_scale] == [(1, 1, 50), (10, 10, 5)]
+        assert (rep.residual_sites, rep.total_bits, rep.holds) == (0, 100.0, False)
+
+
+def test_q_bound_does_not_read_a_report_handed_in():
+    # an all-true report on a cover of [0, 50) is ignored: verify_cover
+    # recounts the 50 uncovered sites and the 2 cells past T
+    seq = z_boxes()
+    full = SFT(Z, binary_alphabet(), ())
+    tiling = TilingPlan(QUARTER, (10,), 0)
+    fake = CoverReport(*(AssertionCheck(Fraction(0), Fraction(0)),) * 4)
+    assert fake.all_hold
+    tens = tuple(Z.encode((10 * k,)) for k in range(5))
+    cov = Cover(tiling, {10: tens}, report=fake)
+    rep = q_count_bound(full, seq.subset(100), cov, seq, h=0.0)
+    assert (rep.residual_sites, rep.total_bits, rep.holds) == (50, 100.0, False)
+    assert verify_cover(seq.subset(100), cov, seq).residue_small.lhs == 50
+    reaching = Cover(tiling, {10: (Z.encode((92,)),)}, report=fake)
+    with pytest.raises(ValueError,
+                       match="cover places 2 tile cells outside the window of size 100"):
+        q_count_bound(full, seq.subset(100), reaching, seq)
+
+
+def test_cover_takes_its_report_by_keyword_only():
+    # a covered set in the third place is refused, not kept as the report
+    tiling = TilingPlan(QUARTER, (10,), 0)
+    with pytest.raises(TypeError):
+        Cover(tiling, {10: ()}, frozenset())
+    assert Cover(tiling, {10: ()}).report is None

@@ -171,7 +171,7 @@ def test_transfer_matches_backtracking():
             forbidden.append(PartialConfiguration(
                 {zc(k): rng.choice(alphabet.symbols) for k in sites}))
         sft = SFT(Z, alphabet, tuple(forbidden))
-        assert sft.transfer is not None, case
+        assert sft.walk is not None, case
         for n in range(1, 9):
             brute = sum(1 for _ in iter_admissible(sft, interval(n), budget=None))
             assert transfer_matrix_count(sft, n) == brute, (case, n)
@@ -187,7 +187,7 @@ def test_transfer_matches_backtracking():
     SFT(Z2, binary_alphabet(), (PartialConfiguration({Z2.encode((0, 0)): "1"}),)),
 ], ids=["gap-2 pair", "triple", "ban and gap-2 pair", "hard squares", "z2 ban"])
 def test_transfer_is_none_off_nearest_neighbour_rules(sft):
-    assert sft.transfer is None
+    assert sft.walk is None
     with pytest.raises(ValueError, match="subshift is not one-dimensional nearest-neighbor"):
         transfer_matrix_count(sft, 4)
     with pytest.raises(ValueError, match="subshift is not one-dimensional nearest-neighbor"):
