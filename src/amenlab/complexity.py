@@ -94,16 +94,16 @@ def selfdelim_read(bits: str, pos: int) -> tuple[int, int]:
 # the measured crossover: both routes take 0.2-0.5 ms at 7-10 kbit, and the
 # binomials cost more on balanced classes of the same size
 _PRIME_ROUTE_BITS = 8_000
-_PRIME_ROUTE_MAX_N = 1 << 24  # below it, n keeps the sieve at 16 MB and every p**k in int64
 
 
 def _multinomial(counts) -> int:
     """n!/prod(c!) for n = sum(counts): the size of their type class.  A class
     whose size n*H(counts/n) bounds below ``_PRIME_ROUTE_BITS`` bits is a
     product of binomials; a larger one is a product of prime powers, where
-    CPython's ``comb`` grows quadratically with the size of its result."""
+    CPython's ``comb`` grows quadratically with the size of its result.
+    Callers size classes of at most ``FREQ_BLOCK`` symbols (a 128 kB sieve)."""
     n = sum(counts)
-    if n < _PRIME_ROUTE_MAX_N and sum(c * log2(n / c) for c in counts if c) >= _PRIME_ROUTE_BITS:
+    if sum(c * log2(n / c) for c in counts if c) >= _PRIME_ROUTE_BITS:
         return _prime_power_multinomial(n, counts)
     out = 1
     rem = 0

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .folner import FolnerSequence, Runs, product_size, runs_of, runs_union
-from .groups import ComputableGroup, pack_rows, translate_right
+from .groups import ComputableGroup, CoordinateRangeError, pack_rows, translate_right
 from .symbolic import DEFAULT_BUDGET, SFT, admissible_patterns
 
 DEFAULT_HORIZON = 64
@@ -128,8 +128,12 @@ def _invariance_defect(seq: FolnerSequence, K: Runs, F_index: int) -> Fraction:
     """|F_j F \\ F| / |F|, exact, for F the window F_index and K the runs
     ``_padded(seq, j)``, which the planner builds once per scale."""
     # KF = (F_j u {1})F = F_j F u F, so |F_j F \ F| = |KF| - |F|
-    F = seq.runs(F_index)
-    return Fraction(product_size(seq.group, K, F) - len(F), len(F))
+    try:
+        F = seq.runs(F_index)
+        return Fraction(product_size(seq.group, K, F) - len(F), len(F))
+    except CoordinateRangeError as err:
+        raise PlanningError(f"{err} while planning on window {F_index} of the {seq.group.name} "
+                            f"{seq.name} family: plan to a smaller horizon") from err
 
 
 def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan:
@@ -144,7 +148,8 @@ def plan(seq: FolnerSequence, eps, horizon: int = DEFAULT_HORIZON) -> TilingPlan
     passes; indices beyond the horizon are not certified).  It is computed
     for the top scale only: the start scale's threshold is searched for
     only when no second scale is appended.  Windows are read as runs
-    (``FolnerSequence.runs``), so a box family builds none here.
+    (``FolnerSequence.runs``), so a box family builds none here; a window or
+    product past +/-2**40 raises PlanningError, which names the window.
     """
     eps = Fraction(eps)
     goal = scale_count(eps)

@@ -5,8 +5,9 @@ Sampling is a pure function of (measure, window, seed).  Bernoulli values
 are derived per site index, so nested windows agree where they overlap;
 the Markov sampler runs one chain from the stationary distribution at the
 window's smallest coordinate, so windows with a common left end agree.
-``sample`` draws on an index set; ``sample_word`` gives the content word of
-the same draw on a window of runs, from one int64 array of its indices.
+``sample_word`` gives the content word of a draw on a window of runs, from
+one array of its indices.  ``sample`` draws on an index set: a Bernoulli
+measure per index, a Markov chain through ``sample_word`` on the set's runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import FiniteSubset, Runs, get_group, pack_rows, runs_union
+from .groups import FiniteSubset, Runs, get_group, pack_rows, runs_of, runs_union
 from .rng import site_uniforms
 from .symbolic import Alphabet, PartialConfiguration, cont
 
@@ -135,40 +136,32 @@ def ks_entropy(measure) -> float:
 def sample(measure, F: FiniteSubset, seed: int) -> PartialConfiguration:
     """Draw the window of one sample point on F, deterministically per seed.
 
-    Each site takes the first symbol whose float CDF exceeds its uniform, else
-    the last: a Bernoulli site reads the CDF of p, a Markov site the CDF of
-    the row of the state before it along the line (of pi at the first site)."""
+    A Bernoulli site takes the first symbol whose float CDF of p exceeds its
+    uniform, else the last; F is any index set, repeats and indices past int64
+    included.  A Markov F must be an interval of the line without repeats: its
+    runs (``runs_of``, within +/-2**40) are drawn by ``sample_word``."""
     _check_sampler(measure)
     sites = F if isinstance(F, tuple) else tuple(F)
-    n = len(sites)
+    if isinstance(measure, MarkovMeasure):
+        runs = runs_of(get_group("z"), sites)
+        if len(runs) != len(sites):
+            raise ValueError("Markov sampling needs an interval of the line")
+        word = sample_word(measure, runs, seed)
+        return PartialConfiguration.from_word(tuple(sorted(sites)), word)
     try:
-        index = np.fromiter(sites, np.int64, n)
+        index = np.fromiter(sites, np.int64, len(sites))
     except OverflowError:  # an index past 2**63 (coordinates near 2**40 on z2, h3)
         index = np.array(sites, dtype=object)
-    increasing = bool(np.all(index[1:] > index[:-1]))
-    u = _index_uniforms(seed, index)
-    if isinstance(measure, BernoulliMeasure):
-        states = _bernoulli(measure, u)
-    else:
-        if not sites:
-            raise ValueError("empty window")
-        coord = get_group("z").decode_array(sites)[:, 0]
-        order = np.argsort(coord, kind="stable")
-        if int(coord[order[-1]]) - int(coord[order[0]]) + 1 != n:
-            raise ValueError("Markov sampling needs an interval of the line")
-        states = np.empty(n, dtype=np.intp)
-        states[order] = _chain(measure, u[order])
-    word = _word(measure, states)
-    if increasing:
+    word = _word(measure, _bernoulli(measure, _index_uniforms(seed, index)))
+    if np.all(index[1:] > index[:-1]):
         return PartialConfiguration.from_word(sites, word)
     return PartialConfiguration(zip(sites, word))
 
 
 def sample_word(measure, runs: Runs, seed: int) -> str:
-    """``cont(sample(measure, F, seed))`` for F the sites of ``runs``, from one
-    ``pack_rows`` array of their indices.  A Bernoulli word sorts that array; a
-    Markov chain runs over the coordinates of one run of the line, and its
-    states are then put in index order.  ``runs`` is nonempty."""
+    """The content word, in index order, of the draw on the nonempty ``runs``,
+    from one ``pack_rows`` array of their indices.  A Bernoulli word sorts that
+    array; a chain (``_chain``) runs over the coordinates of one run of the line."""
     _check_sampler(measure)
     if not len(runs):
         raise ValueError("empty window")
@@ -206,8 +199,9 @@ def _bernoulli(measure: BernoulliMeasure, u: np.ndarray) -> np.ndarray:
 
 
 def _chain(measure: MarkovMeasure, u: np.ndarray) -> np.ndarray:
-    """The Markov states of the sites of an interval of the line whose
-    uniforms ``u`` are in coordinate order; the chain starts from pi."""
+    """The Markov states of the sites of an interval of the line whose uniforms
+    ``u`` are in coordinate order: each site reads the CDF of the row of the
+    state before it, the first site that of pi."""
     last = measure.alphabet.size - 1
     # nxt[s][k]: the state at the k-th site when state s precedes it
     nxt = [np.minimum(np.searchsorted(_cdf(r), u, side="right"), last).tolist()
@@ -237,7 +231,7 @@ def empirical_frequencies(alphabet: Alphabet, t: PartialConfiguration) -> Probab
 
 
 class MeasureSource:
-    """Adapter giving a sampled measure the window(F) interface."""
+    """A sampled measure as a source: ``window(F)``, and ``word(runs)`` for ``rate_series``."""
 
     def __init__(self, measure, seed: int):
         self.measure = measure

@@ -306,6 +306,17 @@ def test_tile_dyadic_window_past_the_coordinate_range_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("group", ["z", "z2", "h3"])
+def test_tile_dyadic_at_the_default_horizon_says_to_plan_to_a_smaller_one(tmp_path, capsys, group):
+    out = tmp_path / "tile.csv"
+    assert main(["tile", "--group", group, "--family", "dyadic", "--eps", "1/4",
+                 "--i", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: coordinate 18446744073709551615 outside supported range +/-2**40 while "
+        f"planning on window 64 of the {group} dyadic family: plan to a smaller horizon\n")
+    assert not out.exists()
+
+
 def test_tile_h3_boxes_plans_to_the_default_horizon_from_runs(tmp_path, monkeypatch):
     # the planner reads windows up to index 64 (4096 runs each) as runs, and
     # cover and verify_cover read the window covered and the tiles as runs;

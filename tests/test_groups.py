@@ -266,9 +266,13 @@ def test_windows_past_int64_coordinates_raise_on_every_route():
     F = tuple(pack_coords((2**70 + k,)) for k in range(5))
     with pytest.raises(CoordinateRangeError):
         admissible_patterns(golden_mean_sft(), F)
-    # counting reads every window as runs, so it refuses +/-2**40 to 2**63 too
+    # counting and Markov sampling read every window as runs, so they refuse
+    # +/-2**40 to 2**63 too
+    far = tuple(pack_coords((2**50 + k,)) for k in range(5))
     with pytest.raises(CoordinateRangeError):
-        admissible_patterns(golden_mean_sft(), tuple(pack_coords((2**50 + k,)) for k in range(5)))
+        admissible_patterns(golden_mean_sft(), far)
+    with pytest.raises(CoordinateRangeError):
+        sample(parse_measure("markov:[[0.5,0.5],[1,0]]"), far, 1)
     with pytest.raises(CoordinateRangeError):
         sample(parse_measure("markov:[[0.5,0.5],[1,0]]"), F, 1)
     with pytest.raises(CoordinateRangeError):

@@ -234,6 +234,16 @@ def test_plan_validation():
         plan(z_boxes(), HALF, horizon=0)
 
 
+def test_plan_past_the_coordinate_range_names_the_window_and_the_horizon():
+    # z dyadic window 40 is in range, but its product with the scale-1 tile is not
+    with pytest.raises(PlanningError) as info:
+        plan(builtin_families(get_group("z"))["dyadic"], Fraction(1, 4), horizon=40)
+    assert isinstance(info.value.__cause__, CoordinateRangeError)
+    assert str(info.value) == (
+        "coordinate 1099511627790 outside supported range +/-2**40 while planning on "
+        "window 40 of the z dyadic family: plan to a smaller horizon")
+
+
 def test_tiling_plan_invariants():
     with pytest.raises(ValueError):
         TilingPlan(HALF, (), 0)

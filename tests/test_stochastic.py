@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from amenlab.folner import builtin_families
-from amenlab.groups import Runs, get_group, pack_coords, runs_of
+from amenlab.groups import CoordinateRangeError, Runs, get_group, pack_coords, runs_of
 from amenlab.setcodec import random_connected_subset
 from amenlab.rng import site_uniform
 from amenlab.stochastic import (
@@ -117,6 +117,11 @@ def test_sample_matches_per_site_reference_past_2_64(spec):
             continue  # a chain runs along the line only
         if name != "z":
             assert F[-1] >= 1 << 64, name
+        if isinstance(m, MarkovMeasure) and name == "z past 2**64":
+            # a chain reads its window as runs, which refuse coordinates past +/-2**40
+            with pytest.raises(CoordinateRangeError):
+                sample(m, F, 1)
+            continue
         for seed in (1, 7, 424242):
             reference = _reference_values(m, F, seed)
             for window in (F, F[::-1]):  # sorted, and in an order that is not
@@ -159,9 +164,14 @@ def test_bernoulli_sample_mixes_negative_int64_and_wide_indices():
 
 
 def test_markov_sample_rejects_a_repeated_site():
+    # the last two span as many coordinates as they list sites, but a repeat
+    # hides a gap (at 2, and at 1)
     m = parse_measure("markov:[[0.5,0.5],[1,0]]")
-    with pytest.raises(ValueError, match="interval of the line"):
-        sample(m, (0, 1, 1, 2), 7)
+    for coords in ((0, 1, 1, -1), (0, 1, 1, 3), (0, 0, 2)):
+        F = tuple(pack_coords((c,)) for c in coords)
+        for seed in (2, 7):
+            with pytest.raises(ValueError, match="interval of the line"):
+                sample(m, F, seed)
 
 
 def test_sample_rejects_an_object_that_is_no_measure():
@@ -213,7 +223,8 @@ def test_markov_sample_word_runs_the_chain_along_the_line(spec):
         cut = n // 3
         two = Runs(np.array([[head + cut], [head]]), np.array([n - cut, cut]))
         for seed in (1, 7):
-            want = cont(sample(m, F, seed))
+            reference = _reference_values(m, F, seed)
+            want = "".join(reference[g] for g in F)
             assert sample_word(m, one, seed) == want, (head, n)
             if cut:
                 assert sample_word(m, two, seed) == want, (head, n)
@@ -224,6 +235,8 @@ def test_markov_sample_word_runs_the_chain_along_the_line(spec):
             sample_word(m, runs, 1)
     with pytest.raises(ValueError, match="empty window"):
         sample_word(m, Runs(np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=np.int64)), 1)
+    with pytest.raises(ValueError, match="window must be nonempty"):
+        sample(m, (), 1)
 
 
 def test_shannon_entropy_values():
